@@ -111,6 +111,9 @@ class _LilyMixin:
         return cached
 
     def on_cone_begin(self, po: SubjectNode) -> None:
+        # Costs read placements and dove states that every commit moves,
+        # so no solution outlives its cone (see SolutionMemo).
+        self.memo.clear()
         if self._netcache is None:
             self._tf_cache.clear()
 

@@ -266,6 +266,9 @@ def mis_flow(
     counters_before = (
         OBS.metrics.snapshot_counters() if OBS.enabled else None
     )
+    histograms_before = (
+        OBS.metrics.snapshot_histograms() if OBS.enabled else None
+    )
     with OBS.span("flow", mapper=flow_name, circuit=net.name,
                   mode=mode) as root:
         with OBS.span("decompose"):
@@ -306,7 +309,8 @@ def mis_flow(
     report = None
     if root is not None:
         report = build_report(root, OBS, counters_before,
-                              flow=flow_name, circuit=net.name)
+                              flow=flow_name, circuit=net.name,
+                              histograms_before=histograms_before)
     return FlowResult(
         net.name, flow_name, mode, result, backend, equivalent, runtime,
         obs=report, verify_report=verify_report,
@@ -339,6 +343,9 @@ def lily_flow(
     start = perf_counter()
     counters_before = (
         OBS.metrics.snapshot_counters() if OBS.enabled else None
+    )
+    histograms_before = (
+        OBS.metrics.snapshot_histograms() if OBS.enabled else None
     )
     with OBS.span("flow", mapper="lily", circuit=net.name, mode=mode) as root:
         with OBS.span("pads"):
@@ -403,7 +410,8 @@ def lily_flow(
     report = None
     if root is not None:
         report = build_report(root, OBS, counters_before,
-                              flow="lily", circuit=net.name)
+                              flow="lily", circuit=net.name,
+                              histograms_before=histograms_before)
     return FlowResult(
         net.name, "lily", mode, result, backend, equivalent, runtime,
         obs=report, verify_report=verify_report,

@@ -8,6 +8,11 @@ The chosen cover is then committed: match roots become *hawks* (instantiated
 library gates), covered interior nodes become *doves*, and logic shared with
 later cones may be duplicated (dove reincarnation) exactly as in Section 2.
 
+Solutions are kept across cones (:class:`SolutionMemo`): a shared node is
+solved again only when a node its solution read has since become a hawk,
+so the DP does work proportional to the subject graph rather than to the
+sum of the cone sizes.
+
 Subclasses specialise four hooks:
 
 * :meth:`evaluate_match` — the cost function (area / arrival / layout);
@@ -20,7 +25,8 @@ Subclasses specialise four hooks:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.geometry import Point
 from repro.library.cell import Library
@@ -35,7 +41,8 @@ from repro.perf.memomatch import MemoMatcher
 from repro.perf.options import PerfOptions
 from repro.perf.parallel import prewarm_match_cache
 
-__all__ = ["Solution", "MapResult", "BaseMapper", "NoMatchError"]
+__all__ = ["Solution", "MapResult", "BaseMapper", "NoMatchError",
+           "SolutionMemo"]
 
 
 class NoMatchError(RuntimeError):
@@ -61,6 +68,68 @@ class Solution:
         """Deterministic comparison key: cost, then area, then identity."""
         cell = self.match.cell.name if self.match else ""
         return (self.cost, self.area, cell)
+
+
+class SolutionMemo(dict):
+    """The covering DP's best solution per subject-node uid, kept across cones.
+
+    A solution is a function of what ``solution_of`` answered for the
+    nodes it read (the inputs of every candidate at its node).  That
+    answer changes only when a read node becomes a hawk: hawks are final,
+    and a dove still answers its own memo entry.  So an entry stays valid
+    until a node it read becomes a hawk, directly or through another
+    entry it read; :meth:`drop_stale` then drops it and, transitively,
+    every entry that read it.
+
+    Hawks are queued by :meth:`note_hawk` during a commit and dropped by
+    the next cone's :meth:`drop_stale`, because a commit still reads the
+    memo entry of a cover root after its leaves have become hawks.  A
+    mapper whose costs read state that changes at every commit (Lily)
+    empties the memo in ``on_cone_begin``; :meth:`drop_stale` on an empty
+    memo costs nothing.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: Node uid -> uids of the entries that read it (static per graph:
+        #: a node's candidates never change during one ``map``).
+        self._readers: Dict[int, List[int]] = {}
+        self._registered: Set[int] = set()
+        self._new_hawks: List[int] = []
+
+    def store(self, node: SubjectNode, solution,
+              reads: Iterable[SubjectNode]) -> None:
+        """Record ``node``'s solution and, once per node, what it read."""
+        uid = node.uid
+        self[uid] = solution
+        if uid in self._registered:
+            return
+        self._registered.add(uid)
+        readers = self._readers
+        for read in {n.uid for n in reads if n.is_gate}:
+            readers.setdefault(read, []).append(uid)
+
+    def note_hawk(self, node: SubjectNode) -> None:
+        """``node`` became a hawk; its readers go stale after the commit."""
+        self._new_hawks.append(node.uid)
+
+    def drop_stale(self) -> int:
+        """Drop every entry that read a new hawk; returns how many."""
+        hawks = self._new_hawks
+        if not self:
+            hawks.clear()
+            return 0
+        for uid in hawks:
+            self.pop(uid, None)  # final now: answered by hawk_solution
+        dropped = 0
+        readers = self._readers
+        stack = hawks
+        while stack:
+            for reader in readers.get(stack.pop(), ()):
+                if self.pop(reader, None) is not None:
+                    dropped += 1
+                    stack.append(reader)
+        return dropped
 
 
 @dataclass
@@ -124,7 +193,7 @@ class BaseMapper:
         self.lifecycle: Optional[LifecycleTracker] = None
         self.mapped: Optional[MappedNetwork] = None
         self.instances: Dict[int, MappedNode] = {}
-        self.memo: Dict[int, Solution] = {}
+        self.memo = SolutionMemo()
         self._gate_counter = 0
         self._match_cache: Dict[int, List[Match]] = {}
 
@@ -185,6 +254,7 @@ class BaseMapper:
         self.lifecycle = LifecycleTracker()
         self.mapped = MappedNetwork(f"{subject.name}_mapped")
         self.instances = {}
+        self.memo = SolutionMemo()
         self._gate_counter = 0
         self._match_cache = {}
 
@@ -227,7 +297,6 @@ class BaseMapper:
 
     def _map_cone(self, po: SubjectNode, cone: Set[SubjectNode]) -> None:
         driver = po.fanins[0]
-        self.memo = {}
         if OBS.enabled:
             OBS.metrics.counter("dp.cones").inc()
             OBS.metrics.histogram("dp.cone_size").observe(len(cone))
@@ -243,29 +312,54 @@ class BaseMapper:
         self.on_cone_done(po)
 
     def _solve_cone(self, root: SubjectNode, cone: Set[SubjectNode]) -> None:
-        """Bottom-up DP over the cone's gates (reversed-DFS order)."""
+        """Bottom-up DP over the cone's gates (reversed-DFS order).
+
+        Gates whose memo entry is still valid keep it (see
+        :class:`SolutionMemo`); such a gate was visited when it was solved,
+        so skipping :meth:`LifecycleTracker.visit` changes no state.
+        """
+        memo = self.memo
+        invalidated = memo.drop_stale()
+        reused = 0
         for node in self._cone_topological(root):
             if self.lifecycle.is_hawk(node):
                 continue  # reuse: its gate already exists
+            if node.uid in memo:
+                reused += 1
+                continue
             self.lifecycle.visit(node)
             best: Optional[Solution] = None
+            best_key: Optional[tuple] = None
             matches = self._matches_at(node)
             if OBS.enabled:
                 OBS.metrics.counter("dp.nodes_visited").inc()
                 OBS.metrics.counter("dp.states_expanded").inc(len(matches))
+            # Matches share inputs: answer solution_of once per input.
+            solved: Dict[int, Solution] = {}
+            reads: List[SubjectNode] = []
             for match in matches:
-                inputs = [self.solution_of(v) for v in match.inputs]
+                inputs = []
+                for v in match.inputs:
+                    answer = solved.get(v.uid)
+                    if answer is None:
+                        answer = solved[v.uid] = self.solution_of(v)
+                        reads.append(v)
+                    inputs.append(answer)
                 solution = self.evaluate_match(node, match, inputs)
                 if solution is None:
                     continue
-                if best is None or solution.key() < best.key():
-                    best = solution
+                key = solution.key()
+                if best_key is None or key < best_key:
+                    best, best_key = solution, key
             if best is None:
                 raise NoMatchError(
                     f"no match at {node.name} ({node.type.value}); "
                     f"library {self.library.name!r} cannot cover the graph"
                 )
-            self.memo[node.uid] = best
+            memo.store(node, best, reads)
+        if OBS.enabled:
+            OBS.metrics.counter("dp.solutions_reused").inc(reused)
+            OBS.metrics.counter("dp.solutions_invalidated").inc(invalidated)
 
     def _cone_topological(self, root: SubjectNode) -> List[SubjectNode]:
         """Gate nodes of the cone of ``root`` in fanin-first order."""
@@ -351,7 +445,8 @@ class BaseMapper:
         instance.arrival = solution.arrival
         instance.position = self.position_for(node, match)
         self.lifecycle.make_hawk(node)
-        for inner in match.inner:
+        self.memo.note_hawk(node)
+        for inner in sorted(match.inner, key=attrgetter("uid")):
             self.lifecycle.make_dove(inner)
         self.instances[node.uid] = instance
         if OBS.enabled:

@@ -8,9 +8,9 @@ pattern shapes.  This module implements the other classical paradigm:
    gets a bounded, deterministically ordered set of k-feasible cuts
    (:func:`enumerate_priority_cuts`).  The direct-fanin cut is always
    retained so a library with an inverter and a NAND2 can cover any graph.
-2. **NPN boolean matching** — each cut's function (computed with the
-   :mod:`repro.match.boolmatch` truth-table machinery) is looked up in a
-   precomputed expansion table of the library (:class:`NpnMatchTable`):
+2. **NPN boolean matching** — each cut's function is computed once per
+   graph as an integer truth table (:func:`cut_functions`) and looked up
+   in a precomputed expansion table of the library (:class:`NpnMatchTable`):
    for every cell up to :data:`NPN_FULL_WIDTH` inputs, *all* NPN variants
    of its function are tabulated once per library, so matching a cut is a
    single dict probe instead of a canonical-form search.  Wider cells
@@ -18,10 +18,12 @@ pattern shapes.  This module implements the other classical paradigm:
    which keeps the one-time build sub-second.  Input/output negations are
    realised by inserting library inverters at commit time (deduplicated
    per driven signal) and priced into the DP cost.
-3. **DP covering** (:class:`CutMapper`) — per-cone bottom-up dynamic
+3. **DP covering** (:class:`CutMapper`) — cone-by-cone bottom-up dynamic
    programming with the same egg/nestling/hawk/dove lifecycle, cone
-   partition and :class:`~repro.map.base.MapResult` contract as the tree
-   mapper, so placement, routing, STA, serve and verify run unchanged.
+   partition, cross-cone solution reuse
+   (:class:`~repro.map.base.SolutionMemo`) and
+   :class:`~repro.map.base.MapResult` contract as the tree mapper, so
+   placement, routing, STA, serve and verify run unchanged.
    ``mode="area"`` minimises cell area, ``mode="timing"`` minimises
    arrival under the MIS constant-load model of :mod:`repro.map.mis`.
 4. **LUT-k mode** — ``lut_k=K`` covers with generated k-input LUT cells
@@ -40,12 +42,14 @@ covers (the differential property fleet asserts this).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.library.cell import Cell, Library, Pin, PinTiming
-from repro.map.base import MapResult, NoMatchError
+from repro.map.base import MapResult, NoMatchError, SolutionMemo
 from repro.map.cones import logic_cones
 from repro.map.lifecycle import LifecycleTracker
 from repro.map.mis import (
@@ -56,7 +60,6 @@ from repro.map.mis import (
     _typical_input_cap,
 )
 from repro.map.netlist import MappedNetwork, MappedNode
-from repro.match.boolmatch import cut_cone, cut_function
 from repro.network.logic import TruthTable
 from repro.network.subject import SubjectGraph, SubjectNode
 from repro.obs import OBS
@@ -68,6 +71,10 @@ __all__ = [
     "MapperSpec",
     "parse_mapper_spec",
     "enumerate_priority_cuts",
+    "CutFunction",
+    "cut_truth",
+    "has_vacuous_leaf",
+    "cut_functions",
     "NpnBinding",
     "NpnMatchTable",
     "match_table_for",
@@ -212,6 +219,11 @@ def enumerate_priority_cuts(
             union: FrozenSet[SubjectNode] = frozenset().union(*combo)
             if len(union) <= k:
                 merged.add(union)
+        if 0 < cuts_per_node < len(merged):
+            # Only cuts no larger than the bound-th smallest can be kept;
+            # skip building priority keys for the rest.
+            limit = sorted(map(len, merged))[cuts_per_node - 1]
+            merged = {cut for cut in merged if len(cut) <= limit}
         ordered = sorted(merged, key=_cut_priority)[:cuts_per_node]
         direct = frozenset(node.fanins)
         if len(direct) <= k and direct not in ordered:
@@ -221,6 +233,119 @@ def enumerate_priority_cuts(
             tuple(sorted(cut, key=lambda n: n.uid)) for cut in ordered
         ]
     return result
+
+
+# -- cut functions ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CutFunction:
+    """One retained cut of a node, with its function computed once.
+
+    :attr:`bits` is the truth table of the root over :attr:`leaves` (leaf
+    ``i`` is variable ``i``, as in :func:`repro.match.boolmatch.cut_function`);
+    :attr:`interior` holds the cone between the leaves and the root in
+    fanin-first order, root last; :attr:`vacuous` is true when some leaf
+    is outside the function's support, so a smaller cut covers the same
+    function.
+    """
+
+    leaves: Tuple[SubjectNode, ...]
+    bits: int
+    vacuous: bool
+    interior: Tuple[SubjectNode, ...]
+
+
+@functools.lru_cache(maxsize=None)
+def _variable_masks(n: int) -> Tuple[int, ...]:
+    """Truth-table bits of the projections ``x_0 .. x_{n-1}`` over ``n``."""
+    return tuple(sum(1 << m for m in range(1 << n) if (m >> i) & 1)
+                 for i in range(n))
+
+
+def cut_truth(
+    root: SubjectNode, leaves: Sequence[SubjectNode]
+) -> Optional[Tuple[int, List[SubjectNode]]]:
+    """``(bits, interior)`` of ``root`` over the ordered cut ``leaves``.
+
+    One post-order walk of the cut's cone with integer masks.  Tables are
+    never composed from the fanins' own cut tables: on a reconvergent cut
+    a leaf can sit inside another fanin's sub-cut cone, and the stretched
+    fanin tables then disagree with the cone's real function.  Returns
+    ``None`` when a path from the root reaches a primary input or
+    constant that is not a leaf (not a cut).
+    """
+    n = len(leaves)
+    full = (1 << (1 << n)) - 1
+    value = {leaf.uid: mask
+             for leaf, mask in zip(leaves, _variable_masks(n))}
+    interior: List[SubjectNode] = []
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node.uid in value:
+            stack.pop()
+            continue
+        fanins = node.fanins
+        if not fanins:
+            return None  # a primary input or constant outside the cut
+        a = value.get(fanins[0].uid)
+        if len(fanins) == 1:  # inverter
+            if a is None:
+                stack.append(fanins[0])
+                continue
+            value[node.uid] = full ^ a
+        else:  # nand2
+            b = value.get(fanins[1].uid)
+            if a is None or b is None:
+                if a is None:
+                    stack.append(fanins[0])
+                if b is None:
+                    stack.append(fanins[1])
+                continue
+            value[node.uid] = full ^ (a & b)
+        stack.pop()
+        interior.append(node)
+    return value[root.uid], interior
+
+
+def has_vacuous_leaf(bits: int, n: int) -> bool:
+    """Whether the ``n``-input table ``bits`` ignores one of its inputs.
+
+    Variable ``i`` is in the support exactly when the cofactors differ:
+    the bits where ``x_i = 1``, shifted down onto the ``x_i = 0`` bits,
+    differ from the ``x_i = 0`` bits.
+    """
+    full = (1 << (1 << n)) - 1
+    for i, mask in enumerate(_variable_masks(n)):
+        if (bits & mask) >> (1 << i) == bits & (full ^ mask):
+            return True
+    return False
+
+
+def cut_functions(
+    graph: SubjectGraph,
+    cuts: Dict[int, List[Tuple[SubjectNode, ...]]],
+) -> Dict[int, List[CutFunction]]:
+    """The :class:`CutFunction` of every retained cut, per gate uid.
+
+    ``cuts`` is :func:`enumerate_priority_cuts` output; cut order is kept.
+    """
+    table: Dict[int, List[CutFunction]] = {}
+    for node in graph.gates:
+        functions = []
+        for leaves in cuts.get(node.uid, ()):
+            walked = cut_truth(node, leaves)
+            if walked is None:
+                continue
+            bits, interior = walked
+            functions.append(CutFunction(
+                leaves, bits, has_vacuous_leaf(bits, len(leaves)),
+                tuple(interior)))
+        table[node.uid] = functions
+        if OBS.enabled:
+            OBS.metrics.counter("cut.functions_computed").inc(len(functions))
+    return table
 
 
 # -- NPN library expansion ----------------------------------------------------
@@ -321,7 +446,11 @@ class NpnMatchTable:
 
     def lookup(self, tt: TruthTable) -> List[NpnBinding]:
         """Bindings realising ``tt`` exactly (possibly empty)."""
-        return self._table.get((tt.num_inputs, tt.bits), [])
+        return self.lookup_bits(tt.num_inputs, tt.bits)
+
+    def lookup_bits(self, num_inputs: int, bits: int) -> List[NpnBinding]:
+        """Bindings realising the ``num_inputs``-input table ``bits``."""
+        return self._table.get((num_inputs, bits), [])
 
     def __len__(self) -> int:
         return len(self._table)
@@ -400,14 +529,15 @@ class CutSolution:
         """Deterministic comparison key (total order over candidates)."""
         if self.binding is None:
             return (self.cost, self.area, "", (), (), False)
-        return (
-            self.cost,
-            self.area,
-            self.binding.cell.name,
-            tuple(n.uid for n in self.leaves),
-            self.binding.pin_negated,
-            self.binding.output_negated,
-        )
+        return _candidate_key(self.cost, self.area, self.binding,
+                              tuple(n.uid for n in self.leaves))
+
+
+def _candidate_key(cost: float, area: float, binding: NpnBinding,
+                   leaf_uids: Tuple[int, ...]) -> tuple:
+    """:meth:`CutSolution.key` of a (cut, binding) candidate."""
+    return (cost, area, binding.cell.name, leaf_uids,
+            binding.pin_negated, binding.output_negated)
 
 
 @dataclass(frozen=True)
@@ -430,8 +560,29 @@ class CutMapResult(MapResult):
     cut_cover: List[CutCoverRecord] = field(default_factory=list)
 
 
+class _CutChoice:
+    """A usable cut of one node: leaves, interior and priced bindings."""
+
+    __slots__ = ("leaves", "interior", "bindings")
+
+    def __init__(self, leaves: Tuple[SubjectNode, ...],
+                 interior: Tuple[SubjectNode, ...],
+                 bindings: List[Tuple[NpnBinding, float]]) -> None:
+        self.leaves = leaves
+        self.interior = interior
+        #: ``(binding, cell area + inverter area)`` in table order.
+        self.bindings = bindings
+
+
 class CutMapper:
     """Priority-cut DAG covering with NPN matching (area/timing/LUT).
+
+    ``map`` enumerates the priority cuts, then prepares every retained
+    cut once for the whole graph: its truth table, vacuous-leaf verdict,
+    interior cone and NPN bindings (:func:`cut_functions`).  Cones are
+    then covered one primary output at a time by a bottom-up DP whose
+    solutions are kept across cones until a node they read becomes a
+    hawk (:class:`~repro.map.base.SolutionMemo`).
 
     Args:
         library: target gate library (function table and inverters; its
@@ -490,11 +641,11 @@ class CutMapper:
         self.lifecycle: Optional[LifecycleTracker] = None
         self.mapped: Optional[MappedNetwork] = None
         self.instances: Dict[int, MappedNode] = {}
-        self.memo: Dict[int, CutSolution] = {}
+        self.memo = SolutionMemo()
         self.cut_cover: List[CutCoverRecord] = []
         self.provenance: Dict[str, Tuple[SubjectNode,
                                          FrozenSet[SubjectNode]]] = {}
-        self._cuts: Dict[int, List[Tuple[SubjectNode, ...]]] = {}
+        self._choices: Dict[int, List[_CutChoice]] = {}
         self._inverters: Dict[str, MappedNode] = {}
         self._gate_counter = 0
 
@@ -506,7 +657,7 @@ class CutMapper:
         self.lifecycle = LifecycleTracker()
         self.mapped = MappedNetwork(f"{subject.name}_mapped")
         self.instances = {}
-        self.memo = {}
+        self.memo = SolutionMemo()
         self.cut_cover = []
         self.provenance = {}
         self._inverters = {}
@@ -514,8 +665,11 @@ class CutMapper:
         for pi in subject.primary_inputs:
             self.instances[pi.uid] = self.mapped.add_primary_input(pi.name)
         with OBS.span("cut.enumerate", gates=len(subject.gates)):
-            self._cuts = enumerate_priority_cuts(
-                subject, self.k, self.cuts_per_node)
+            cuts = enumerate_priority_cuts(subject, self.k,
+                                           self.cuts_per_node)
+        with OBS.span("cut.functions"):
+            self._choices = self._prepare_choices(
+                cut_functions(subject, cuts))
         cones = logic_cones(subject)
         order = list(range(len(cones)))
         for index in order:
@@ -532,11 +686,40 @@ class CutMapper:
         return CutMapResult(self.mapped, subject, self.lifecycle,
                             list(order), cut_cover=list(self.cut_cover))
 
+    def _prepare_choices(
+        self, functions: Dict[int, List[CutFunction]]
+    ) -> Dict[int, List[_CutChoice]]:
+        """Usable cuts per gate: non-vacuous, with at least one binding."""
+        inverter_area = self.inverter.area if self.inverter else 0.0
+        priced_by_function: Dict[Tuple[int, int], list] = {}
+        choices: Dict[int, List[_CutChoice]] = {}
+        for uid, node_functions in functions.items():
+            usable = []
+            for f in node_functions:
+                if f.vacuous:
+                    continue  # a smaller cut covers this function
+                n = len(f.leaves)
+                priced = priced_by_function.get((n, f.bits))
+                if priced is None:
+                    if self.lut_k is not None:
+                        bindings = [NpnBinding(
+                            lut_cell(n, f.bits), tuple(range(n)),
+                            tuple([False] * n), False)]
+                    else:
+                        bindings = self.table.lookup_bits(n, f.bits)
+                    priced = [(b, b.cell.area +
+                               inverter_area * b.inverter_count())
+                              for b in bindings]
+                    priced_by_function[(n, f.bits)] = priced
+                if priced:
+                    usable.append(_CutChoice(f.leaves, f.interior, priced))
+            choices[uid] = usable
+        return choices
+
     # -- cone processing -----------------------------------------------------
 
     def _map_cone(self, po: SubjectNode) -> None:
         driver = po.fanins[0]
-        self.memo = {}
         if OBS.enabled:
             OBS.metrics.counter("cut.cones").inc()
         if driver.is_gate:
@@ -572,75 +755,65 @@ class CutMapper:
         return order
 
     def _solve_cone(self, root: SubjectNode) -> None:
+        """Bottom-up DP over the cone's gates, reusing valid solutions."""
+        memo = self.memo
+        invalidated = memo.drop_stale()
+        reused = 0
         for node in self._cone_topological(root):
             if self.lifecycle.is_hawk(node):
                 continue  # reuse: its gate already exists
+            if node.uid in memo:
+                reused += 1
+                continue
             self.lifecycle.visit(node)
             if OBS.enabled:
                 OBS.metrics.counter("cut.nodes_visited").inc()
-            best: Optional[CutSolution] = None
-            for leaves in self._cuts.get(node.uid, ()):
-                candidate = self._best_at_cut(node, leaves)
-                if candidate is not None and (
-                        best is None or candidate.key() < best.key()):
-                    best = candidate
+            choices = self._choices[node.uid]
+            best = self._best_solution(node, choices)
             if best is None:
                 raise NoMatchError(
                     f"no cut match at {node.name} ({node.type.value}); "
                     f"library {self.library.name!r} cannot cover the graph")
-            self.memo[node.uid] = best
-
-    def _best_at_cut(
-        self, node: SubjectNode, leaves: Tuple[SubjectNode, ...]
-    ) -> Optional[CutSolution]:
-        """Best binding implementing ``node``'s function over ``leaves``."""
-        tt = cut_function(node, leaves)
-        if tt is None:
-            return None
-        if len(tt.support()) != len(leaves):
-            return None  # vacuous leaf; a smaller cut covers this function
-        interior = cut_cone(node, frozenset(leaves))
-        if interior is None:
-            return None
-        covered = frozenset(interior)
-        if self.lut_k is not None:
-            n = len(leaves)
-            bindings = [NpnBinding(
-                lut_cell(n, tt.bits), tuple(range(n)),
-                tuple([False] * n), False)]
-        else:
-            bindings = self.table.lookup(tt)
-        best: Optional[CutSolution] = None
-        leaf_solutions = [self._solution_of(leaf) for leaf in leaves]
+            memo.store(node, best, (v for c in choices for v in c.leaves))
         if OBS.enabled:
-            OBS.metrics.counter("cut.states_expanded").inc(len(bindings))
-        for binding in bindings:
-            solution = self._evaluate(node, leaves, binding, covered,
-                                      leaf_solutions)
-            if best is None or solution.key() < best.key():
-                best = solution
-        return best
+            OBS.metrics.counter("cut.solutions_reused").inc(reused)
+            OBS.metrics.counter("cut.solutions_invalidated").inc(invalidated)
 
-    def _evaluate(
-        self,
-        node: SubjectNode,
-        leaves: Tuple[SubjectNode, ...],
-        binding: NpnBinding,
-        covered: FrozenSet[SubjectNode],
-        leaf_solutions: Sequence[CutSolution],
-    ) -> CutSolution:
-        """DP cost of one binding at one cut (area or timing objective)."""
-        inverter_area = self.inverter.area if self.inverter else 0.0
-        impl_area = binding.cell.area + \
-            inverter_area * binding.inverter_count()
-        area = impl_area + sum(s.area for s in leaf_solutions)
-        if self.mode == "area":
-            cost = impl_area + sum(s.cost for s in leaf_solutions)
-            return CutSolution(node, leaves, binding, covered, cost,
-                               area=area)
-        arrival = self._estimated_arrival(node, binding, leaf_solutions)
-        return CutSolution(node, leaves, binding, covered, arrival,
-                           area=area, arrival=arrival)
+    def _best_solution(
+        self, node: SubjectNode, choices: Sequence[_CutChoice]
+    ) -> Optional[CutSolution]:
+        """The best (cut, binding) at ``node``: the first minimum of
+        :meth:`CutSolution.key`, compared without building a solution
+        per candidate."""
+        timing = self.mode == "timing"
+        load = self._estimated_load(node) if timing else 0.0
+        best_key: Optional[tuple] = None
+        best = None
+        for choice in choices:
+            leaf_solutions = [self._solution_of(leaf) for leaf in choice.leaves]
+            leaf_uids = tuple(leaf.uid for leaf in choice.leaves)
+            if OBS.enabled:
+                OBS.metrics.counter("cut.states_expanded").inc(
+                    len(choice.bindings))
+            leaf_area = sum(s.area for s in leaf_solutions)
+            leaf_cost = 0.0 if timing else sum(s.cost for s in leaf_solutions)
+            for binding, impl_area in choice.bindings:
+                area = impl_area + leaf_area
+                if timing:
+                    cost = self._estimated_arrival(binding, leaf_solutions,
+                                                   load)
+                else:
+                    cost = impl_area + leaf_cost
+                key = _candidate_key(cost, area, binding, leaf_uids)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = (choice, binding, cost, area)
+        if best is None:
+            return None
+        choice, binding, cost, area = best
+        return CutSolution(node, choice.leaves, binding,
+                           frozenset(choice.interior), cost, area=area,
+                           arrival=cost if timing else 0.0)
 
     def _estimated_load(self, node: SubjectNode) -> float:
         """The MIS constant-load model of ``repro.map.mis``."""
@@ -654,11 +827,10 @@ class CutMapper:
 
     def _estimated_arrival(
         self,
-        node: SubjectNode,
         binding: NpnBinding,
         leaf_solutions: Sequence[CutSolution],
+        load: float,
     ) -> float:
-        load = self._estimated_load(node)
         inv_timing = self.inverter.pins[0].timing if self.inverter else None
         inv_cap = self.inverter.pins[0].input_cap if self.inverter else 0.0
         # An output inverter sits between the cell and the fanouts: the
@@ -768,7 +940,8 @@ class CutMapper:
             output = self._inverted(instance)
             output.arrival = solution.arrival
         self.lifecycle.make_hawk(node)
-        for inner in solution.covered:
+        self.memo.note_hawk(node)
+        for inner in sorted(solution.covered, key=attrgetter("uid")):
             if inner is not node:
                 self.lifecycle.make_dove(inner)
         self.instances[node.uid] = output

@@ -117,12 +117,11 @@ def _cone_nodes(
 def cut_cone(
     root: SubjectNode, leaves: FrozenSet[SubjectNode]
 ) -> Optional[List[SubjectNode]]:
-    """Public alias of :func:`_cone_nodes` for the cut-covering backend.
+    """Public alias of :func:`_cone_nodes`: the interior of a cut.
 
-    The cut mapper (:mod:`repro.map.cuts`) needs the interior of a cut to
-    drive the hawk/dove lifecycle exactly as tree matches do; exposing
-    the traversal here keeps both matchers on one definition of a cut's
-    cone.
+    The cut mapper (:mod:`repro.map.cuts`) computes cut interiors with its
+    own integer-mask walk; this traversal is the independent reference
+    its tests compare that walk against.
     """
     return _cone_nodes(root, leaves)
 

@@ -51,6 +51,7 @@ __all__ = [
     "percentile_from_buckets",
     "merge_histogram_summaries",
     "merge_metrics_snapshots",
+    "histogram_delta",
 ]
 
 #: Lower boundary of bucket 0 (1 nanosecond when observing seconds).
@@ -224,6 +225,41 @@ def merge_metrics_snapshots(snapshots) -> Dict[str, Any]:
     return merged
 
 
+def histogram_delta(
+    hist: "Histogram", before: Optional[Dict[str, Any]]
+) -> Optional[Dict[str, Any]]:
+    """Summary of what ``hist`` observed since the ``before`` snapshot.
+
+    ``before`` is one entry of :meth:`Metrics.snapshot_histograms`
+    (``None`` means the histogram did not exist yet).  Count, sum and
+    bucket counts are exact differences, and percentiles come from the
+    difference buckets.  The extremes are exact when nothing was
+    observed before; otherwise they are the bounds of the lowest and
+    highest difference buckets, clamped to the histogram's own extremes
+    (within :data:`HIST_GROWTH` of the true values).  Returns ``None``
+    when nothing was observed since.
+    """
+    if not before or not before.get("count"):
+        return hist.summary() if hist.count else None
+    count = hist.count - before["count"]
+    if count <= 0:
+        return None
+    old = before.get("buckets") or {}
+    delta = Histogram()
+    for index, n in hist.buckets.items():
+        moved = n - old.get(index, 0)
+        if moved > 0:
+            delta.buckets[index] = moved
+    low, high = min(delta.buckets), max(delta.buckets)
+    delta.count = count
+    delta.total = hist.total - before.get("sum", 0.0)
+    delta.min = hist.min if low == 0 else max(bucket_bounds(low)[0],
+                                              hist.min)
+    delta.max = (hist.max if high == HIST_BUCKETS - 1
+                 else min(bucket_bounds(high)[1], hist.max))
+    return delta.summary()
+
+
 class Counter:
     """A monotonically increasing total."""
 
@@ -358,6 +394,15 @@ class Metrics:
     def snapshot_counters(self) -> Dict[str, int]:
         """Counter totals by name."""
         return {name: c.value for name, c in self.counters.items()}
+
+    def snapshot_histograms(self) -> Dict[str, Dict[str, Any]]:
+        """Count, sum and bucket counts per histogram (no percentiles), the
+        pre-flow state :func:`histogram_delta` subtracts."""
+        return {
+            name: {"count": h.count, "sum": h.total,
+                   "buckets": dict(h.buckets)}
+            for name, h in self.histograms.items()
+        }
 
     def snapshot(self) -> Dict[str, Any]:
         """Everything, as plain JSON-ready values."""

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.metrics import merge_histogram_summaries
+from repro.obs.metrics import histogram_delta, merge_histogram_summaries
 from repro.obs.session import ObsSession
 from repro.obs.tracer import Span
 
@@ -166,13 +166,18 @@ def build_report(
     counters_before: Optional[Dict[str, int]] = None,
     flow: str = "",
     circuit: str = "",
+    histograms_before: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> ObsReport:
     """Freeze the subtree under ``root`` plus the metric movement.
 
-    ``counters_before`` is a pre-flow snapshot; the report holds only the
-    delta so consecutive flows in one session stay separable.  Gauges and
-    histograms are session-cumulative (a gauge's last value and a
-    histogram's min/max cannot be meaningfully differenced).
+    ``counters_before`` and ``histograms_before`` are pre-flow snapshots
+    (:meth:`~repro.obs.metrics.Metrics.snapshot_counters`,
+    :meth:`~repro.obs.metrics.Metrics.snapshot_histograms`); the report
+    holds only what moved since, so consecutive flows in one session stay
+    separable and :func:`merge_reports` sums them without double
+    counting (see :func:`~repro.obs.metrics.histogram_delta` for the
+    extremes).  Gauges are session-cumulative: a last value cannot be
+    differenced.
     """
     counters_before = counters_before or {}
     counters: Dict[str, int] = {}
@@ -180,6 +185,12 @@ def build_report(
         delta = value - counters_before.get(name, 0)
         if delta:
             counters[name] = delta
+    histograms_before = histograms_before or {}
+    histograms: Dict[str, Dict[str, Any]] = {}
+    for name, hist in session.metrics.histograms.items():
+        summary = histogram_delta(hist, histograms_before.get(name))
+        if summary is not None:
+            histograms[name] = summary
     return ObsReport(
         flow=flow or str(root.attrs.get("mapper", "")),
         circuit=circuit or str(root.attrs.get("circuit", "")),
@@ -187,9 +198,7 @@ def build_report(
         phases=_aggregate(root),
         counters=counters,
         gauges={k: g.value for k, g in session.metrics.gauges.items()},
-        histograms={
-            k: h.summary() for k, h in session.metrics.histograms.items()
-        },
+        histograms=histograms,
     )
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.library.patterns import pattern_set_for
-from repro.map.base import BaseMapper, NoMatchError
+from repro.map.base import BaseMapper, NoMatchError, SolutionMemo
 from repro.map.mis import MisAreaMapper
 from repro.match.treematch import Matcher
 from repro.network.blif import parse_blif
@@ -159,3 +159,51 @@ class TestConeOrderingFlag:
         plain = MisAreaMapper(big_lib, use_cone_ordering=False).map(subject)
         ordered = MisAreaMapper(big_lib, use_cone_ordering=True).map(subject)
         assert networks_equivalent(plain.mapped, ordered.mapped)
+
+
+class TestSolutionMemo:
+    """The cross-cone validity rule, on hand-built read dependencies."""
+
+    def _chain(self):
+        g = SubjectGraph("memo")
+        a, b, c = (g.add_primary_input(n) for n in "abc")
+        x = g.nand(a, b)
+        y = g.inv(x)
+        z = g.nand(y, c)
+        w = g.nand(x, c)
+        u = g.nand(a, c)
+        return a, x, y, z, w, u
+
+    def test_drop_follows_readers_transitively(self):
+        a, x, y, z, w, u = self._chain()
+        memo = SolutionMemo()
+        memo.store(x, "X", [a])
+        memo.store(y, "Y", [x])
+        memo.store(z, "Z", [y])
+        memo.store(w, "W", [a, x])
+        memo.store(u, "U", [a])
+        memo.note_hawk(x)
+        # y and w read the hawk, z read y; x is final; u read only a PI.
+        assert memo.drop_stale() == 3
+        assert set(memo) == {u.uid}
+        assert memo.drop_stale() == 0
+
+    def test_reads_are_recorded_once_per_node(self):
+        a, x, y, z, w, u = self._chain()
+        memo = SolutionMemo()
+        memo.store(y, "Y", [x])
+        memo.store(y, "Y again", [z])  # a re-solve reads the same nodes
+        memo.note_hawk(z)
+        assert memo.drop_stale() == 0
+        assert memo[y.uid] == "Y again"
+
+    def test_emptied_memo_forgets_queued_hawks(self):
+        a, x, y, z, w, u = self._chain()
+        memo = SolutionMemo()
+        memo.store(y, "Y", [x])
+        memo.note_hawk(x)
+        memo.clear()  # what a per-cone mapper (Lily) does
+        assert memo.drop_stale() == 0
+        memo.store(y, "Y", [x])
+        assert memo.drop_stale() == 0
+        assert y.uid in memo

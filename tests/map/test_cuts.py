@@ -1,12 +1,16 @@
 """Unit and oracle tests for the cut-based covering backend.
 
-Four families:
+Five families:
 
 * **enumeration oracle** — on random ≤12-gate DAGs, a brute-force
   (unbounded) k-feasible cut enumeration is the ground truth: the
   priority-cut set must be a subset, must retain the direct-fanin
   fallback cut and the best cut under the priority order, and with an
   unbounded budget must equal the full set exactly;
+* **cut functions** — the per-graph integer truth table, vacuous-leaf
+  verdict and interior of every retained cut equal the independent
+  :func:`repro.match.boolmatch.cut_function` / ``cut_cone`` oracle, on
+  the random DAGs, every Table 1/2 circuit and a 1000-gate Rent circuit;
 * **NPN table** — every binding stored in the match table realises
   exactly the function it is filed under (``realized_bits`` round-trip),
   and LUT cells synthesise their defining truth table;
@@ -15,7 +19,8 @@ Four families:
   worse than either backend on any cone, and mapper specs parse/reject
   with the pinned messages;
 * **determinism** — two *separate interpreter processes* with different
-  hash seeds produce bit-identical covers.
+  hash seeds produce bit-identical tree and cut covers and lifecycle
+  histories.
 """
 
 from __future__ import annotations
@@ -28,6 +33,11 @@ import sys
 
 import pytest
 
+from repro.circuits.suite import (
+    TABLE1_CIRCUITS,
+    TABLE2_CIRCUITS,
+    build_circuit,
+)
 from repro.map.blif_io import write_mapped_blif
 from repro.map.cuts import (
     CutError,
@@ -36,11 +46,13 @@ from repro.map.cuts import (
     MapperSpec,
     MapperSpecError,
     _cut_priority,
+    cut_functions,
     enumerate_priority_cuts,
     lut_cell,
     match_table_for,
     parse_mapper_spec,
 )
+from repro.match.boolmatch import cut_cone, cut_function
 from repro.network.decompose import decompose_to_subject
 from repro.network.logic import TruthTable
 from repro.network.subject import SubjectGraph
@@ -171,6 +183,53 @@ def test_nonpositive_cut_width_rejected():
     g = SubjectGraph("empty")
     with pytest.raises(CutError, match="cut width must be positive"):
         enumerate_priority_cuts(g, 0)
+
+
+# -- per-graph cut functions vs the boolmatch oracle --------------------------
+
+
+def _assert_cut_functions_match_oracle(graph, cuts, label):
+    """Every retained cut's table, verdict and interior match the oracle."""
+    table = cut_functions(graph, cuts)
+    checked = 0
+    for node in graph.gates:
+        functions = table[node.uid]
+        assert [f.leaves for f in functions] == cuts.get(node.uid, []), (
+            f"{label}: {node.name} lost or reordered a retained cut")
+        for f in functions:
+            tt = cut_function(node, f.leaves)
+            assert tt is not None
+            assert f.bits == tt.bits, (
+                f"{label}: {node.name} over {[n.name for n in f.leaves]}: "
+                f"table {f.bits:#x} != oracle {tt.bits:#x}")
+            assert f.vacuous == (len(tt.support()) != len(f.leaves))
+            assert frozenset(f.interior) == frozenset(
+                cut_cone(node, frozenset(f.leaves)))
+            assert f.interior[-1] is node
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("case", range(ORACLE_CASES))
+def test_cut_functions_match_oracle_on_random_dags(case, seeded_rng):
+    """Bounded and unbounded cut sets: every k-feasible cut is checked."""
+    graph = _random_subject(seeded_rng("cuts-oracle", case))
+    for bound in (3, 10 ** 6):
+        cuts = enumerate_priority_cuts(graph, ORACLE_K, cuts_per_node=bound)
+        _assert_cut_functions_match_oracle(graph, cuts, f"case {case}")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "circuit",
+    sorted(set(TABLE1_CIRCUITS) | set(TABLE2_CIRCUITS))
+    + ["synth:19910611:1000"])
+def test_cut_functions_match_oracle_on_circuits(circuit, big_lib):
+    """The mapper's cut width and bound, on the paper's circuits."""
+    graph = decompose_to_subject(build_circuit(circuit))
+    mapper = CutMapper(big_lib)
+    cuts = enumerate_priority_cuts(graph, mapper.k, mapper.cuts_per_node)
+    assert _assert_cut_functions_match_oracle(graph, cuts, circuit) > 0
 
 
 # -- NPN match table and LUT cells --------------------------------------------
@@ -348,33 +407,42 @@ from repro.circuits.suite import build_circuit
 from repro.library.standard import big_library
 from repro.map.blif_io import write_mapped_blif
 from repro.map.cuts import CutMapper
+from repro.map.mis import MisAreaMapper, MisDelayMapper
 from repro.network.decompose import decompose_to_subject
 
 net = build_circuit(sys.argv[1])
-result = CutMapper(big_library(), mode=sys.argv[2]).map(
-    decompose_to_subject(net))
-blob = write_mapped_blif(result.mapped) + "\n" + "\n".join(
-    repr(r) for r in result.cut_cover)
-print(hashlib.sha256(blob.encode()).hexdigest())
+mode = sys.argv[2]
+tree = MisAreaMapper if mode == "area" else MisDelayMapper
+for mapper in (tree(big_library()), CutMapper(big_library(), mode=mode)):
+    result = mapper.map(decompose_to_subject(net))
+    history = [(uid, a.value, b.value)
+               for uid, a, b in result.lifecycle.history]
+    blob = "\n".join([
+        write_mapped_blif(result.mapped),
+        *(repr(r) for r in getattr(result, "cut_cover", ())),
+        repr(history),
+    ])
+    print(type(mapper).__name__, hashlib.sha256(blob.encode()).hexdigest())
 """
 
 
 @pytest.mark.parametrize("mode", ["area", "timing"])
 def test_cut_cover_bit_stable_across_processes(mode, small_network, big_lib):
     """Two fresh interpreters with *different* hash seeds produce the
-    same cover, byte for byte — nothing leans on set/dict hash order."""
+    same tree and cut covers and the same lifecycle history, byte for
+    byte — nothing leans on set/dict hash order or object addresses."""
     digests = []
     for hash_seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in sys.path if p) or env.get("PYTHONPATH", "")
         proc = subprocess.run(
-            [sys.executable, "-c", _DETERMINISM_SCRIPT, "misex1", mode],
+            [sys.executable, "-c", _DETERMINISM_SCRIPT, "apex7", mode],
             capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert digests[0] == digests[1], (
-        f"cover differs across processes: {digests}")
+        f"cover or history differs across processes: {digests}")
     # And the in-process mapping agrees with itself on a repeat run.
     subject = decompose_to_subject(small_network)
     first = write_mapped_blif(

@@ -9,7 +9,8 @@ import pytest
 from repro.circuits.suite import build_circuit
 from repro.flow.pipeline import lily_flow, mis_flow
 from repro.library.standard import big_library
-from repro.obs import OBS, ObsSession, build_report, observed
+from repro.obs import OBS, ObsSession, build_report, merge_reports, observed
+from repro.obs.metrics import HIST_GROWTH
 
 
 class FakeClock:
@@ -83,6 +84,37 @@ class TestBuildReport:
         report = build_report(root, session, before)
         assert report.counters == {"match.calls": 5, "dp.cones": 2}
 
+    def test_histogram_deltas(self):
+        session, _clock = self._session()
+        hist = session.metrics.histogram("dp.cone_size")
+        hist.observe(1)
+        hist.observe(100)
+        session.metrics.histogram("idle").observe(3)
+        before = session.metrics.snapshot_histograms()
+        with session.span("flow") as root:
+            for value in (5, 7, 9):
+                hist.observe(value)
+        report = build_report(root, session, histograms_before=before)
+        assert "idle" not in report.histograms
+        got = report.histograms["dp.cone_size"]
+        assert got["count"] == 3
+        assert got["sum"] == 21
+        assert sum(got["buckets"].values()) == 3
+        # Extremes are the difference buckets' bounds, clamped.
+        assert 5 / HIST_GROWTH <= got["min"] <= 5
+        assert 9 <= got["max"] <= 9 * HIST_GROWTH
+        assert got["min"] <= got["p50"] <= got["max"]
+
+    def test_first_observation_keeps_exact_extremes(self):
+        session, _clock = self._session()
+        before = session.metrics.snapshot_histograms()
+        with session.span("flow") as root:
+            session.metrics.histogram("dp.cone_size").observe(4)
+            session.metrics.histogram("dp.cone_size").observe(6)
+        got = build_report(root, session, histograms_before=before) \
+            .histograms["dp.cone_size"]
+        assert (got["count"], got["min"], got["max"]) == (2, 4, 6)
+
     def test_to_dict_is_json_ready(self):
         session, clock = self._session()
         with session.span("flow") as root:
@@ -144,6 +176,19 @@ class TestFlowIntegration:
         # Lily's counters must not include MIS's work.
         assert "lily.position_evals" not in mis.obs.counters
         assert lily.obs.counters["dp.cones"] == mis.obs.counters["dp.cones"]
+
+    def test_consecutive_flows_have_separate_histograms(self, net, library):
+        """The second flow's histograms hold its own observations only,
+        so merging both reports counts every cone exactly once."""
+        with observed():
+            mis = mis_flow(net, library, verify=False)
+            lily = lily_flow(net, library, verify=False)
+        for report in (mis.obs, lily.obs):
+            assert report.histograms["dp.cone_size"]["count"] == \
+                report.counters["dp.cones"] == len(net.primary_outputs)
+        merged = merge_reports([mis.obs, lily.obs])
+        assert merged.histograms["dp.cone_size"]["count"] == \
+            merged.counters["dp.cones"]
 
     def test_format_table_mentions_phases_and_counters(self, net, library):
         with observed():
