@@ -166,12 +166,13 @@ def place_and_route(
         }
     else:
         with OBS.span("place.global", cells=len(netlist.movables)):
-            placement = GlobalPlacer(vec=vec_place).place(netlist, region)
-        positions = placement.positions
+            positions = GlobalPlacer(vec=vec_place).place(
+                netlist, region).positions
 
     with OBS.span("place.detailed", cells=len(positions)):
         detailed = detailed_place(netlist, positions,
                                   incremental=incremental, vec=vec_place)
+    del positions  # free the global placement before routing's peak
     if anneal:
         from repro.place.anneal import simulated_annealing
 

@@ -20,7 +20,7 @@ from repro.obs.tracer import Span
 __all__ = ["PhaseStat", "ObsReport", "build_report", "merge_reports"]
 
 #: Aggregated phase rows deeper than this are folded into their parent.
-MAX_TABLE_DEPTH = 2
+MAX_TABLE_DEPTH = 3
 
 
 @dataclass

@@ -34,6 +34,7 @@ class AnnealStats:
 
     @property
     def improvement(self) -> float:
+        """Fraction of the initial HPWL removed (0 when it was zero)."""
         if self.initial_hpwl <= 0:
             return 0.0
         return 1.0 - self.final_hpwl / self.initial_hpwl

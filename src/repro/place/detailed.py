@@ -37,6 +37,7 @@ class Row:
 
     @property
     def width(self) -> float:
+        """Right edge of the row's rightmost cell (0 for an empty row)."""
         if not self.x_spans:
             return 0.0
         return max(hi for _lo, hi in self.x_spans.values())
@@ -53,10 +54,12 @@ class DetailedPlacement:
 
     @property
     def core_width(self) -> float:
+        """Width of the widest row: the core's width before routing."""
         return max((row.width for row in self.rows), default=0.0)
 
     @property
     def num_rows(self) -> int:
+        """Number of standard-cell rows."""
         return len(self.rows)
 
     def with_channel_heights(self, heights: Sequence[float]) -> "DetailedPlacement":

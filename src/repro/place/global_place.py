@@ -76,6 +76,7 @@ class GlobalPlacer:
         netlist.check()
         if not netlist.movables:
             return GlobalPlacement({}, region, [region], {})
+        cell_nets = _cell_net_ids(netlist)
         # One cached assembly serves every partitioning level: anchors
         # only touch the diagonal/rhs, so each level's re-solve skips the
         # net traversal while building a bitwise-identical system.
@@ -94,7 +95,8 @@ class GlobalPlacer:
                 for _rect, cells in partitions
             ):
                 break
-            partitions = self._split_level(partitions, netlist, positions, level)
+            partitions = self._split_level(partitions, netlist, cell_nets,
+                                           positions, level)
             levels_run = level + 1
             anchor_weight = self.anchor_base * (2.0 ** level)
             anchors = {}
@@ -131,6 +133,7 @@ class GlobalPlacer:
         self,
         partitions: List[Tuple[Rect, List[str]]],
         netlist: PlacementNetlist,
+        cell_nets: Dict[str, List[int]],
         positions: Dict[str, Point],
         level: int,
     ) -> List[Tuple[Rect, List[str]]]:
@@ -139,7 +142,8 @@ class GlobalPlacer:
             if len(cells) <= self.min_cells_per_region:
                 out.append((rect, cells))
                 continue
-            out.extend(self._split_region(rect, cells, netlist, positions))
+            out.extend(self._split_region(rect, cells, netlist, cell_nets,
+                                          positions))
         return out
 
     def _split_region(
@@ -147,6 +151,7 @@ class GlobalPlacer:
         rect: Rect,
         cells: List[str],
         netlist: PlacementNetlist,
+        cell_nets: Dict[str, List[int]],
         positions: Dict[str, Point],
     ) -> List[Tuple[Rect, List[str]]]:
         """Split one region in two along its longer dimension."""
@@ -169,9 +174,11 @@ class GlobalPlacer:
         high_cells = ordered[split_at:]
 
         if self.use_fm and len(cells) >= 8:
-            low_cells, high_cells = self._refine_split(
-                rect, low_cells, high_cells, netlist, positions, vertical_cut
-            )
+            with OBS.span("place.fm", cells=len(cells)):
+                low_cells, high_cells = self._refine_split(
+                    low_cells, high_cells, netlist, cell_nets, positions,
+                    vertical_cut,
+                )
             if not low_cells or not high_cells:
                 low_cells, high_cells = ordered[:split_at], ordered[split_at:]
 
@@ -190,21 +197,21 @@ class GlobalPlacer:
 
     def _refine_split(
         self,
-        rect: Rect,
         low_cells: List[str],
         high_cells: List[str],
         netlist: PlacementNetlist,
+        cell_nets: Dict[str, List[int]],
         positions: Dict[str, Point],
         vertical_cut: bool,
     ) -> Tuple[List[str], List[str]]:
         """FM refinement of a geometric split.
 
-        Pins outside the region (other cells and pads) are fixed on the
-        side their current position suggests.
+        The region's nets are those holding one of its cells, found from
+        ``cell_nets`` and visited in netlist order.  Pins outside the
+        region (other cells and pads) are fixed on the side their current
+        position suggests.
         """
-        if OBS.enabled:
-            OBS.metrics.counter("place.fm_refinements").inc()
-        local = set(low_cells) | set(high_cells)
+        cells = sorted(low_cells + high_cells)
         cut_coord = _mean_boundary(positions, low_cells, high_cells, vertical_cut)
         initial: Dict[str, int] = {}
         for c in low_cells:
@@ -212,10 +219,13 @@ class GlobalPlacer:
         for c in high_cells:
             initial[c] = 1
 
+        net_ids = set()
+        for c in cells:
+            net_ids.update(cell_nets[c])
+        nets = netlist.nets
         relevant_nets: List[List[str]] = []
-        for net in netlist.nets:
-            if not any(pin in local for pin in net):
-                continue
+        for net_id in sorted(net_ids):
+            net = nets[net_id]
             relevant_nets.append(net)
             for pin in net:
                 if pin in initial:
@@ -225,18 +235,33 @@ class GlobalPlacer:
                     continue
                 value = p.x if vertical_cut else p.y
                 initial[pin] = 0 if value <= cut_coord else 1
+        if OBS.enabled:
+            OBS.metrics.counter("place.fm_refinements").inc()
+            OBS.metrics.counter("place.fm_nets").inc(len(relevant_nets))
+            OBS.metrics.counter("place.fm_cells").inc(len(cells))
 
         refined = fm_bipartition(
-            sorted(local),
+            cells,
             relevant_nets,
             initial,
             sizes=netlist.sizes,
             balance_tolerance=0.1,
             max_passes=2,
         )
-        new_low = [c for c in sorted(local) if refined[c] == 0]
-        new_high = [c for c in sorted(local) if refined[c] == 1]
+        new_low = [c for c in cells if refined[c] == 0]
+        new_high = [c for c in cells if refined[c] == 1]
         return new_low, new_high
+
+
+def _cell_net_ids(netlist: PlacementNetlist) -> Dict[str, List[int]]:
+    """Movable cell -> ids of the nets it is a pin of, ascending."""
+    cell_nets: Dict[str, List[int]] = {c: [] for c in netlist.movables}
+    for net_id, net in enumerate(netlist.nets):
+        for pin in net:
+            ids = cell_nets.get(pin)
+            if ids is not None and (not ids or ids[-1] != net_id):
+                ids.append(net_id)
+    return cell_nets
 
 
 def _mean_boundary(positions, low_cells, high_cells, vertical_cut) -> float:

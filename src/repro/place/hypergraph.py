@@ -33,6 +33,11 @@ class PlacementNetlist:
     fixed: Dict[str, Point] = field(default_factory=dict)
 
     def check(self) -> None:
+        """Validate the netlist; raises ``ValueError`` on breakage.
+
+        Movable names must be unique and disjoint from the fixed
+        terminals, and every net pin must name one of the two.
+        """
         movable_set = set(self.movables)
         if len(movable_set) != len(self.movables):
             raise ValueError("duplicate movable names")
@@ -47,6 +52,7 @@ class PlacementNetlist:
 
     @property
     def num_movable(self) -> int:
+        """Number of movable cells."""
         return len(self.movables)
 
 

@@ -17,8 +17,10 @@ import random
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from repro.geometry import Point, Rect
+from repro.obs import OBS
 
 __all__ = ["perimeter_slots", "assign_pads", "io_affinity_order"]
 
@@ -65,40 +67,69 @@ def io_affinity_order(network) -> List[str]:
     two PIs are related per common PO they feed.  The Fiedler vector of the
     affinity Laplacian gives a 1-D embedding whose order minimises (in the
     relaxed sense) the wire crossings of the boundary assignment.
+
+    The affinities are the Gram product of the terminal x PO cone
+    incidence matrix.  Its entries are small integers, exact in float64,
+    so any summation order gives the same matrix.  The Laplacian is formed
+    and decomposed in place (see :func:`_eigh_in_place`), holding about
+    4 n^2 doubles at once.
     """
-    pis, pos = _io_terminals(network)
-    names = pis + pos
-    n = len(names)
-    if n <= 2:
-        return names
+    with OBS.span("place.pad_order"):
+        pis, pos = _io_terminals(network)
+        names = pis + pos
+        n = len(names)
+        if n <= 2:
+            return names
 
-    index = {name: i for i, name in enumerate(names)}
-    # cone membership: PI -> set of PO indices it reaches.
-    membership: Dict[str, set] = {name: set() for name in names}
-    for po_idx, po in enumerate(network.primary_outputs):
-        cone = network.transitive_fanin([po])
-        membership[po.name].add(po_idx)
-        cone_names = {node.name for node in cone}
-        for pi in network.primary_inputs:
-            if pi.name in cone_names:
-                membership[pi.name].add(po_idx)
+        # incidence[t, k] = 1 when terminal t lies in PO k's cone: the PO
+        # itself and every PI in its transitive fanin.
+        pi_row = {name: i for i, name in enumerate(pis)}
+        incidence = np.zeros((n, len(pos)))
+        for po_idx, po in enumerate(network.primary_outputs):
+            incidence[len(pis) + po_idx, po_idx] = 1.0
+            for node in network.transitive_fanin([po]):
+                row = pi_row.get(node.name)
+                if row is not None:
+                    incidence[row, po_idx] = 1.0
 
-    weights = np.zeros((n, n))
-    for i, a in enumerate(names):
-        for j in range(i + 1, n):
-            b = names[j]
-            w = len(membership[a] & membership[b])
-            weights[i, j] = weights[j, i] = float(w)
+        laplacian = incidence @ incidence.T
+        del incidence
+        np.fill_diagonal(laplacian, 0.0)
+        degree = laplacian.sum(axis=1)
+        if not degree.any():
+            return names
+        # diag(degree) - weights over the weights' buffer.  Off the
+        # diagonal this is 0.0 - w, not -w: zero weights must stay +0.0
+        # for LAPACK to see the bits of the textbook formula.
+        np.subtract(0.0, laplacian, out=laplacian)
+        np.fill_diagonal(laplacian, degree)
+        _eigh_in_place(laplacian)
+        # Fiedler vector: eigenvector of the smallest non-trivial eigenvalue.
+        fiedler = laplacian[:, 1].tolist()
+        order = sorted(range(n), key=lambda i: (fiedler[i], names[i]))
+        return [names[i] for i in order]
 
-    degree = weights.sum(axis=1)
-    if not degree.any():
-        return names
-    laplacian = np.diag(degree) - weights
-    eigenvalues, eigenvectors = np.linalg.eigh(laplacian)
-    # Fiedler vector: eigenvector of the smallest non-trivial eigenvalue.
-    fiedler = eigenvectors[:, 1] if n > 1 else eigenvectors[:, 0]
-    order = sorted(range(n), key=lambda i: (fiedler[i], names[i]))
-    return [names[i] for i in order]
+
+def _eigh_in_place(matrix: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigh(matrix)``, eigenvectors written over ``matrix``.
+
+    Calls the gufunc ``np.linalg.eigh`` calls (LAPACK ``syevd`` on the
+    lower triangle) with the input as its eigenvector output.  The gufunc
+    copies its input into the LAPACK buffer before it writes an output,
+    so the eigenvectors are bit for bit those of ``np.linalg.eigh``, and
+    the n x n result array that ``eigh`` allocates is never needed.
+    Returns the eigenvalues, ascending.
+    """
+    values = np.empty(len(matrix))
+    with np.errstate(call=_no_convergence, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        _umath_linalg.eigh_lo(matrix, out=(values, matrix),
+                              signature="d->dd")
+    return values
+
+
+def _no_convergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 def assign_pads(

@@ -124,7 +124,6 @@ def _route_design(
     gate_rows = _gate_rows(placement)
     trunk_channel: Dict[str, int] = {}
     trunk_interval: Dict[str, Tuple[float, float]] = {}
-    net_pins: Dict[str, List[Tuple[Point, int]]] = {}  # (position, channel pref)
     nets = [n for n in mapped.nets() if not n.driver.is_constant]
     for net in nets:
         pins: List[Tuple[Point, int]] = []
@@ -147,7 +146,6 @@ def _route_design(
         xs = [p.x for p, _c in pins]
         trunk_channel[net.name] = channel
         trunk_interval[net.name] = (min(xs), max(xs))
-        net_pins[net.name] = pins
 
     # Phase 2: left-edge route each channel.
     channels: List[ChannelResult] = []

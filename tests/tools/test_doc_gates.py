@@ -28,6 +28,10 @@ DOCSTRING_SCOPE = [
     "src/repro/flow/__main__.py",
     "src/repro/perf/vec.py",
     "src/repro/timing/array_sta.py",
+    "src/repro/circuits/synth.py",
+    "src/repro/route",
+    "src/repro/map/cuts.py",
+    "src/repro/place",
 ]
 
 DOC_FILES = ["README.md"] + sorted(
