@@ -14,8 +14,8 @@ gets out of the box.  ``--jobs`` additionally enables the parallel cone
 match pre-warm for the mapper rows.
 
 PR 4 adds the incremental-engine rows (``anneal`` / ``detailed_improve``
-/ ``sta_moves``, each with a ``_naive`` twin running the same work with
-the caches off) and a ``--suite`` mode that times a whole Table 1 run
+/ ``sta_moves``; ``sta_moves_naive`` re-runs the full-STA reference per
+move, and the placement engines' naive twins are test oracles now) and a ``--suite`` mode that times a whole Table 1 run
 sequentially and with ``--procs N``, recording per-circuit phase times
 from the merged observability reports.
 
@@ -29,10 +29,9 @@ histograms answer.  ``tools/bench_trajectory.py`` diffs any two of
 these artifacts.
 
 PR 7 adds a ``--scaling`` mode that merges the ``scale.*`` rows from
-``benchmarks/scaling.py`` (struct-of-arrays kernels vs the naive
-engines at 1k/5k/20k gates, every timed pair checked for exact
-equality first) and stamps a ``kernels`` section into every artifact:
-the numpy/scipy versions and default ``PerfOptions`` kernel flags the
+``benchmarks/scaling.py`` (struct-of-arrays kernels at 1k/5k/20k gates,
+timed against the naive references that remain in ``src``) and stamps a
+``kernels`` section into every artifact: the numpy/scipy versions the
 snapshot ran under, so cross-machine comparisons state their backends.
 
 PR 8 adds the cluster rows: a mini soak (``--cluster-shards`` /
@@ -166,9 +165,10 @@ def snapshot(
 
 
 def _layout_rows(net, mapped, repeats: int) -> Dict[str, float]:
-    """The incremental-engine rows: each paired with a ``_naive`` twin
-    running identical work with the bounding-box / dirty-frontier caches
-    off (results are bit-identical; only the bookkeeping differs)."""
+    """The incremental-engine rows.  ``sta_moves`` has a ``_naive`` twin
+    re-running the full :func:`repro.timing.sta.analyze` reference per
+    move; the annealing and detailed-swap engines have no naive path left
+    to time (their full-recompute oracles live in the placement tests)."""
     from repro.timing.incremental import IncrementalTiming
 
     region = mapped_image(mapped.total_cell_area())
@@ -180,13 +180,12 @@ def _layout_rows(net, mapped, repeats: int) -> Dict[str, float]:
     gp = GlobalPlacer().place(netlist, region).positions
     base = detailed_place(netlist, gp, improvement_passes=0)
 
-    def run_anneal(incremental: bool):
+    def run_anneal():
         simulated_annealing(copy.deepcopy(base), netlist, seed=0,
-                            moves_per_cell=12, incremental=incremental)
+                            moves_per_cell=12)
 
-    def run_detailed(incremental: bool):
-        detailed_place(netlist, gp, improvement_passes=8,
-                       incremental=incremental)
+    def run_detailed():
+        detailed_place(netlist, gp, improvement_passes=8)
 
     wire_model = WireCapModel()
     for node in mapped.topological_order():
@@ -220,11 +219,8 @@ def _layout_rows(net, mapped, repeats: int) -> Dict[str, float]:
             mapped[name].position = p
 
     return {
-        "anneal": _best_of(lambda: run_anneal(True), repeats),
-        "anneal_naive": _best_of(lambda: run_anneal(False), repeats),
-        "detailed_improve": _best_of(lambda: run_detailed(True), repeats),
-        "detailed_improve_naive": _best_of(
-            lambda: run_detailed(False), repeats),
+        "anneal": _best_of(run_anneal, repeats),
+        "detailed_improve": _best_of(run_detailed, repeats),
         "sta_moves": _best_of(run_sta_incremental, repeats),
         "sta_moves_naive": _best_of(run_sta_full, repeats),
     }

@@ -1,22 +1,21 @@
-"""Scaling workload: the struct-of-arrays kernels vs the naive engines.
+"""Scaling workload: the struct-of-arrays kernels at 1k–100k+ gates.
 
 Generates seeded :func:`repro.circuits.random_logic.random_network`
 circuits, identity-maps their NAND2/INV subject graphs onto ``nand2`` /
 ``inv1`` library cells (tree matching would dominate the wall at 20k
 gates and is benchmarked elsewhere), legalises a placement, and then
-times the placement/STA hot rows at each size with the vectorized
-kernels on and off:
+times the placement/STA hot rows at each size.  Where a naive reference
+still lives in ``src`` it is timed too (a ``_naive`` row), after a
+bitwise check of the two results:
 
 * ``scale.hpwl`` — total netlist HPWL as a :class:`repro.perf.vec.PinTable`
   coordinate refresh + index-array fold, vs the per-net Python fold
   (``scale.hpwl_naive``);
-* ``scale.anneal_cost`` — a short simulated-annealing run with the
-  vec-constructed engine vs the plain incremental engine (capped at
-  ``ANNEAL_MAX_CELLS``; expect ~1.0x — move scoring is dict-bound by
-  design, see ``docs/SCALING.md`` — the row guards against regressions
-  at scale);
+* ``scale.anneal_cost`` — a short simulated-annealing run (capped at
+  ``ANNEAL_MAX_CELLS``; move scoring is dict-bound by design, see
+  ``docs/SCALING.md`` — the row guards against regressions at scale);
 * ``scale.quad_assembly`` — sparse COO assembly of the quadratic
-  placement system vs the per-net Python loop;
+  placement system;
 * ``scale.sta_full`` — a full forward STA sweep through
   :class:`repro.timing.array_sta.ArraySTA` (flattening amortised, as
   :class:`~repro.timing.incremental.IncrementalTiming` holds it) vs
@@ -37,13 +36,15 @@ without multi-hour mapping runs.  Each synth size times:
   Python estimators (``*_naive``);
 * ``scale.synth.sta_moves`` — a seeded gate-move sweep through the
   level-batched incremental-STA frontier
-  (:class:`~repro.timing.incremental.IncrementalTiming` with
-  ``vec=True``) vs the per-node reference engine, required times
+  (:class:`~repro.timing.incremental.IncrementalTiming`), required times
   included.
 
 Every timed pair is also *checked*: the bench asserts bitwise equality
-of the two engines' results before recording a row, so a committed
-``BENCH_*.json`` proves speed and exactness together.  Row names carry
+of the kernel's and the reference's results before recording a row.
+The anneal, quadratic-assembly and STA-move rows have no naive twin in
+``src`` any more; their oracles are tier-1 tests
+(``tests/place/test_vec_anneal.py``, ``tests/perf/test_vec_kernels.py``,
+``tests/timing/test_vec_frontier.py``).  Row names carry
 the gate-count suffix (``scale.hpwl_20000``); the largest size (per
 family) also writes the canonical unsuffixed rows that
 ``benchmarks/check_perf_regression.py`` and ``tools/bench_trajectory.py``
@@ -211,45 +212,19 @@ def _hpwl_rows(netlist, placement, repeats: int) -> Dict[str, float]:
 def _anneal_rows(netlist, placement, repeats: int) -> Dict[str, float]:
     from repro.place.anneal import simulated_annealing
 
-    def run(vec: bool):
+    def run():
         work = copy.deepcopy(placement)
-        simulated_annealing(work, netlist, seed=3, moves_per_cell=2,
-                            vec=vec)
-        return work.positions
+        simulated_annealing(work, netlist, seed=3, moves_per_cell=2)
 
-    got = run(True)
-    want = run(False)
-    if got != want:
-        raise AssertionError("anneal engines diverge under vec kernels")
-    return {
-        "scale.anneal_cost": _best_of(lambda: run(True), repeats),
-        "scale.anneal_cost_naive": _best_of(lambda: run(False), repeats),
-    }
+    return {"scale.anneal_cost": _best_of(run, repeats)}
 
 
 def _quad_rows(netlist, region, repeats: int) -> Dict[str, float]:
-    import numpy as np
-
     from repro.place.quadratic import QuadraticSystem
 
-    vec = QuadraticSystem(netlist, region, vec=True)
-    naive = QuadraticSystem(netlist, region, vec=False)
-    same = (
-        np.array_equal(np.asarray(vec._diag), np.asarray(naive._diag))
-        and np.array_equal(np.asarray(vec._vals), np.asarray(naive._vals))
-        and np.array_equal(np.asarray(vec._rows), np.asarray(naive._rows))
-        and np.array_equal(np.asarray(vec._cols), np.asarray(naive._cols))
-        and np.array_equal(np.asarray(vec._bx), np.asarray(naive._bx))
-        and np.array_equal(np.asarray(vec._by), np.asarray(naive._by))
-    )
-    if not same:
-        raise AssertionError("quadratic assemblies diverge under vec "
-                             "kernels")
     return {
         "scale.quad_assembly": _best_of(
-            lambda: QuadraticSystem(netlist, region, vec=True), repeats),
-        "scale.quad_assembly_naive": _best_of(
-            lambda: QuadraticSystem(netlist, region, vec=False), repeats),
+            lambda: QuadraticSystem(netlist, region), repeats),
     }
 
 
@@ -337,9 +312,8 @@ def _route_rows(netlist, placement, repeats: int) -> Dict[str, float]:
 
 def _sta_move_rows(mapped, repeats: int,
                    num_moves: int = STA_SWEEP_MOVES) -> Dict[str, float]:
-    """The incremental-STA frontier vs the per-node engine over one
-    seeded move sequence (reports and required times compared bitwise
-    before any timing; positions restored afterwards)."""
+    """The incremental-STA frontier over one seeded move sequence
+    (positions restored afterwards)."""
     from repro.timing.incremental import IncrementalTiming
 
     wire_model = WireCapModel()
@@ -356,42 +330,19 @@ def _sta_move_rows(mapped, repeats: int,
         for name, pos in saved.items():
             mapped[name].position = pos
 
-    def sweep(engine):
+    def timed() -> float:
+        restore()
+        engine = IncrementalTiming(mapped, wire_model=wire_model)
+        start = perf_counter()  # construction outside the clock
         for name, dx, dy in sequence:
             p = mapped[name].position
             engine.set_position(name, Point(p.x + dx, p.y + dy))
             engine.update()
-        return engine.required()
-
-    def fresh_engine(vec: bool):
-        restore()
-        return IncrementalTiming(mapped, wire_model=wire_model, vec=vec)
-
-    e_vec = fresh_engine(True)
-    req_vec = sweep(e_vec)
-    rep_vec = e_vec.report
-    e_ref = fresh_engine(False)
-    req_ref = sweep(e_ref)
-    rep_ref = e_ref.report
-    if (rep_vec.arrivals != rep_ref.arrivals
-            or rep_vec.loads != rep_ref.loads
-            or rep_vec.critical_delay != rep_ref.critical_delay
-            or rep_vec.critical_po != rep_ref.critical_po
-            or req_vec != req_ref):
-        restore()
-        raise AssertionError("incremental-STA frontier engines diverge "
-                             "over the move sweep")
-
-    def timed(vec: bool) -> float:
-        engine = fresh_engine(vec)  # construction outside the clock
-        start = perf_counter()
-        sweep(engine)
+        engine.required()
         return perf_counter() - start
 
     rows = {
-        "scale.synth.sta_moves": min(timed(True) for _ in range(repeats)),
-        "scale.synth.sta_moves_naive": min(
-            timed(False) for _ in range(repeats)),
+        "scale.synth.sta_moves": min(timed() for _ in range(repeats)),
     }
     restore()
     return rows

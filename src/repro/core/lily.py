@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.area.estimate import subject_image
 from repro.core.position import cm_of_fans, cm_of_merged
-from repro.core.rectangles import fanin_rectangle, fanout_rectangle, true_fanouts
+from repro.core.rectangles import fanin_rectangle, fanout_rectangle
 from repro.core.state import PlacementState
 from repro.core.wirecost import match_wire_cost
 from repro.geometry import Point, Rect, _median
@@ -91,31 +91,21 @@ class _LilyMixin:
         self._pad_positions = pad_positions
         self.state: Optional[PlacementState] = None
         self._cones_since_replacement = 0
-        #: True-fanout cache, valid for one cone's DP pass (life-cycle
-        #: states only change at commit time, after the pass).  Replaced
-        #: by the cross-cone :class:`NetCache` when
-        #: ``perf.incremental_nets`` is on.
-        self._tf_cache: Dict[int, List[SubjectNode]] = {}
+        #: Cross-cone true-fanout and pin-point cache (built in
+        #: ``on_begin``, invalidated by delta on every commit).
         self._netcache: Optional[NetCache] = None
         #: Cached quadratic-system assembly reused by every periodic
         #: re-place (anchors only touch the diagonal/rhs).
         self._quad_system = None
 
     def _true_fanouts(self, node: SubjectNode) -> List[SubjectNode]:
-        if self._netcache is not None:
-            return self._netcache.consumers(node)
-        cached = self._tf_cache.get(node.uid)
-        if cached is None:
-            cached = true_fanouts(node, self.lifecycle)
-            self._tf_cache[node.uid] = cached
-        return cached
+        """:func:`~repro.core.rectangles.true_fanouts`, cached across cones."""
+        return self._netcache.consumers(node)
 
     def on_cone_begin(self, po: SubjectNode) -> None:
         # Costs read placements and dove states that every commit moves,
         # so no solution outlives its cone (see SolutionMemo).
         self.memo.clear()
-        if self._netcache is None:
-            self._tf_cache.clear()
 
     # -- global placement of the inchoate network (Section 3.1) -------------
 
@@ -127,7 +117,6 @@ class _LilyMixin:
         self._netlist = subject_netlist(subject, pads)
         placer = GlobalPlacer(
             min_cells_per_region=self.options.min_cells_per_region,
-            vec=getattr(self.perf, "vec_place", True),
         )
         with OBS.span("lily.initial_place", gates=len(subject.gates)):
             placement = placer.place(self._netlist, region)
@@ -135,8 +124,7 @@ class _LilyMixin:
         self.state.bind(subject)
         self.placement_region = region
         self.pad_positions = pads
-        if self.perf.incremental_nets:
-            self._netcache = NetCache(self.state, self.lifecycle)
+        self._netcache = NetCache(self.state, self.lifecycle)
 
     # -- incremental updating (Section 3.2) -----------------------------------
 
@@ -189,14 +177,13 @@ class _LilyMixin:
     ) -> None:
         if instance.position is not None:
             self.state.set_map_position(node, instance.position)
+        # The root became a hawk (with a fresh map position) and the
+        # inner nodes became doves: drop the net entries that saw them.
         cache = self._netcache
-        if cache is not None:
-            # The root became a hawk (with a fresh map position) and the
-            # inner nodes became doves: drop the net entries that saw them.
-            cache.invalidate(node)
-            if solution.match is not None:
-                for inner in solution.match.inner:
-                    cache.invalidate(inner)
+        cache.invalidate(node)
+        if solution.match is not None:
+            for inner in solution.match.inner:
+                cache.invalidate(inner)
 
     def on_cone_done(self, po: SubjectNode) -> None:
         interval = self.options.replace_interval
@@ -215,11 +202,11 @@ class _LilyMixin:
         placePositions, restoring balance after constructive updates.
 
         The system assembly is cached across re-places (only the hawk
-        anchors change between calls), and with ``perf.warm_replace`` the
-        solver starts from the current placePositions instead of solving
-        cold — on the iterative-CG path (large netlists) that converges in
-        far fewer iterations, at the price of matching a cold solve only
-        to solver tolerance rather than bitwise.
+        anchors change between calls), and the solver starts from the
+        current placePositions instead of solving cold — on the
+        iterative-CG path (large netlists) that converges in far fewer
+        iterations, at the price of matching a cold solve only to solver
+        tolerance rather than bitwise.
         """
         if OBS.enabled:
             OBS.metrics.counter("lily.replacements").inc()
@@ -235,19 +222,13 @@ class _LilyMixin:
             from repro.place.quadratic import QuadraticSystem
 
             self._quad_system = QuadraticSystem(
-                self._netlist, self.placement_region,
-                vec=getattr(self.perf, "vec_place", True),
-            )
-        initial: Optional[Dict[str, Point]] = None
-        if getattr(self.perf, "warm_replace", False):
-            state = self.state
-            initial = {
-                node.name: state.place_position(node)
-                for node in self.subject.nodes
-                if node.is_gate
-            }
-            if OBS.enabled:
-                OBS.metrics.counter("perf.incremental.warm_replaces").inc()
+                self._netlist, self.placement_region)
+        state = self.state
+        initial = {
+            node.name: state.place_position(node)
+            for node in self.subject.nodes
+            if node.is_gate
+        }
         with OBS.span("lily.replace", anchors=len(anchors)):
             positions = self._quad_system.solve(anchors, initial=initial)
         for node in self.subject.nodes:
@@ -255,8 +236,7 @@ class _LilyMixin:
                 p = positions.get(node.name)
                 if p is not None:
                     self.state.set_place_position(node, p)
-        if self._netcache is not None:
-            self._netcache.clear()  # every gate may have moved
+        self._netcache.clear()  # every gate may have moved
 
 
 class LilyAreaMapper(_LilyMixin, BaseMapper):
@@ -283,11 +263,22 @@ class LilyAreaMapper(_LilyMixin, BaseMapper):
         self, node: SubjectNode, match: Match, inputs: Sequence[Solution]
     ) -> Solution:
         if (
-            self._netcache is not None
-            and self.options.wire_model == "halfperim"
+            self.options.wire_model == "halfperim"
             and self.options.position_update == "cm_of_fans"
         ):
             return self._evaluate_fast(node, match, inputs)
+        return self._evaluate_general(node, match, inputs)
+
+    def _evaluate_general(
+        self, node: SubjectNode, match: Match, inputs: Sequence[Solution]
+    ) -> Solution:
+        """The cost under any position update and wire model.
+
+        Built from the Section 3 primitives (fan rectangles, tentative
+        position, :func:`~repro.core.wirecost.match_wire_cost`).  The
+        golden-equivalence tests run it for every match, as the oracle
+        of :meth:`_evaluate_fast`.
+        """
         position = self._tentative_position(node, match, inputs)
         input_positions = [
             self._input_position(v, inputs[i])
@@ -314,9 +305,9 @@ class LilyAreaMapper(_LilyMixin, BaseMapper):
     ) -> Solution:
         """The halfperim/CM-of-Fans cost, on cached net data.
 
-        Bit-identical to the naive path: each input's fanin rectangle is
-        the min/max fold of the cached pin points (min/max are
-        order-independent), the wire rectangle is the same rectangle
+        Bit-identical to :meth:`_evaluate_general`: each input's fanin
+        rectangle is the min/max fold of the cached pin points (min/max
+        are order-independent), the wire rectangle is the same rectangle
         extended by the gate position (exactly ``extra_point``), and all
         summations run in the same order.  Asserted by the golden-
         equivalence tests.

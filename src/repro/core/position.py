@@ -33,8 +33,17 @@ __all__ = ["cm_of_merged", "cm_of_fans"]
 def cm_of_merged(
     covered: Iterable[SubjectNode], state: PlacementState
 ) -> Point:
-    """Centre of mass of the covered nodes' placePositions."""
-    points = [state.place_position(node) for node in covered]
+    """Centre of mass of the covered nodes' placePositions.
+
+    The coordinates are summed in node-uid order.  ``covered`` is usually
+    a frozenset of identity-hashed nodes, whose iteration order follows
+    memory addresses; float addition is not associative, so summing in
+    that order would make the result change from run to run.
+    """
+    points = [
+        state.place_position(node)
+        for node in sorted(covered, key=lambda node: node.uid)
+    ]
     return center_of_mass(points)
 
 

@@ -80,27 +80,14 @@ def main(argv=None) -> int:
                              "spill tier instead of one server (implies "
                              "--server; --procs workers per shard)")
     parser.add_argument("--naive-perf", action="store_true",
-                        help="disable the mapper fast paths (match "
-                             "memoization, pattern index, net cache, "
-                             "incremental placement/timing); results are "
+                        help="disable the matcher fast paths (match "
+                             "memoization, pattern index); results are "
                              "identical, just slower")
-    parser.add_argument("--naive-kernels", action="store_true",
-                        help="disable only the struct-of-arrays numpy "
-                             "kernels (vectorized HPWL/net boxes, sparse "
-                             "quadratic assembly, array STA, routing "
-                             "estimators); results are "
-                             "identical, just slower (implied by "
-                             "--naive-perf)")
     args = parser.parse_args(argv)
-
-    import dataclasses
 
     from repro.perf import PerfOptions
 
     perf = PerfOptions.naive() if args.naive_perf else PerfOptions()
-    if args.naive_kernels:
-        perf = dataclasses.replace(
-            perf, vec_place=False, vec_sta=False, vec_route=False)
     perf = perf.with_jobs(args.jobs).with_procs(args.procs)
 
     from repro.map.cuts import MapperSpecError, parse_mapper_spec

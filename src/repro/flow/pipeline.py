@@ -37,7 +37,7 @@ from repro.place.hypergraph import mapped_netlist
 from repro.place.pads import io_affinity_order, perimeter_slots
 from repro.route.global_route import RoutedDesign, route_design
 from repro.timing.model import WireCapModel
-from repro.timing.sta import TimingReport, analyze
+from repro.timing.sta import TimingReport
 from repro.verify.result import VerifyReport
 
 __all__ = ["BackendResult", "FlowResult", "mis_flow", "lily_flow",
@@ -132,7 +132,6 @@ def place_and_route(
     seed_positions: Optional[Dict[str, Point]] = None,
     anneal: bool = False,
     anneal_seed: int = 0,
-    perf: Optional[PerfOptions] = None,
 ) -> BackendResult:
     """The shared back-end: global + detailed placement, routing, STA.
 
@@ -145,16 +144,14 @@ def place_and_route(
             placement.
         anneal: refine the detailed placement with simulated annealing
             (the TimberWolf-style pass; slower, lower wirelength).
-        perf: optimization switches; ``incremental_place`` selects the
-            cached-bounding-box engines in the detailed pass and the
-            annealer, ``vec_place``/``vec_sta``/``vec_route`` the struct-of-arrays
-            kernels beneath them (bit-identical either way).
+        anneal_seed: RNG seed of the annealing pass.
+
+    Every kernel beneath runs its one production path: the cached
+    bounding-box engines in the detailed pass and the annealer, and the
+    struct-of-arrays placement, routing and STA kernels (see
+    ``docs/SCALING.md``).
     """
     wire_model = wire_model or WireCapModel()
-    incremental = perf.incremental_place if perf is not None else True
-    vec_place = getattr(perf, "vec_place", True) if perf is not None else True
-    vec_sta = getattr(perf, "vec_sta", True) if perf is not None else True
-    vec_route = getattr(perf, "vec_route", True) if perf is not None else True
     region = mapped_image(mapped.total_cell_area())
     pads = pads_from_order(pad_order, region)
     netlist = mapped_netlist(mapped, pads)
@@ -166,19 +163,16 @@ def place_and_route(
         }
     else:
         with OBS.span("place.global", cells=len(netlist.movables)):
-            positions = GlobalPlacer(vec=vec_place).place(
-                netlist, region).positions
+            positions = GlobalPlacer().place(netlist, region).positions
 
     with OBS.span("place.detailed", cells=len(positions)):
-        detailed = detailed_place(netlist, positions,
-                                  incremental=incremental, vec=vec_place)
+        detailed = detailed_place(netlist, positions)
     del positions  # free the global placement before routing's peak
     if anneal:
         from repro.place.anneal import simulated_annealing
 
-        simulated_annealing(detailed, netlist, seed=anneal_seed,
-                            incremental=incremental, vec=vec_place)
-    routed = route_design(mapped, detailed, pads, vec=vec_route)
+        simulated_annealing(detailed, netlist, seed=anneal_seed)
+    routed = route_design(mapped, detailed, pads)
     chip = estimate_chip(
         routed.chip_width, routed.chip_height, mapped.total_cell_area()
     )
@@ -189,12 +183,9 @@ def place_and_route(
     for name, p in pads.items():
         if name in mapped:
             mapped[name].position = p
-    if vec_sta:
-        from repro.timing.array_sta import analyze_array
+    from repro.timing.array_sta import analyze_array
 
-        timing = analyze_array(mapped, wire_model=wire_model)
-    else:
-        timing = analyze(mapped, wire_model=wire_model)
+    timing = analyze_array(mapped, wire_model=wire_model)
     return BackendResult(detailed, routed, chip, timing, pads)
 
 
@@ -242,9 +233,9 @@ def mis_flow(
 ) -> FlowResult:
     """Pipeline 1: MIS mapping, layout afterwards.
 
-    ``perf`` selects the mapper's fast-path configuration (memoization,
-    pattern indexing, net caching, ``jobs``); the default enables every
-    cache single-threaded.  Results are bit-identical across settings.
+    ``perf`` selects the matcher's fast-path configuration (memoization,
+    pattern indexing, ``jobs``); the default enables every cache
+    single-threaded.  Results are bit-identical across settings.
 
     ``verify`` accepts the legacy booleans or an audit level (``"fast"`` /
     ``"full"``, see :func:`_run_verification`).
@@ -300,8 +291,7 @@ def mis_flow(
             pad_order = io_affinity_order(net)
             pad_order = _mapped_terminal_names(result.mapped, pad_order)
         with OBS.span("backend"):
-            backend = place_and_route(result.mapped, pad_order, wire_model,
-                                      perf=perf)
+            backend = place_and_route(result.mapped, pad_order, wire_model)
         with OBS.span("verify", enabled=bool(verify)):
             equivalent, verify_report = _run_verification(
                 net, result, backend, verify, wire_model
@@ -353,10 +343,7 @@ def lily_flow(
             pad_order = io_affinity_order(net)
         with OBS.span("decompose", layout_driven=layout_driven_decomposition):
             if layout_driven_decomposition:
-                subject = _decompose_layout_driven(
-                    net, pad_order,
-                    vec=getattr(perf, "vec_place", True) if perf else True,
-                )
+                subject = _decompose_layout_driven(net, pad_order)
             else:
                 subject = decompose_to_subject(net)
         region = subject_image(len(subject.gates))
@@ -401,7 +388,7 @@ def lily_flow(
         with OBS.span("backend"):
             backend = place_and_route(
                 result.mapped, backend_pad_order, wire_model,
-                seed_positions=seed, perf=perf
+                seed_positions=seed,
             )
         with OBS.span("verify", enabled=bool(verify)):
             equivalent, verify_report = _run_verification(
@@ -419,8 +406,7 @@ def lily_flow(
     )
 
 
-def _decompose_layout_driven(net: Network, pad_order: List[str],
-                             vec: bool = True):
+def _decompose_layout_driven(net: Network, pad_order: List[str]):
     """Place the source network, then decompose proximity-first."""
     from repro.place.global_place import GlobalPlacer
     from repro.place.hypergraph import network_netlist
@@ -430,7 +416,7 @@ def _decompose_layout_driven(net: Network, pad_order: List[str],
     known.update(n.name for n in net.primary_outputs)
     pads = pads_from_order([n for n in pad_order if n in known], region)
     netlist = network_netlist(net, pads)
-    placement = GlobalPlacer(vec=vec).place(netlist, region)
+    placement = GlobalPlacer().place(netlist, region)
     positions = dict(placement.positions)
     positions.update(pads)  # PIs appear as leaf positions too
     return decompose_to_subject(net, positions=positions)

@@ -159,9 +159,9 @@ class BaseMapper:
             (no match may cross a multi-fanout stem).
         use_cone_ordering: process cones in the Section 3.5 order instead
             of declaration order.
-        perf: hot-path optimization switches (:class:`PerfOptions`);
+        perf: matcher fast-path switches (:class:`PerfOptions`);
             defaults to all caches on, one job.  Every setting maps
-            bit-identically to the naive paths.
+            bit-identically to the naive matcher.
     """
 
     def __init__(

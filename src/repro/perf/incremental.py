@@ -41,9 +41,10 @@ Box = Tuple[float, float, float, float]
 class _BoxCacheBase:
     """Shared net classification + exact folding for the box caches.
 
-    ``vec`` selects the bulk struct-of-arrays build for the initial
-    per-net boxes (:func:`repro.perf.vec.fold_box_arrays`); min/max folds
-    are exact, so the built boxes are bitwise-equal either way.
+    The initial per-net boxes bulk-build through the struct-of-arrays
+    kernels (:func:`repro.perf.vec.fold_box_arrays`); min/max folds are
+    exact, so every built box equals the per-net :meth:`_fold` bitwise
+    (the ``invariant.perf.vec`` audit checks exactly that).
     """
 
     def __init__(
@@ -51,7 +52,6 @@ class _BoxCacheBase:
         nets: Sequence[Sequence[str]],
         positions: Dict[str, Point],
         fixed: Dict[str, Point],
-        vec: bool = False,
     ) -> None:
         self.positions = positions
         n = len(nets)
@@ -100,11 +100,8 @@ class _BoxCacheBase:
             self._located.append(located)
             if located >= 2:
                 fold_ids.append(net_id)
-        if vec and fold_ids:
+        if fold_ids:
             self._bulk_fold(fold_ids)
-        else:
-            for net_id in fold_ids:
-                self._box[net_id] = self._fold(net_id)
         self.cell_nets = {
             pin: tuple(sorted(ids)) for pin, ids in seen.items()
         }
@@ -171,8 +168,7 @@ class NetBoxCache(_BoxCacheBase):
 
     Pins present in neither dict are ignored, and a net with fewer than
     two located pins has zero HPWL forever — both exactly as the naive
-    fold behaves.  ``vec`` bulk-builds the initial boxes through the
-    struct-of-arrays kernels (bitwise-identical; ``PerfOptions.vec_place``).
+    fold behaves.
     """
 
     def __init__(
@@ -180,9 +176,8 @@ class NetBoxCache(_BoxCacheBase):
         nets: Sequence[Sequence[str]],
         positions: Dict[str, Point],
         fixed: Dict[str, Point],
-        vec: bool = False,
     ) -> None:
-        super().__init__(nets, positions, fixed, vec=vec)
+        super().__init__(nets, positions, fixed)
         self._dirty: List[bool] = [False] * len(nets)
         self._txn: Optional[Dict[int, Tuple[Optional[Box], bool]]] = None
         self._pair_memo: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
@@ -356,9 +351,8 @@ class StampedNetBoxCache(_BoxCacheBase):
         nets: Sequence[Sequence[str]],
         positions: Dict[str, Point],
         fixed: Dict[str, Point],
-        vec: bool = False,
     ) -> None:
-        super().__init__(nets, positions, fixed, vec=vec)
+        super().__init__(nets, positions, fixed)
         self.clock = 0
         self.cell_stamp: Dict[str, int] = {
             pin: 0 for pin in self.cell_nets

@@ -113,6 +113,12 @@ class MemoMatcher(Matcher):
         return self._enumerate(snode, candidates)
 
     def matches_at(self, snode: SubjectNode) -> List[Match]:
+        """Every pattern match rooted at ``snode``.
+
+        With memoization, nodes whose truncated subtrees share a
+        canonical signature share one match list, re-bound to each
+        node's own subject nodes; the result equals a fresh search.
+        """
         kind = _KIND_FOR_TYPE.get(snode.type)
         if kind is None:
             return []

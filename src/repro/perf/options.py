@@ -1,10 +1,16 @@
 """Switches for the ``repro.perf`` optimization layer.
 
-All caches default to *on* — they are bit-identical to the naive paths —
-while parallel mapping defaults to one job (the executor is opt-in via
-``--jobs N`` on the CLI).  ``PerfOptions.naive()`` turns everything off;
-the golden-equivalence tests map every circuit both ways and assert the
-results are identical.
+Only the tree matcher keeps switchable fast paths: match memoization and
+the pattern index default to *on* — they are bit-identical to the naive
+matcher — while parallel mapping defaults to one job (the executor is
+opt-in via ``--jobs N`` on the CLI).  ``PerfOptions.naive()`` turns the
+matcher switches off; the golden-equivalence tests map every circuit
+both ways and assert the results are identical.
+
+The placement, routing, timing and Lily net-cache kernels have no
+switch: each runs one production path, and its naive twin survives only
+as a test oracle or as a flag-free reference that ``repro.verify``
+audits against (see ``docs/SCALING.md``).
 """
 
 from __future__ import annotations
@@ -23,35 +29,6 @@ class PerfOptions:
             canonical subtree signatures.
         index_patterns: prune candidate patterns with the root/child-kind
             and gate-height index instead of trying the full library.
-        incremental_nets: cache per-net true-fanout lists and pin points
-            with delta invalidation on commit (Lily cost hooks).
-        incremental_place: per-net bounding-box caches with O(pins-of-
-            moved-cell) delta updates in annealing and the detailed
-            swap pass (bit-identical to full recomputation).
-        incremental_sta: dirty-frontier arrival/required propagation in
-            re-timing loops instead of whole-netlist passes
-            (bit-identical to full recomputation).
-        warm_replace: seed Lily's periodic quadratic re-place CG solves
-            with the previous solution.  Only affects flows with
-            ``replace_interval > 0``; warm CG matches a cold solve to
-            solver tolerance, not bitwise.
-        vec_place: struct-of-arrays numpy kernels (``repro.perf.vec``)
-            for the placement hot paths — vectorized quadratic-system
-            assembly, bulk net-box builds, and the annealer's SoA HPWL
-            delta engine (bit-identical to the naive folds; see
-            ``docs/SCALING.md``).
-        vec_sta: levelized array-form STA
-            (:mod:`repro.timing.array_sta`) for full timing passes and
-            the level-batched dirty-frontier updates of
-            :class:`repro.timing.incremental.IncrementalTiming`;
-            bit-identical to :func:`repro.timing.sta.analyze`.
-        vec_route: struct-of-arrays routing estimators — the
-            :class:`~repro.perf.vec.PinTable` wirelength/Steiner folds
-            of :func:`repro.route.wirelength.netlist_wirelength`, the
-            batched Prim kernel of
-            :func:`repro.route.spanning.mst_lengths_batched`, and the
-            ordered length fold of global routing (bit-identical to the
-            naive per-net loops; see ``docs/SCALING.md``).
         jobs: worker threads for the parallel per-cone match prewarm
             (1 = sequential; results are identical for any value).
         procs: worker *processes* for suite runs (``run_table1`` /
@@ -62,35 +39,23 @@ class PerfOptions:
 
     memoize_matches: bool = True
     index_patterns: bool = True
-    incremental_nets: bool = True
-    incremental_place: bool = True
-    incremental_sta: bool = True
-    warm_replace: bool = True
-    vec_place: bool = True
-    vec_sta: bool = True
-    vec_route: bool = True
     jobs: int = 1
     procs: int = 1
 
     @staticmethod
     def naive() -> "PerfOptions":
-        """Every optimization off — the reference paths."""
+        """Every matcher fast path off, sequential — the reference matcher."""
         return PerfOptions(
             memoize_matches=False,
             index_patterns=False,
-            incremental_nets=False,
-            incremental_place=False,
-            incremental_sta=False,
-            warm_replace=False,
-            vec_place=False,
-            vec_sta=False,
-            vec_route=False,
             jobs=1,
             procs=1,
         )
 
     def with_jobs(self, jobs: int) -> "PerfOptions":
+        """A copy with ``jobs`` match-prewarm threads (at least one)."""
         return replace(self, jobs=max(1, int(jobs)))
 
     def with_procs(self, procs: int) -> "PerfOptions":
+        """A copy with ``procs`` suite worker processes (at least one)."""
         return replace(self, procs=max(1, int(procs)))

@@ -1,9 +1,9 @@
 """Struct-of-arrays numpy kernels for the placement/STA hot paths.
 
-The naive placement and timing engines walk Python objects per net and
-per node; at the 1k–50k-gate scale of ``benchmarks/scaling.py`` those
-loops become the wall (ROADMAP item 3).  This module holds the shared
-vectorized kernels:
+Naive placement and timing code walks Python objects per net and per
+node; at the 1k–50k-gate scale of ``benchmarks/scaling.py`` those loops
+become the wall.  This module holds the shared vectorized kernels, the
+only production path of each layout kernel:
 
 * :class:`PinTable` — a flat pin table over a placement hypergraph
   (``net -> slot indices`` into one coordinate array pair) answering
@@ -18,12 +18,13 @@ vectorized kernels:
 Exactness policy (see ``docs/SCALING.md``): min/max reductions over
 floats are order-independent and therefore *bitwise* equal to the naive
 folds; float *sums* are only reproduced bitwise where the kernel
-accumulates in the naive engine's operation order
-(:func:`ordered_sum`, :func:`segment_sum_ordered`, and the
-``np.add.at`` streams of :func:`assemble_quadratic`, which apply
-contributions strictly in naive edge order).  Anything passing through
-an iterative solver (CG) matches to solver tolerance only, exactly as
-the retained naive path already documents.
+accumulates in the naive operation order (:func:`ordered_sum`,
+:func:`segment_sum_ordered`, and the ``np.add.at`` streams of
+:func:`assemble_quadratic`, which apply contributions strictly in naive
+edge order).  The naive twins are test oracles under ``tests/`` (and
+flag-free references such as
+:func:`repro.route.wirelength.netlist_hpwl_naive`); the tests and the
+``invariant.perf.vec`` audit compare against them bitwise.
 """
 
 from __future__ import annotations
@@ -421,9 +422,10 @@ def assemble_quadratic(
 ):
     """Vectorized COO assembly of the quadratic placement system.
 
-    Mirrors the per-edge loop of
-    :class:`repro.place.quadratic.QuadraticSystem` bitwise: edges are
-    generated per net in the exact naive order (clique pairs
+    Mirrors a naive per-edge loop over
+    :func:`repro.place.quadratic.clique_edges` bitwise (the test oracle
+    of ``tests/perf/test_vec_kernels.py``): edges are generated per net
+    in the exact naive order (clique pairs
     lexicographic, wide/star nets driver-to-sink), and the diagonal /
     right-hand-side contributions are applied with ``np.add.at`` —
     an element-at-a-time in-order accumulation — on top of the same
@@ -529,19 +531,20 @@ def kernel_backend_info() -> Dict[str, object]:
     """Machine-readable kernel-backend metadata for bench artifacts.
 
     Records which array libraries (and versions) the struct-of-arrays
-    kernels ran on plus the default ``PerfOptions`` kernel flags, so any
-    two ``BENCH_*.json`` files state the backends they compare.
+    kernels ran on, so any two ``BENCH_*.json`` files state the backends
+    they compare.
     """
     import scipy
 
-    from repro.perf.options import PerfOptions
-
-    defaults = PerfOptions()
     return {
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "vec_place_default": defaults.vec_place,
-        "vec_sta_default": defaults.vec_sta,
-        "vec_route_default": defaults.vec_route,
+        # The placement, STA and routing kernels no longer have a naive
+        # switch, so these are always True.  The keys stay because
+        # recorded benchmark environments carry them and runs whose
+        # records differ do not compare.
+        "vec_place_default": True,
+        "vec_sta_default": True,
+        "vec_route_default": True,
         "small_batch_pins": PinTable.SMALL_BATCH_PINS,
     }

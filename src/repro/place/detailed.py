@@ -108,8 +108,6 @@ def detailed_place(
     channel_ratio: float = 1.0,
     improvement_passes: int = 1,
     num_rows: Optional[int] = None,
-    incremental: bool = True,
-    vec: bool = True,
 ) -> DetailedPlacement:
     """Legalise a global placement into standard-cell rows.
 
@@ -121,12 +119,10 @@ def detailed_place(
             row stacking (the router later replaces it with real heights).
         improvement_passes: greedy adjacent-swap HPWL passes (0 disables).
         num_rows: force a row count (default: squareness heuristic).
-        incremental: score the swap passes against the per-net bounding
-            box cache (bit-identical results, much faster); off uses the
-            full-recompute reference pass.
-        vec: with ``incremental``, bulk-build the cache's initial boxes
-            through the struct-of-arrays kernels (bitwise-identical;
-            ``PerfOptions.vec_place``).
+
+    The swap passes score against a per-net bounding-box cache
+    (:class:`repro.perf.incremental.NetBoxCache`), bit-identical to
+    re-folding every affected net per probe.
     """
     widths = {
         name: max(netlist.sizes.get(name, 1.0), 1e-9) / cell_height
@@ -169,68 +165,28 @@ def detailed_place(
         rows.append(row)
 
     placement = DetailedPlacement(rows, positions, cell_height, channel_height)
-    if improvement_passes > 0 and incremental:
+    if improvement_passes > 0:
         from repro.obs import OBS
         from repro.perf.incremental import NetBoxCache
 
-        cache = NetBoxCache(netlist.nets, placement.positions, netlist.fixed,
-                            vec=vec)
+        cache = NetBoxCache(netlist.nets, placement.positions, netlist.fixed)
         for _ in range(improvement_passes):
-            if not _swap_pass_cached(placement, netlist, cache):
+            if not _swap_pass(placement, cache):
                 break
         if OBS.enabled:
             OBS.metrics.counter(
                 "perf.incremental.box_fast_updates").inc(cache.fast_updates)
             OBS.metrics.counter(
                 "perf.incremental.box_refolds").inc(cache.refolds)
-    else:
-        for _ in range(improvement_passes):
-            if not _swap_pass(placement, netlist):
-                break
     return placement
 
 
-def _swap_pass(placement: DetailedPlacement, netlist: PlacementNetlist) -> bool:
-    """Greedy adjacent-cell swaps inside rows; returns True if improved."""
-    cell_nets: Dict[str, List[int]] = {}
-    for net_id, net in enumerate(netlist.nets):
-        for pin in net:
-            cell_nets.setdefault(pin, []).append(net_id)
+def _swap_pass(placement: DetailedPlacement, cache) -> bool:
+    """Greedy adjacent-cell swaps inside rows; returns True if improved.
 
-    def net_hpwl(net: List[str]) -> float:
-        xs: List[float] = []
-        ys: List[float] = []
-        for pin in net:
-            p = placement.positions.get(pin) or netlist.fixed.get(pin)
-            if p is None:
-                continue
-            xs.append(p.x)
-            ys.append(p.y)
-        if len(xs) < 2:
-            return 0.0
-        return (max(xs) - min(xs)) + (max(ys) - min(ys))
-
-    improved = False
-    for row in placement.rows:
-        for k in range(len(row.cells) - 1):
-            a, b = row.cells[k], row.cells[k + 1]
-            affected = sorted(set(cell_nets.get(a, []) + cell_nets.get(b, [])))
-            before = sum(net_hpwl(netlist.nets[i]) for i in affected)
-            _swap_in_row(placement, row, k)
-            after = sum(net_hpwl(netlist.nets[i]) for i in affected)
-            if after >= before:
-                _swap_in_row(placement, row, k)  # undo
-            else:
-                improved = True
-    return improved
-
-
-def _swap_pass_cached(placement: DetailedPlacement,
-                      netlist: PlacementNetlist,
-                      cache) -> bool:
-    """The greedy swap pass scored against a :class:`NetBoxCache`.
-
-    Bit-identical to :func:`_swap_pass`: the cached boxes are exact folds
+    Scored against a :class:`~repro.perf.incremental.NetBoxCache`, and
+    bit-identical to re-folding every affected net's HPWL per probe (the
+    oracle pass of the placement tests): the cached boxes are exact folds
     of the live positions at every step, so each ``before``/``after`` sum
     runs over the same net ids in the same order with bitwise-equal terms
     (zero-HPWL nets contribute ``+0.0``, which never changes the sum).

@@ -53,8 +53,6 @@ class GlobalPlacer:
         anchor_base: spring weight pulling cells to region centres; doubled
             every partitioning level so regions consolidate.
         max_levels: hard bound on partitioning depth.
-        vec: assemble the quadratic system with the struct-of-arrays
-            kernels (bitwise-identical matrix; ``PerfOptions.vec_place``).
     """
 
     def __init__(
@@ -63,13 +61,11 @@ class GlobalPlacer:
         use_fm: bool = True,
         anchor_base: float = 0.05,
         max_levels: int = 10,
-        vec: bool = True,
     ) -> None:
         self.min_cells_per_region = min_cells_per_region
         self.use_fm = use_fm
         self.anchor_base = anchor_base
         self.max_levels = max_levels
-        self.vec = vec
 
     def place(self, netlist: PlacementNetlist, region: Rect) -> GlobalPlacement:
         """Produce a balanced point placement of all movable cells."""
@@ -81,7 +77,7 @@ class GlobalPlacer:
         # only touch the diagonal/rhs, so each level's re-solve skips the
         # net traversal while building a bitwise-identical system.
         with OBS.span("place.quadratic", cells=len(netlist.movables)):
-            system = QuadraticSystem(netlist, region, vec=self.vec)
+            system = QuadraticSystem(netlist, region)
             positions = system.solve()
         if OBS.enabled:
             OBS.metrics.counter("place.quadratic_solves").inc()

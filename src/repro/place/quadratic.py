@@ -88,15 +88,17 @@ class QuadraticSystem:
         netlist: PlacementNetlist,
         region: Rect,
         weight_model: str = "clique",
-        vec: bool = True,
     ) -> None:
-        """Build the system; ``vec`` selects the struct-of-arrays assembly.
+        """Build the system with the struct-of-arrays assembly.
 
-        The vectorized assembly (:func:`repro.perf.vec.assemble_quadratic`)
-        produces bitwise-identical diagonal/rhs/off-diagonal streams to
-        the per-edge Python loop below, so ``vec`` only changes build
-        speed — the randomized equivalence tests assert exact equality.
+        :func:`repro.perf.vec.assemble_quadratic` produces the diagonal,
+        right-hand sides and off-diagonal streams bitwise-equal to a
+        per-edge loop over :func:`clique_edges` (the randomized oracle
+        tests assert exact equality).
         """
+        from repro.obs import OBS
+        from repro.perf.vec import assemble_quadratic
+
         self.netlist = netlist
         self.region = region
         self.weight_model = weight_model
@@ -104,62 +106,21 @@ class QuadraticSystem:
         self.n = n
         self.index = {name: i for i, name in enumerate(netlist.movables)}
         self._center = region.center
-        center = self._center
-        self._vec = bool(vec and n)
-
-        if self._vec:
-            from repro.obs import OBS
-            from repro.perf.vec import assemble_quadratic
-
-            diag, bx, by, vrows, vcols, vvals = assemble_quadratic(
-                netlist.nets, self.index, netlist.fixed, n, center,
-                weight_model, CLIQUE_STAR_LIMIT, ANCHOR_EPSILON,
-            )
-            self._diag = diag
-            self._bx = bx
-            self._by = by
-            self._rows = vrows
-            self._cols = vcols
-            self._vals = vvals
-            if OBS.enabled:
-                OBS.metrics.counter("perf.vec.quad_assemblies").inc()
-                OBS.metrics.counter("perf.vec.quad_edges").inc(len(vvals))
+        if not n:
             return
-
-        diag = np.full(n, ANCHOR_EPSILON)
-        bx = np.full(n, ANCHOR_EPSILON * center.x)
-        by = np.full(n, ANCHOR_EPSILON * center.y)
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-
-        index = self.index
-        for net in netlist.nets:
-            for a, b, w in clique_edges(net, weight_model):
-                ia = index.get(a)
-                ib = index.get(b)
-                if ia is None and ib is None:
-                    continue
-                if ia is not None and ib is not None:
-                    diag[ia] += w
-                    diag[ib] += w
-                    rows.extend((ia, ib))
-                    cols.extend((ib, ia))
-                    vals.extend((-w, -w))
-                else:
-                    movable = ia if ia is not None else ib
-                    fixed_name = b if ia is not None else a
-                    p = netlist.fixed[fixed_name]
-                    diag[movable] += w
-                    bx[movable] += w * p.x
-                    by[movable] += w * p.y
-
+        diag, bx, by, rows, cols, vals = assemble_quadratic(
+            netlist.nets, self.index, netlist.fixed, n, self._center,
+            weight_model, CLIQUE_STAR_LIMIT, ANCHOR_EPSILON,
+        )
         self._diag = diag
         self._bx = bx
         self._by = by
         self._rows = rows
         self._cols = cols
         self._vals = vals
+        if OBS.enabled:
+            OBS.metrics.counter("perf.vec.quad_assemblies").inc()
+            OBS.metrics.counter("perf.vec.quad_edges").inc(len(vals))
 
     def solve(
         self,
@@ -185,20 +146,13 @@ class QuadraticSystem:
             bx[i] += weight * point.x
             by[i] += weight * point.y
 
-        if self._vec:
-            # Same entry sequence as the list path below: off-diagonal
-            # stream first, then the (anchored) diagonal — the COO->CSR
-            # duplicate summation therefore runs over identical data and
-            # the matrix is bitwise-equal.
-            arange = np.arange(n)
-            rows = np.concatenate([self._rows, arange])
-            cols = np.concatenate([self._cols, arange])
-            vals = np.concatenate([self._vals, diag])
-        else:
-            rows = self._rows + list(range(n))
-            cols = self._cols + list(range(n))
-            vals = list(self._vals)
-            vals.extend(diag)
+        # Off-diagonal stream first, then the (anchored) diagonal: the
+        # COO->CSR duplicate summation runs in naive entry order, so the
+        # matrix is bitwise-equal to a per-edge list build.
+        arange = np.arange(n)
+        rows = np.concatenate([self._rows, arange])
+        cols = np.concatenate([self._cols, arange])
+        vals = np.concatenate([self._vals, diag])
         laplacian = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
         x0 = y0 = None
@@ -228,7 +182,6 @@ def solve_quadratic(
     anchors: Optional[Dict[str, Tuple[Point, float]]] = None,
     weight_model: str = "clique",
     initial: Optional[Dict[str, Point]] = None,
-    vec: bool = True,
 ) -> Dict[str, Point]:
     """Solve the quadratic placement for all movable cells.
 
@@ -244,13 +197,11 @@ def solve_quadratic(
             meaning.  Warm starts change the CG iterate sequence, so the
             result matches a cold solve to solver tolerance, not bitwise;
             leave unset where bit-reproducibility matters.
-        vec: use the struct-of-arrays system assembly (bitwise-identical
-            matrix, much faster to build; see ``docs/SCALING.md``).
 
     Returns:
         Cell name -> position for every movable cell.
     """
-    return QuadraticSystem(netlist, region, weight_model, vec=vec).solve(
+    return QuadraticSystem(netlist, region, weight_model).solve(
         anchors, initial=initial
     )
 

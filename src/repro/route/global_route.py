@@ -82,7 +82,6 @@ def route_design(
     placement: DetailedPlacement,
     pad_positions: Dict[str, Point],
     track_pitch: float = DEFAULT_TRACK_PITCH,
-    vec: bool = True,
 ) -> RoutedDesign:
     """Globally route a placed mapped netlist and assemble the chip.
 
@@ -91,9 +90,6 @@ def route_design(
         placement: detailed (row) placement of its gates.
         pad_positions: boundary positions for every PI/PO name.
         track_pitch: channel track pitch in µm.
-        vec: fold the per-net routed lengths as one ordered segment sum
-            (``PerfOptions.vec_route``); bitwise the same lengths as the
-            retained per-net loop.
 
     Returns:
         The routed design with channel tracks, per-net routed lengths and
@@ -101,7 +97,7 @@ def route_design(
     """
     with OBS.span("route.global", rows=placement.num_rows):
         design = _route_design(
-            mapped, placement, pad_positions, track_pitch, vec)
+            mapped, placement, pad_positions, track_pitch)
     if OBS.enabled:
         OBS.metrics.counter("route.nets_routed").inc(len(design.net_lengths))
         OBS.metrics.counter("route.channels").inc(len(design.channels))
@@ -114,7 +110,6 @@ def _route_design(
     placement: DetailedPlacement,
     pad_positions: Dict[str, Point],
     track_pitch: float,
-    vec: bool = True,
 ) -> RoutedDesign:
     num_rows = placement.num_rows
     row_pitch = placement.cell_height + placement.channel_height_guess
@@ -168,7 +163,7 @@ def _route_design(
     # measured against the final (re-stacked) gate positions.
     net_lengths = _recompute_lengths(
         mapped, final_placement, pad_positions, trunk_channel,
-        trunk_interval, channel_y, vec,
+        trunk_interval, channel_y,
     )
 
     chip_width = max(
@@ -210,31 +205,13 @@ def _recompute_lengths(
     trunk_channel: Dict[str, int],
     trunk_interval: Dict[str, Tuple[float, float]],
     channel_y: List[float],
-    vec: bool = True,
 ) -> Dict[str, float]:
-    if not vec:
-        lengths: Dict[str, float] = {}
-        for net in mapped.nets():
-            name = net.driver.name
-            if name not in trunk_channel:
-                continue
-            trunk_y = channel_y[trunk_channel[name]]
-            lo, hi = trunk_interval[name]
-            total = hi - lo
-            for node in [net.driver] + [sink for sink, _pin in net.sinks]:
-                if node.is_gate:
-                    p = placement.positions.get(node.name)
-                else:
-                    p = pad_positions.get(node.name)
-                if p is None:
-                    continue
-                total += abs(p.y - trunk_y)
-            lengths[name] = total
-        return lengths
+    """Routed length per net: trunk span plus one vertical branch per pin.
 
-    # Vectorized fold: each net's stream is [trunk span, |y - trunk_y|
-    # per located pin] so the ordered segment sum accumulates in exactly
-    # the naive loop's operation order (bitwise-equal lengths).
+    Each net's stream is ``[trunk span, |y - trunk_y| per located pin]``
+    and the ordered segment sum accumulates it left to right, so every
+    length is bitwise-equal to a per-net ``+=`` loop over the same terms.
+    """
     import numpy as np
 
     from repro.perf.vec import segment_sum_ordered

@@ -6,13 +6,13 @@ reports.  Exact for 2–3 pins; larger nets run the classic iterated
 is within a few percent of optimal for the net sizes mapping produces.
 
 The heuristic's cost is one MST evaluation per Hanan candidate per
-round; with ``vec`` (the default, ``PerfOptions.vec_route``) those
-evaluations run as one batched Prim fold
+round; those evaluations run as one batched Prim fold
 (:func:`repro.route.spanning._prim_lengths_matrix`) whose per-candidate
-lengths are bitwise-equal to the scalar
+lengths are bitwise-equal to scalar
 :func:`~repro.route.spanning.rectilinear_mst_length` calls — identical
-lengths mean identical candidate selections, so the vectorized
-heuristic returns the exact result of the naive one.
+lengths mean identical candidate selections, so the heuristic returns
+the exact result of a per-candidate scalar evaluation (the oracle of
+``tests/route/test_vec_route.py``).
 """
 
 from __future__ import annotations
@@ -41,18 +41,14 @@ def hanan_points(points: Sequence[Point]) -> List[Point]:
 
 
 def _candidate_lengths(
-    base: Sequence[Point], candidates: Sequence[Point], vec: bool
+    base: Sequence[Point], candidates: Sequence[Point]
 ) -> List[float]:
     """MST length of ``base + [c]`` for each candidate ``c``.
 
-    The vectorized path shares the base coordinates across one
-    ``(B, k+1)`` Prim batch; each row is bitwise-equal to the scalar
-    evaluation of the same point list.
+    The base coordinates are shared across one ``(B, k+1)`` Prim batch;
+    each row is bitwise-equal to the scalar evaluation of the same point
+    list.
     """
-    if not vec:
-        return [
-            rectilinear_mst_length(list(base) + [c]) for c in candidates
-        ]
     k = len(base)
     nrows = len(candidates)
     xs = np.empty((nrows, k + 1), dtype=np.float64)
@@ -65,15 +61,9 @@ def _candidate_lengths(
 
 
 def _leave_one_out_lengths(
-    terminals: Sequence[Point], kept: Sequence[Point], vec: bool
+    terminals: Sequence[Point], kept: Sequence[Point]
 ) -> List[float]:
     """MST length of ``terminals + kept`` minus each kept point in turn."""
-    if not vec:
-        return [
-            rectilinear_mst_length(
-                list(terminals) + list(kept[:i]) + list(kept[i + 1:]))
-            for i in range(len(kept))
-        ]
     t = len(terminals)
     m = len(kept)
     xs = np.empty((m, t + m - 1), dtype=np.float64)
@@ -87,13 +77,13 @@ def _leave_one_out_lengths(
     return _prim_lengths_matrix(xs, ys).tolist()
 
 
-def rsmt_length(points: Sequence[Point], vec: bool = True) -> float:
+def rsmt_length(points: Sequence[Point]) -> float:
     """Approximate rectilinear Steiner minimal tree length.
 
     2 pins: Manhattan distance.  3 pins: the median-point tree (optimal).
     Otherwise iterated 1-Steiner: repeatedly add the Hanan point that most
-    reduces the MST length, until no candidate helps.  ``vec`` batches
-    the candidate MST evaluations (identical result either way).
+    reduces the MST length, until no candidate helps.  The candidate MST
+    evaluations of each round run as one batch.
     """
     n = len(points)
     if n < 2:
@@ -115,7 +105,7 @@ def rsmt_length(points: Sequence[Point], vec: bool = True) -> float:
         candidates = hanan_points(terminals + steiner)
         best_gain = 0.0
         best_candidate: Optional[Point] = None
-        lengths = _candidate_lengths(terminals + steiner, candidates, vec)
+        lengths = _candidate_lengths(terminals + steiner, candidates)
         for candidate, length in zip(candidates, lengths):
             gain = best - length
             if gain > best_gain + 1e-12:
@@ -127,18 +117,18 @@ def rsmt_length(points: Sequence[Point], vec: bool = True) -> float:
         best -= best_gain
         # Prune Steiner points that stopped helping (degree <= 2 effect is
         # approximated by re-evaluating the tree without each point).
-        steiner = _prune(terminals, steiner, best, vec)
+        steiner = _prune(terminals, steiner, best)
     return best
 
 
 def _prune(
-    terminals: List[Point], steiner: List[Point], current: float, vec: bool
+    terminals: List[Point], steiner: List[Point], current: float
 ) -> List[Point]:
     kept = list(steiner)
     changed = True
     while changed:
         changed = False
-        lengths = _leave_one_out_lengths(terminals, kept, vec)
+        lengths = _leave_one_out_lengths(terminals, kept)
         for i, length in enumerate(lengths):
             if length <= current + 1e-12:
                 kept = kept[:i] + kept[i + 1:]

@@ -90,17 +90,13 @@ def netlist_hpwl(
     nets: Sequence[Sequence[str]],
     positions: Dict[str, Point],
     fixed: Dict[str, Point],
-    vec: bool = True,
 ) -> float:
     """Total HPWL over a hypergraph (the placement cost function).
 
-    With ``vec`` the nets fold as one flat-pin-table index reduction
+    The nets fold as one flat-pin-table index reduction
     (:class:`repro.perf.vec.PinTable`) with the per-net terms summed in
-    naive net order — bitwise-equal to :func:`netlist_hpwl_naive`, which
-    the naive path runs directly.
+    naive net order — bitwise-equal to :func:`netlist_hpwl_naive`.
     """
-    if not vec:
-        return netlist_hpwl_naive(nets, positions, fixed)
     from repro.obs import OBS
     from repro.perf.vec import PinTable
 
@@ -145,13 +141,11 @@ def netlist_wirelength(
     positions: Dict[str, Point],
     fixed: Dict[str, Point],
     model: str = "steiner",
-    vec: bool = True,
     table=None,
 ) -> float:
     """Total estimated wirelength over a hypergraph (vectorized).
 
-    With ``vec`` (``PerfOptions.vec_route``) the nets fold as flat
-    struct-of-arrays reductions over a
+    The nets fold as flat struct-of-arrays reductions over a
     :class:`repro.perf.vec.PinTable`: per-net bounding boxes via
     ``reduceat`` min/max (``hpwl``), the Chung–Hwang correction as one
     elementwise ``sqrt`` expression (``steiner``), or the batched Prim
@@ -165,8 +159,6 @@ def netlist_wirelength(
     amortise the flattening; its coordinates must already reflect
     ``positions`` (see :meth:`~repro.perf.vec.PinTable.refresh`).
     """
-    if not vec:
-        return netlist_wirelength_naive(nets, positions, fixed, model)
     import numpy as np
 
     from repro.obs import OBS

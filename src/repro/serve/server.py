@@ -17,8 +17,10 @@ process-wide warm state registry.  A job travels::
 Three degradation rules keep the server answering under stress:
 
 * **fast-path failure** — any exception from the flow with the standard
-  fast ``PerfOptions`` is retried once with ``PerfOptions.naive()`` and
-  the response is flagged ``degraded`` (``serve.degraded`` counts it);
+  fast ``PerfOptions`` and the warm matcher is retried once with
+  ``PerfOptions.naive()`` (the naive matcher; the layout kernels have no
+  switch) and the response is flagged ``degraded`` (``serve.degraded``
+  counts it);
 * **timeout** — :meth:`MappingServer.run` bounds the wait; on expiry the
   job is cancelled (cooperatively between phases if already running,
   outright if still queued) and the caller gets ``status: "timeout"``;
@@ -412,7 +414,7 @@ class MappingServer:
         except Exception as exc:  # noqa: BLE001 — degrade, don't error
             if handle.cancelled:
                 raise JobCancelled(handle.key)
-            # Graceful degradation: the naive paths are the reference
+            # Graceful degradation: the naive matcher is the reference
             # implementation; answer slowly rather than not at all.
             degraded = True
             self.events.emit(

@@ -34,6 +34,7 @@ class FanoutResult:
 
     @property
     def improved(self) -> bool:
+        """Whether buffering strictly lowered the critical delay."""
         return self.delay_after < self.delay_before
 
 

@@ -16,27 +16,27 @@ only the dirty frontier:
   the backward pass re-runs only for the fanin cone of load-changed gates
   (or fully when the effective deadline changed).
 
-With ``vec`` (``PerfOptions.vec_sta``) the frontier itself runs in array
-form: dirty nodes bucket by logic level, and each level's gates evaluate
-as one gathered :class:`~repro.timing.array_sta.ArraySTA` pin-table fold
-(dirty loads batch the same way over the wire-pin table, the backward
-frontier over the required-entry table by backward level).  A fanin
-always sits at a strictly lower level than its reader, so every value a
-batch consumes is final before the batch runs, and the array expressions
-are the exact ones of :class:`~repro.timing.array_sta.ArraySTA` — the
-propagation decisions (bitwise value-change gating) and the resulting
-report match the per-node path exactly.  Tiny buckets fall back to the
-shared per-node helpers (:func:`~repro.timing.sta._node_arrival`,
+The frontier runs in array form: dirty nodes bucket by logic level, and
+each level's gates evaluate as one gathered
+:class:`~repro.timing.array_sta.ArraySTA` pin-table fold (dirty loads
+batch the same way over the wire-pin table, the backward frontier over
+the required-entry table by backward level).  A fanin always sits at a
+strictly lower level than its reader, so every value a batch consumes is
+final before the batch runs, and the array expressions are the exact
+ones of :class:`~repro.timing.array_sta.ArraySTA` — the propagation
+decisions (bitwise value-change gating) and the resulting report match a
+per-node heap walk exactly (the oracle of the timing tests).  Tiny
+buckets fall back to the shared per-node helpers
+(:func:`~repro.timing.sta._node_arrival`,
 :func:`~repro.timing.sta._node_required`,
 :func:`~repro.timing.sta._node_load`), which compute the same bits, so
-either engine's report is bit-identical to a fresh ``analyze`` of the
-current netlist — :meth:`check_against_full` asserts exactly that and is
-wired into ``repro.verify``.
+the report is bit-identical to a fresh ``analyze`` of the current
+netlist — :meth:`IncrementalTiming.check_against_full` asserts exactly
+that, required times included, and is wired into ``repro.verify``.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Optional, Set
 
 from repro.geometry import Point
@@ -49,8 +49,8 @@ from repro.timing.sta import (
     _node_arrival,
     _node_load,
     _node_required,
-    _select_critical,
     analyze,
+    required_times,
 )
 
 __all__ = ["IncrementalTiming"]
@@ -70,19 +70,17 @@ class IncrementalTiming:
         input_arrivals: PI name -> arrival time (default 0).
         pad_cap: load presented by an output pad.
         wire_cap_per_fanout: fallback lumped wire cap per fanout.
-        vec: run the full passes *and* the frontier updates through the
-            levelized :class:`~repro.timing.array_sta.ArraySTA` tables —
-            bitwise the same report (``PerfOptions.vec_sta``).  The
-            ``vec=False`` engine keeps the original per-node heap walk
-            and serves as the reference.
+        vec: accepted for callers that still select the array engine by
+            name; it is the only engine, so anything but ``True`` raises
+            :class:`ValueError`.
 
-    The constructor runs one full pass; afterwards
+    The constructor runs one full pass through the levelized
+    :class:`~repro.timing.array_sta.ArraySTA` tables; afterwards
     :meth:`set_position` / :meth:`set_input_arrival` record changes and
     :meth:`update` refreshes :attr:`report` by frontier propagation.
     Positions must change through :meth:`set_position` (or
     :meth:`invalidate` after a direct mutation) so the engine knows what
-    is dirty; the vectorized engine additionally mirrors coordinates
-    into arrays at those points.
+    is dirty and can mirror the coordinates into its arrays.
     """
 
     def __init__(
@@ -94,33 +92,27 @@ class IncrementalTiming:
         wire_cap_per_fanout: float = 0.0,
         vec: bool = True,
     ) -> None:
+        if vec is not True:
+            raise ValueError(
+                "IncrementalTiming has one engine, the array frontier; "
+                f"vec must be True, got {vec!r}"
+            )
+        from repro.timing.array_sta import ArraySTA
+
         self.mapped = mapped
         self.wire_model = wire_model
         self.input_arrivals = dict(input_arrivals or {})
         self.pad_cap = pad_cap
         self.wire_cap_per_fanout = wire_cap_per_fanout
-        if vec:
-            from repro.timing.array_sta import ArraySTA
-
-            self._array: Optional["ArraySTA"] = ArraySTA(
-                mapped,
-                wire_model=wire_model,
-                input_arrivals=self.input_arrivals,
-                pad_cap=pad_cap,
-                wire_cap_per_fanout=wire_cap_per_fanout,
-            )
-            self.report = self._array.analyze()
-            self._order = self._array._order
-        else:
-            self._array = None
-            self.report = analyze(
-                mapped,
-                wire_model=wire_model,
-                input_arrivals=self.input_arrivals,
-                pad_cap=pad_cap,
-                wire_cap_per_fanout=wire_cap_per_fanout,
-            )
-            self._order = mapped.topological_order()
+        self._array = ArraySTA(
+            mapped,
+            wire_model=wire_model,
+            input_arrivals=self.input_arrivals,
+            pad_cap=pad_cap,
+            wire_cap_per_fanout=wire_cap_per_fanout,
+        )
+        self.report = self._array.analyze()
+        self._order = self._array._order
         self._topo = {node.name: i for i, node in enumerate(self._order)}
         self._node = {node.name: node for node in self._order}
         self._dirty: Set[str] = set()
@@ -132,12 +124,11 @@ class IncrementalTiming:
         self._required_deadline: Optional[float] = None
         self.updates = 0
         self.nodes_recomputed = 0
-        if vec:
-            self._init_vec_frontier()
+        self._init_frontier()
 
     # -- array-frontier state ------------------------------------------------
 
-    def _init_vec_frontier(self) -> None:
+    def _init_frontier(self) -> None:
         """Flatten frontier state next to the :class:`ArraySTA` tables.
 
         Persistent mirrors (positions, rise/fall/worst arrivals, per-gate
@@ -246,8 +237,7 @@ class IncrementalTiming:
         """Move one node; dirties its own and its fanin-drivers' loads."""
         node = self._node[name]
         node.position = position
-        if self._array is not None:
-            self._sync_position(name)
+        self._sync_position(name)
         self._mark(node, load_too=True)
         for fanin in node.fanins:
             self._mark(fanin, load_too=True)
@@ -259,81 +249,10 @@ class IncrementalTiming:
 
     def invalidate(self, name: str) -> None:
         """Force one node (arrival and load) to recompute on next update."""
-        if self._array is not None:
-            self._sync_position(name)
+        self._sync_position(name)
         self._mark(self._node[name], load_too=True)
 
     # -- forward frontier ----------------------------------------------------
-
-    def update(self) -> TimingReport:
-        """Propagate pending changes; returns the refreshed live report."""
-        if not self._dirty:
-            return self.report
-        if self._array is not None:
-            return self._update_vec()
-        return self._update_naive()
-
-    def _update_naive(self) -> TimingReport:
-        """The reference per-node heap walk (``vec=False``)."""
-        self.updates += 1
-        report = self.report
-        arrivals = report.arrivals
-        loads = report.loads
-        topo = self._topo
-        heap: List[int] = [topo[name] for name in self._dirty]
-        queued = set(heap)
-        heapq.heapify(heap)
-        recomputed = 0
-        while heap:
-            i = heapq.heappop(heap)
-            node = self._order[i]
-            name = node.name
-            recomputed += 1
-            old = arrivals.get(name)
-            if node.is_pi:
-                new = ArrivalTimes.at(self.input_arrivals.get(name, 0.0))
-            elif node.is_constant:
-                new = ArrivalTimes.at(0.0)
-            elif node.is_po:
-                new = arrivals[node.fanins[0].name]
-            else:
-                if name in self._load_dirty:
-                    load = _node_load(
-                        node,
-                        self.wire_model,
-                        self.pad_cap,
-                        self.wire_cap_per_fanout,
-                    )
-                    loads[name] = load
-                else:
-                    load = loads[name]
-                new = _node_arrival(node, arrivals, load)
-            if (
-                old is None
-                or old.rise != new.rise
-                or old.fall != new.fall
-            ):
-                arrivals[name] = new
-                node.arrival = new.worst
-                for sink in node.fanouts:
-                    j = topo.get(sink.name)
-                    if j is not None and j not in queued:
-                        queued.add(j)
-                        heapq.heappush(heap, j)
-            elif name in self._load_dirty:
-                # Load changed but the arrival did not: nothing to
-                # propagate forward (required times are tracked
-                # separately via _required_stale).
-                node.arrival = new.worst
-        self._dirty.clear()
-        self._load_dirty.clear()
-        self.nodes_recomputed += recomputed
-        _select_critical(self.mapped, report)
-        if OBS.enabled:
-            OBS.metrics.counter("perf.incremental.sta_updates").inc()
-            OBS.metrics.counter(
-                "perf.incremental.sta_nodes").inc(recomputed)
-        return report
 
     def _loads_for_rows(self, rows) -> "list":
         """Recompute the loads of the given gate rows (ascending,
@@ -381,8 +300,13 @@ class IncrementalTiming:
         )
         return (static[rows] + wire).tolist()
 
-    def _update_vec(self) -> TimingReport:
-        """Level-batched frontier propagation over the ArraySTA tables."""
+    def update(self) -> TimingReport:
+        """Propagate pending changes; returns the refreshed live report.
+
+        Level-batched frontier propagation over the ArraySTA tables.
+        """
+        if not self._dirty:
+            return self.report
         import numpy as np
 
         from repro.perf.vec import concat_ranges, segment_max
@@ -521,8 +445,8 @@ class IncrementalTiming:
         Recomputes the full backward pass when the effective deadline
         changed (a new deadline touches every PO); otherwise refreshes
         only the fanin cones of the gates whose load changed since the
-        last call — batched by backward level over the ArraySTA
-        required-entry table when vectorized.
+        last call, batched by backward level over the ArraySTA
+        required-entry table.
         """
         self.update()
         report = self.report
@@ -531,54 +455,22 @@ class IncrementalTiming:
         )
         required = self._required
         if required is None or effective != self._required_deadline:
-            if self._array is not None:
-                import numpy as np
+            import numpy as np
 
-                required = self._array.required_from(report.loads, effective)
-                req_arr = np.empty(len(self._order), dtype=np.float64)
-                for i, name in enumerate(self._names):
-                    req_arr[i] = required[name]
-                self._req_arr = req_arr
-            else:
-                from repro.timing.sta import required_times
-
-                required = required_times(self.mapped, report, effective)
+            required = self._array.required_from(report.loads, effective)
+            req_arr = np.empty(len(self._order), dtype=np.float64)
+            for i, name in enumerate(self._names):
+                req_arr[i] = required[name]
+            self._req_arr = req_arr
             self._required = required
             self._required_deadline = effective
             self._required_stale.clear()
             return required
         if not self._required_stale:
             return required
-        if self._array is not None:
-            return self._required_frontier_vec(required, effective)
-        topo = self._topo
-        heap: List[int] = []
-        queued: Set[int] = set()
-        for name in self._required_stale:
-            for fanin in self._node[name].fanins:
-                j = topo.get(fanin.name)
-                if j is not None and j not in queued:
-                    queued.add(j)
-                    heapq.heappush(heap, -j)
-        self._required_stale.clear()
-        loads = report.loads
-        while heap:
-            i = -heapq.heappop(heap)
-            node = self._order[i]
-            name = node.name
-            if node.is_po:
-                continue
-            new = _node_required(node, required, loads, effective)
-            if required.get(name) != new:
-                required[name] = new
-                for fanin in node.fanins:
-                    j = topo.get(fanin.name)
-                    if j is not None and j not in queued:
-                        queued.add(j)
-                        heapq.heappush(heap, -j)
-        return required
+        return self._required_frontier(required, effective)
 
-    def _required_frontier_vec(
+    def _required_frontier(
         self, required: Dict[str, float], effective: float
     ) -> Dict[str, float]:
         """Backward frontier batched by backward level.
@@ -586,7 +478,7 @@ class IncrementalTiming:
         A node's required time reads only its fanouts' — all at strictly
         lower backward levels — so buckets evaluate whole levels as one
         gathered fold over the ArraySTA required-entry rows, with the
-        same value-change gating as the per-node walk.  POs never enter:
+        same value-change gating as a per-node walk.  POs never enter:
         seeds and propagation both follow fanin edges.
         """
         import numpy as np
@@ -645,11 +537,18 @@ class IncrementalTiming:
 
     # -- cross-check ---------------------------------------------------------
 
-    def check_against_full(self) -> List[str]:
+    def check_against_full(
+        self, deadline: Optional[float] = None
+    ) -> List[str]:
         """Compare the live report against a fresh full pass (bitwise).
 
-        Returns human-readable mismatch descriptions (empty = exact).
-        Used by ``repro.verify`` as the incremental engine's audit.
+        Arrivals, loads, the critical output and delay are compared with
+        :func:`~repro.timing.sta.analyze`, and :meth:`required` at
+        ``deadline`` (default: the critical delay) with
+        :func:`~repro.timing.sta.required_times` of the fresh report at
+        the same deadline.  Returns human-readable mismatch descriptions
+        (empty = exact).  Used by ``repro.verify`` as the incremental
+        engine's audit.
         """
         self.update()
         fresh = analyze(
@@ -688,5 +587,17 @@ class IncrementalTiming:
             problems.append(
                 f"critical delay mismatch: live={live.critical_delay!r} "
                 f"full={fresh.critical_delay!r}"
+            )
+        got_req = self.required(deadline)
+        want_req = required_times(self.mapped, fresh, deadline)
+        if got_req != want_req:
+            bad = sorted(
+                name for name in set(want_req) | set(got_req)
+                if got_req.get(name) != want_req.get(name)
+            )
+            problems.append(
+                f"required-time mismatch at {len(bad)} nodes "
+                f"(e.g. {bad[0]}: live={got_req.get(bad[0])!r} "
+                f"full={want_req.get(bad[0])!r})"
             )
         return problems

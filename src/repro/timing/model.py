@@ -31,6 +31,7 @@ class WireCapModel:
     cv_per_um: float = 1.5e-4  # pF / µm, vertical (cross-channel) wiring
 
     def scaled(self, factor: float) -> "WireCapModel":
+        """A copy with both per-unit capacitances multiplied by ``factor``."""
         return WireCapModel(self.ch_per_um * factor, self.cv_per_um * factor)
 
     def capacitance(self, x_length: float, y_length: float) -> float:

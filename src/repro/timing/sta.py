@@ -39,10 +39,12 @@ class ArrivalTimes:
 
     @property
     def worst(self) -> float:
+        """The later of the rise and fall arrivals."""
         return max(self.rise, self.fall)
 
     @staticmethod
     def at(value: float) -> "ArrivalTimes":
+        """Equal rise and fall arrivals at ``value``."""
         return ArrivalTimes(value, value)
 
 
@@ -56,6 +58,7 @@ class TimingReport:
     critical_delay: float = 0.0
 
     def slack(self, deadline: float) -> float:
+        """Critical-path slack against ``deadline`` (negative = late)."""
         return deadline - self.critical_delay
 
 

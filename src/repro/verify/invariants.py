@@ -30,7 +30,6 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.geometry import Point
 from repro.map.lifecycle import LifecycleTracker, NodeState, _LEGAL
 from repro.map.netlist import MappedNetwork
 from repro.network.network import Network
@@ -611,9 +610,14 @@ def check_incremental_sta(
     each move through :class:`~repro.timing.incremental.IncrementalTiming`,
     and demands the live report match a from-scratch
     :func:`~repro.timing.sta.analyze` **bitwise** — arrivals, loads,
-    critical output and critical delay.  Original positions (and the
-    ``node.arrival`` side effects) are restored before returning, so the
-    audit leaves the netlist exactly as it found it.
+    critical output and critical delay — and the engine's required times
+    match :func:`~repro.timing.sta.required_times` of that fresh pass (see
+    :meth:`~repro.timing.incremental.IncrementalTiming.check_against_full`).
+    Required times are primed at the initial critical delay and compared
+    at that same deadline, so each trial's comparison reads the engine's
+    backward frontier, not a full backward pass.  Original positions (and
+    the ``node.arrival`` side effects) are restored before returning, so
+    the audit leaves the netlist exactly as it found it.
     """
     import random
 
@@ -631,6 +635,8 @@ def check_incremental_sta(
     rng = random.Random(seed)
     try:
         engine = IncrementalTiming(mapped, wire_model=wire_model)
+        deadline = engine.report.critical_delay
+        engine.required(deadline)
         for trial in range(trials):
             for _ in range(moves_per_trial):
                 gate = placed[rng.randrange(len(placed))]
@@ -642,9 +648,7 @@ def check_incremental_sta(
                         p.y + rng.uniform(-4.0, 4.0),
                     ),
                 )
-            engine.update()
-            engine.required()
-            for problem in engine.check_against_full():
+            for problem in engine.check_against_full(deadline):
                 problems.append(f"trial {trial}: {problem}")
             if problems:
                 break
@@ -668,29 +672,28 @@ def check_vec_kernels(
     mapped: MappedNetwork,
     wire_model: Optional[WireCapModel] = None,
 ) -> List[CheckResult]:
-    """Audit the struct-of-arrays kernels against the naive engines.
+    """Audit the struct-of-arrays kernels against flag-free references.
 
-    Rebuilds the flow's own artifacts both ways on the audited netlist
-    and demands **bitwise** agreement, per the exactness policy of
-    ``docs/SCALING.md``:
+    Rebuilds the flow's own artifacts on the audited netlist with each
+    production kernel and with its reference, and demands **bitwise**
+    agreement, per the exactness policy of ``docs/SCALING.md``:
 
-    * total HPWL and per-net bounding boxes of the mapped netlist's nets
-      (:class:`repro.perf.vec.PinTable` / bulk
-      :class:`~repro.perf.incremental.NetBoxCache` build vs the Python
-      folds);
+    * total HPWL of the mapped netlist's nets
+      (:class:`repro.perf.vec.PinTable`) vs
+      :func:`repro.route.wirelength.netlist_hpwl_naive`;
+    * the bulk-built per-net boxes of
+      :class:`~repro.perf.incremental.NetBoxCache` vs the cache's own
+      per-net :meth:`~repro.perf.incremental.NetBoxCache._fold`;
     * a full array-form STA (:class:`repro.timing.array_sta.ArraySTA`)
       vs :func:`repro.timing.sta.analyze` — arrivals, loads, critical
       output/delay — and the backward required times at the default
-      deadline;
-    * the vectorized routing estimators
-      (:func:`repro.route.wirelength.netlist_wirelength` under every
-      wire model, including the batched Prim spanning kernel) vs the
-      per-net Python folds;
-    * the level-batched incremental-STA frontier
-      (:class:`~repro.timing.incremental.IncrementalTiming` with
-      ``vec=True``) vs the per-node reference engine over a shared
-      deterministic move sequence, including the refreshed required
-      times.
+      deadline vs :func:`repro.timing.sta.required_times`;
+    * :func:`repro.route.wirelength.netlist_wirelength` under every wire
+      model (including the batched Prim spanning kernel) vs
+      :func:`repro.route.wirelength.netlist_wirelength_naive`.
+
+    The incremental-STA frontier is audited separately, against a fresh
+    full pass, by :func:`check_incremental_sta`.
     """
     t0 = time.perf_counter()
     target = mapped.name
@@ -698,7 +701,11 @@ def check_vec_kernels(
     try:
         from repro.perf.incremental import NetBoxCache
         from repro.perf.vec import PinTable
-        from repro.route.wirelength import netlist_hpwl_naive
+        from repro.route.wirelength import (
+            netlist_hpwl_naive,
+            netlist_wirelength,
+            netlist_wirelength_naive,
+        )
         from repro.timing.array_sta import ArraySTA
         from repro.timing.sta import analyze
 
@@ -718,15 +725,14 @@ def check_vec_kernels(
             problems.append(
                 f"vec HPWL {vec_total!r} != naive {naive_total!r}"
             )
-        vec_cache = NetBoxCache(nets, positions, {}, vec=True)
-        naive_cache = NetBoxCache(nets, positions, {}, vec=False)
-        if vec_cache._box != naive_cache._box:
-            bad = sum(
-                1 for a, b in zip(vec_cache._box, naive_cache._box)
-                if a != b
-            )
-            problems.append(f"{bad} net boxes differ between vec and "
-                            f"naive bulk builds")
+        cache = NetBoxCache(nets, positions, {})
+        bad = sum(
+            1 for net_id, box in enumerate(cache._box)
+            if box is not None and box != cache._fold(net_id)
+        )
+        if bad:
+            problems.append(f"{bad} bulk-built net boxes differ from "
+                            f"their per-net folds")
 
         full = analyze(mapped, wire_model=wire_model)
         vec = ArraySTA(mapped, wire_model=wire_model).analyze()
@@ -760,11 +766,6 @@ def check_vec_kernels(
                 f"(e.g. {bad[0] if bad else '?'})"
             )
 
-        from repro.route.wirelength import (
-            netlist_wirelength,
-            netlist_wirelength_naive,
-        )
-
         for model in ("hpwl", "steiner", "spanning"):
             v = netlist_wirelength(nets, positions, {}, model=model)
             w = netlist_wirelength_naive(nets, positions, {}, model=model)
@@ -772,72 +773,9 @@ def check_vec_kernels(
                 problems.append(
                     f"vec {model} wirelength {v!r} != naive {w!r}"
                 )
-
-        problems.extend(_frontier_problems(mapped, wire_model))
     except Exception as exc:  # kernel crash must not kill the audit
         problems.append(f"vec kernel audit aborted: {exc}")
     return [_result("invariant.perf.vec", target, problems, t0)]
-
-
-def _frontier_problems(
-    mapped: MappedNetwork, wire_model: Optional[WireCapModel]
-) -> List[str]:
-    """Drive the vec and per-node incremental engines through the same
-    deterministic move sequence; report any bitwise divergence.
-
-    Positions are restored afterwards, so the audit leaves the netlist
-    untouched.
-    """
-    import random
-
-    from repro.timing.incremental import IncrementalTiming
-
-    gates = sorted(g.name for g in mapped.gates)
-    if not gates:
-        return []
-    saved = {n.name: n.position for n in mapped.nodes}
-    problems: List[str] = []
-    try:
-        e_vec = IncrementalTiming(mapped, wire_model=wire_model, vec=True)
-        e_ref = IncrementalTiming(mapped, wire_model=wire_model, vec=False)
-        rng = random.Random(0xC0FFEE)
-        for step in range(8):
-            for _ in range(rng.randrange(1, 5)):
-                name = gates[rng.randrange(len(gates))]
-                p = mapped[name].position
-                if p is None:
-                    continue
-                moved = Point(p.x + rng.uniform(-8, 8),
-                              p.y + rng.uniform(-8, 8))
-                e_vec.set_position(name, moved)
-                e_ref.set_position(name, moved)
-            live = e_vec.update()
-            ref = e_ref.update()
-            for name, want in ref.arrivals.items():
-                got = live.arrivals.get(name)
-                if (got is None or got.rise != want.rise
-                        or got.fall != want.fall):
-                    problems.append(
-                        f"frontier arrival mismatch at {name} "
-                        f"(step {step}): vec={got} ref={want}"
-                    )
-                    break
-            if live.loads != ref.loads:
-                problems.append(f"frontier load mismatch at step {step}")
-            if step % 3 == 1 and e_vec.required() != e_ref.required():
-                problems.append(
-                    f"frontier required-time mismatch at step {step}")
-            if problems:
-                break
-        if not problems:
-            problems.extend(
-                f"vec frontier vs full pass: {p}"
-                for p in e_vec.check_against_full()[:3]
-            )
-    finally:
-        for name, pos in saved.items():
-            mapped[name].position = pos
-    return problems
 
 
 def _safe_slacks(mapped: MappedNetwork,

@@ -1,73 +1,23 @@
-"""End-to-end kernel-backend equivalence: vec flows vs naive flows.
+"""End-to-end checks of the struct-of-arrays kernel backend in whole flows.
 
-The struct-of-arrays kernels promise *bitwise* identical placement and
-timing arithmetic, so an entire pipeline run with ``vec_place`` /
-``vec_sta`` on must produce the same mapped netlist, the same positions,
-and the same timing report as one with them off — not merely close
-results.  These tests compare whole flows.
+The placement, routing and STA kernels have one production path each;
+their bitwise oracles live in the kernel tests (``tests/perf``,
+``tests/place``, ``tests/route``, ``tests/timing``).  Here a whole flow
+must report the kernels' counters, and the removed ``--naive-kernels``
+switch must be refused rather than silently ignored.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
 from repro.circuits.suite import build_circuit
 from repro.flow.__main__ import main
-from repro.flow.pipeline import lily_flow, mis_flow
+from repro.flow.pipeline import lily_flow
 from repro.library.standard import big_library
-from repro.perf.options import PerfOptions
-
-#: Default options with only the kernel backends switched off — the
-#: same substitution the ``--naive-kernels`` CLI flag makes.
-NAIVE_KERNELS = dataclasses.replace(
-    PerfOptions(), vec_place=False, vec_sta=False)
-
-
-def _fingerprint(flow):
-    mapped = flow.mapped
-    nodes = tuple(
-        (n.name, n.cell.name if n.cell else None,
-         tuple(f.name for f in n.fanins),
-         (n.position.x, n.position.y) if n.position else None)
-        for n in mapped.topological_order()
-    )
-    timing = tuple(sorted(
-        (name, a.rise, a.fall) for name, a in
-        flow.backend.timing.arrivals.items()
-    ))
-    return (nodes, timing, flow.backend.chip.chip_area,
-            flow.backend.routed.total_wire_length)
 
 
 class TestFlowEquivalence:
-    @pytest.mark.parametrize("circuit", ["misex1", "b9"])
-    def test_lily_fingerprints_identical(self, circuit):
-        net = build_circuit(circuit)
-        vec = lily_flow(net, big_library(), verify="fast")
-        naive = lily_flow(net, big_library(), verify="fast",
-                          perf=NAIVE_KERNELS)
-        assert _fingerprint(vec) == _fingerprint(naive)
-        assert vec.verify_report.passed, vec.verify_report.failures
-        assert naive.verify_report.passed, naive.verify_report.failures
-
-    def test_mis_fingerprints_identical(self):
-        net = build_circuit("misex1")
-        vec = mis_flow(net, big_library(), verify=False)
-        naive = mis_flow(net, big_library(), verify=False,
-                         perf=NAIVE_KERNELS)
-        assert _fingerprint(vec) == _fingerprint(naive)
-
-    def test_layout_driven_decomposition_identical(self):
-        net = build_circuit("misex1")
-        vec = lily_flow(net, big_library(), verify=False,
-                        layout_driven_decomposition=True)
-        naive = lily_flow(net, big_library(), verify=False,
-                          layout_driven_decomposition=True,
-                          perf=NAIVE_KERNELS)
-        assert _fingerprint(vec) == _fingerprint(naive)
-
     def test_vec_counters_emitted(self):
         from repro.obs import OBS
 
@@ -81,16 +31,9 @@ class TestFlowEquivalence:
         assert any(name.startswith("perf.vec.") for name in counters)
 
 
-class TestNaiveKernelsFlag:
-    def test_cli_flag_runs(self, capsys):
-        assert main(["report", "misex1", "--no-verify",
-                     "--naive-kernels"]) == 0
-        assert "MIS 2.1 vs Lily" in capsys.readouterr().out
-
-    def test_cli_flag_output_matches_vec(self, capsys):
-        assert main(["table1", "misex1", "--no-verify"]) == 0
-        vec_out = capsys.readouterr().out
-        assert main(["table1", "misex1", "--no-verify",
-                     "--naive-kernels"]) == 0
-        naive_out = capsys.readouterr().out
-        assert vec_out == naive_out
+class TestKernelFlags:
+    def test_naive_kernels_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "misex1", "--no-verify", "--naive-kernels"])
+        assert exc.value.code == 2
+        assert "--naive-kernels" in capsys.readouterr().err

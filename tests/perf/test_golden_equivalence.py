@@ -1,5 +1,11 @@
 """Golden equivalence: every fast path is bit-identical to the naive one.
 
+The goldens map with the naive matcher (``PerfOptions.naive()``) and,
+for Lily, with the ``oracles.lily`` mappers, which price every match on
+the general cost path without the cross-cone net cache.  The variants
+flip only the matcher switches, so each one compares the matcher fast
+paths plus Lily's net cache and fast evaluator against the naive code.
+
 The DP cover breaks cost ties by scan order, positions feed back into
 later cones, and the final netlist hashes all of it together — so the
 fingerprints below (cells, fanins, exact positions, exact arrivals,
@@ -10,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+from oracles.lily import NaiveLilyAreaMapper, NaiveLilyDelayMapper
 from repro.circuits.suite import build_circuit
 from repro.core.lily import LilyAreaMapper, LilyDelayMapper
 from repro.map.mis import MisAreaMapper, MisDelayMapper
@@ -19,15 +26,9 @@ from repro.perf import PerfOptions
 CIRCUITS = ["misex1", "b9", "apex7"]
 
 VARIANTS = {
-    "memo_only": PerfOptions(
-        memoize_matches=True, index_patterns=False, incremental_nets=False
-    ),
-    "index_only": PerfOptions(
-        memoize_matches=False, index_patterns=True, incremental_nets=False
-    ),
-    "nets_only": PerfOptions(
-        memoize_matches=False, index_patterns=False, incremental_nets=True
-    ),
+    "memo_only": PerfOptions(memoize_matches=True, index_patterns=False),
+    "index_only": PerfOptions(memoize_matches=False, index_patterns=True),
+    "matcher_naive": PerfOptions.naive(),
     "all_on": PerfOptions(),
     "parallel": PerfOptions().with_jobs(2),
 }
@@ -61,7 +62,7 @@ def subjects():
 def test_lily_area_all_variants(subjects, big_lib, circuit):
     subject = subjects[circuit]
     golden = _fingerprint(
-        LilyAreaMapper(big_lib, perf=PerfOptions.naive()).map(subject)
+        NaiveLilyAreaMapper(big_lib, perf=PerfOptions.naive()).map(subject)
     )
     for name, perf in VARIANTS.items():
         fp = _fingerprint(LilyAreaMapper(big_lib, perf=perf).map(subject))
@@ -80,9 +81,10 @@ def test_mis_area_fast_vs_naive(subjects, big_lib, circuit):
 
 def test_delay_mappers_fast_vs_naive(subjects, big_lib):
     subject = subjects["misex1"]
-    for cls in (LilyDelayMapper, MisDelayMapper):
+    for cls, oracle in ((LilyDelayMapper, NaiveLilyDelayMapper),
+                        (MisDelayMapper, MisDelayMapper)):
         golden = _fingerprint(
-            cls(big_lib, perf=PerfOptions.naive()).map(subject)
+            oracle(big_lib, perf=PerfOptions.naive()).map(subject)
         )
         for name, perf in VARIANTS.items():
             fp = _fingerprint(cls(big_lib, perf=perf).map(subject))
@@ -104,10 +106,10 @@ def _backend_fingerprint(flow):
 
 
 def test_full_flow_fast_vs_naive(big_lib):
-    """End-to-end: the whole backend (incremental placement engines,
-    warm-started re-placement, incremental STA, cached quadratic
-    assembly) lands on the bitwise-identical layout the naive engines
-    produce."""
+    """End-to-end: mapping with the matcher fast paths on lands on the
+    bitwise-identical layout the naive matcher produces (the backend
+    kernels have one path each; their oracles live in the placement,
+    routing and timing tests)."""
     from repro.flow.pipeline import lily_flow, mis_flow
 
     net = build_circuit("misex1")

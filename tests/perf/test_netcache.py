@@ -24,8 +24,6 @@ class AuditingLilyMapper(LilyAreaMapper):
     def on_commit(self, node, solution, instance):
         super().on_commit(node, solution, instance)
         cache = self._netcache
-        if cache is None:
-            return
         for uid, entry in list(cache._entries.items()):
             fanin = self._by_uid(uid)
             fresh = true_fanouts(fanin, self.lifecycle)
@@ -81,11 +79,19 @@ def test_clear_empties_everything(audited_run):
     assert not cache._out_deps
 
 
-def test_naive_option_disables_cache():
+def test_cache_always_on_and_oracle_bypasses_it():
+    from oracles.lily import NaiveLilyAreaMapper
     from repro.library.standard import big_library
     from repro.perf import PerfOptions
 
     subject = decompose_to_subject(build_circuit("misex1"))
+    # The net cache has no switch: the naive matcher options keep it.
     mapper = LilyAreaMapper(big_library(), perf=PerfOptions.naive())
     mapper.map(subject)
-    assert mapper._netcache is None
+    assert mapper._netcache._entries
+    # The golden oracle must never read it, or it would compare the
+    # cache against itself.
+    oracle = NaiveLilyAreaMapper(big_library())
+    oracle.map(subject)
+    assert not oracle._netcache._entries
+    assert not oracle._netcache._out_entries

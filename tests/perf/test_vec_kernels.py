@@ -1,10 +1,13 @@
-"""Struct-of-arrays kernels vs the naive engines (bitwise).
+"""Struct-of-arrays kernels vs naive oracles (bitwise).
 
 The exactness policy (``docs/SCALING.md``) promises that every vectorized
 kernel reproduces its naive twin *bitwise* wherever the naive arithmetic
 is order-reproducible: min/max folds always, float sums where the kernel
-accumulates in naive operation order.  These tests hold the kernels to
-that promise with ``==`` on floats — any drift is a bug, not noise.
+accumulates in naive operation order.  The twins are the flag-free
+references in ``src`` (``netlist_hpwl_naive``, the box caches' per-net
+``_fold``) and the per-edge quadratic assembly below.  These tests hold
+the kernels to that promise with ``==`` on floats — any drift is a bug,
+not noise.
 """
 
 from __future__ import annotations
@@ -24,10 +27,55 @@ from repro.perf.vec import (
     segment_sum_ordered,
 )
 from repro.place.hypergraph import PlacementNetlist
-from repro.place.quadratic import QuadraticSystem
+from repro.place.quadratic import ANCHOR_EPSILON, QuadraticSystem, clique_edges
 from repro.route.wirelength import netlist_hpwl, netlist_hpwl_naive
 
 REGION = Rect(0, 0, 200, 200)
+
+
+def _naive_streams(netlist, region, weight_model="clique"):
+    """The per-edge Python assembly the SoA kernel must reproduce.
+
+    Returns ``(diag, bx, by, rows, cols, vals)``: numpy diagonal and
+    right-hand sides, and the off-diagonal COO streams as lists in edge
+    order.
+    """
+    n = netlist.num_movable
+    index = {name: i for i, name in enumerate(netlist.movables)}
+    center = region.center
+    diag = np.full(n, ANCHOR_EPSILON)
+    bx = np.full(n, ANCHOR_EPSILON * center.x)
+    by = np.full(n, ANCHOR_EPSILON * center.y)
+    rows, cols, vals = [], [], []
+    for net in netlist.nets:
+        for a, b, w in clique_edges(net, weight_model):
+            ia = index.get(a)
+            ib = index.get(b)
+            if ia is None and ib is None:
+                continue
+            if ia is not None and ib is not None:
+                diag[ia] += w
+                diag[ib] += w
+                rows.extend((ia, ib))
+                cols.extend((ib, ia))
+                vals.extend((-w, -w))
+            else:
+                movable = ia if ia is not None else ib
+                p = netlist.fixed[b if ia is not None else a]
+                diag[movable] += w
+                bx[movable] += w * p.x
+                by[movable] += w * p.y
+    return diag, bx, by, rows, cols, vals
+
+
+class _NaiveQuadraticSystem(QuadraticSystem):
+    """A system solved from the per-edge assembly (the solve oracle)."""
+
+    def __init__(self, netlist, region, weight_model="clique"):
+        super().__init__(netlist, region, weight_model)
+        (self._diag, self._bx, self._by,
+         self._rows, self._cols, self._vals) = _naive_streams(
+            netlist, region, weight_model)
 
 
 def _random_values(rng, n):
@@ -113,8 +161,8 @@ class TestPinTable:
         table = PinTable(nets, positions, fixed)
         assert table.total_hpwl() == netlist_hpwl_naive(
             nets, positions, fixed)
-        assert netlist_hpwl(nets, positions, fixed, vec=True) == \
-            netlist_hpwl(nets, positions, fixed, vec=False)
+        assert netlist_hpwl(nets, positions, fixed) == \
+            netlist_hpwl_naive(nets, positions, fixed)
 
     def test_refresh_tracks_live_moves(self, seeded_rng):
         rng = seeded_rng("vec", "refresh")
@@ -169,11 +217,12 @@ class TestFoldBoxArrays:
 
         rng = seeded_rng("vec", "boxes", case)
         nets, positions, fixed = _random_hypergraph(rng)
-        naive = NetBoxCache(nets, positions, fixed, vec=False)
-        vec = NetBoxCache(nets, positions, fixed, vec=True)
-        for i in range(len(nets)):
-            assert vec._box[i] == naive._box[i], nets[i]
-            assert vec.hpwl(i) == naive.hpwl(i)
+        cache = NetBoxCache(nets, positions, fixed)
+        for i, net in enumerate(nets):
+            if cache._box[i] is not None:
+                assert cache._box[i] == cache._fold(i), net
+            assert cache.hpwl(i) == netlist_hpwl_naive(
+                [net], positions, fixed), net
 
     def test_direct_fold(self):
         out = fold_box_arrays(
@@ -212,22 +261,23 @@ class TestQuadraticAssembly:
     def test_streams_bitwise(self, weight_model, case, seeded_rng):
         rng = seeded_rng("vec", "quad", weight_model, case)
         netlist = _random_placement_netlist(rng, wide_net=(case == 0))
-        vec = QuadraticSystem(netlist, REGION, weight_model, vec=True)
-        naive = QuadraticSystem(netlist, REGION, weight_model, vec=False)
-        assert np.asarray(vec._diag).tolist() == list(naive._diag)
-        assert np.asarray(vec._bx).tolist() == list(naive._bx)
-        assert np.asarray(vec._by).tolist() == list(naive._by)
-        assert np.asarray(vec._rows).tolist() == list(naive._rows)
-        assert np.asarray(vec._cols).tolist() == list(naive._cols)
-        assert np.asarray(vec._vals).tolist() == list(naive._vals)
+        vec = QuadraticSystem(netlist, REGION, weight_model)
+        diag, bx, by, rows, cols, vals = _naive_streams(
+            netlist, REGION, weight_model)
+        assert vec._diag.tolist() == diag.tolist()
+        assert vec._bx.tolist() == bx.tolist()
+        assert vec._by.tolist() == by.tolist()
+        assert vec._rows.tolist() == rows
+        assert vec._cols.tolist() == cols
+        assert vec._vals.tolist() == vals
 
     def test_solve_bitwise_direct_path(self, seeded_rng):
         # n <= 400 uses the direct sparse solve: identical CSR matrices
         # give identical solutions, so the whole solve is bitwise too.
         rng = seeded_rng("vec", "solve")
         netlist = _random_placement_netlist(rng)
-        got = QuadraticSystem(netlist, REGION, vec=True).solve()
-        want = QuadraticSystem(netlist, REGION, vec=False).solve()
+        got = QuadraticSystem(netlist, REGION).solve()
+        want = _NaiveQuadraticSystem(netlist, REGION).solve()
         assert got == want
 
     def test_cg_within_tolerance_of_dense(self, seeded_rng):
@@ -239,7 +289,7 @@ class TestQuadraticAssembly:
         rng = seeded_rng("vec", "cg")
         netlist = _random_placement_netlist(
             rng, num_cells=450, num_nets=900)
-        system = QuadraticSystem(netlist, REGION, vec=True)
+        system = QuadraticSystem(netlist, REGION)
         positions = system.solve()
         n = system.n
         rows = np.concatenate([system._rows, np.arange(n)])
@@ -266,8 +316,7 @@ class TestQuadraticAssembly:
         out = assemble_quadratic(
             netlist.nets, {"m0": 0}, netlist.fixed, 1, REGION.center,
             "clique", 30, 1e-6)
-        naive = QuadraticSystem(netlist, REGION, vec=False)
-        assert out[0].tolist() == list(naive._diag)
+        assert out[0].tolist() == _naive_streams(netlist, REGION)[0].tolist()
 
 
 class TestBackendInfo:
@@ -277,4 +326,5 @@ class TestBackendInfo:
         assert isinstance(info["scipy"], str)
         assert info["vec_place_default"] is True
         assert info["vec_sta_default"] is True
+        assert info["vec_route_default"] is True
         assert info["small_batch_pins"] == PinTable.SMALL_BATCH_PINS

@@ -3,13 +3,14 @@
 Everything here is an exactness test: the caches must agree with a
 from-scratch fold *bitwise* (``==`` on floats, no tolerance), and the
 incremental annealing / detailed-improvement engines must reproduce the
-naive engines' placements exactly.
+full-recompute oracles' placements exactly (``oracles.place``).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from oracles.place import anneal_reference, detailed_place_reference
 from repro.circuits.random_logic import random_network
 from repro.flow.pipeline import mis_flow
 from repro.geometry import Point
@@ -194,10 +195,8 @@ class TestEngineEquivalence:
         base = flow.backend.detailed
         a = copy.deepcopy(base)
         b = copy.deepcopy(base)
-        stats_naive = simulated_annealing(
-            a, netlist, seed=3, moves_per_cell=6, incremental=False)
-        stats_inc = simulated_annealing(
-            b, netlist, seed=3, moves_per_cell=6, incremental=True)
+        stats_naive = anneal_reference(a, netlist, seed=3, moves_per_cell=6)
+        stats_inc = simulated_annealing(b, netlist, seed=3, moves_per_cell=6)
         assert _placement_fingerprint(a) == _placement_fingerprint(b)
         assert stats_naive.initial_hpwl == stats_inc.initial_hpwl
         assert stats_naive.final_hpwl == stats_inc.final_hpwl
@@ -210,9 +209,8 @@ class TestEngineEquivalence:
             name: flow.backend.detailed.positions[name]
             for name in netlist.movables
         }
-        naive = detailed_place(netlist, positions, improvement_passes=4,
-                               incremental=False)
-        fast = detailed_place(netlist, positions, improvement_passes=4,
-                              incremental=True)
+        naive = detailed_place_reference(netlist, positions,
+                                         improvement_passes=4)
+        fast = detailed_place(netlist, positions, improvement_passes=4)
         assert (_placement_fingerprint(naive)
                 == _placement_fingerprint(fast))

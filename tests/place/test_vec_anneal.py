@@ -1,9 +1,11 @@
-"""Annealing/detailed-placement vec engines vs their naive twins.
+"""Annealing/detailed-placement engines vs their full-recompute oracles.
 
-``simulated_annealing`` has three scoring engines (full-recompute
-reference, per-net box cache, struct-of-arrays) that promise bitwise
-identical deltas — and therefore an identical accept/reject sequence and
-an identical final placement.  Every comparison here is exact.
+``simulated_annealing`` scores moves against a stamped per-net box cache
+whose boxes bulk-build through the struct-of-arrays kernels; it promises
+deltas bitwise identical to re-folding every scored net — and therefore
+an identical accept/reject sequence and an identical final placement to
+the full-recompute oracle of ``oracles.place``.  Every comparison here
+is exact.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import copy
 
 import pytest
 
+from oracles.place import anneal_reference, detailed_place_reference
 from repro.circuits.random_logic import random_network
 from repro.flow.pipeline import mis_flow
 from repro.library.standard import big_library
@@ -28,27 +31,23 @@ def placed_case():
     return flow, netlist
 
 
-def _anneal(placement, netlist, **kwargs):
+def _anneal(placement, netlist, engine=simulated_annealing):
     work = copy.deepcopy(placement)
-    stats = simulated_annealing(work, netlist, seed=5, moves_per_cell=4,
-                                **kwargs)
+    stats = engine(work, netlist, seed=5, moves_per_cell=4)
     return work, stats
 
 
 class TestEngineEquivalence:
-    def test_three_engines_identical(self, placed_case):
+    def test_engine_matches_full_recompute(self, placed_case):
         flow, netlist = placed_case
         base = flow.backend.detailed
-        vec, vec_stats = _anneal(base, netlist, incremental=True, vec=True)
-        inc, inc_stats = _anneal(base, netlist, incremental=True,
-                                 vec=False)
-        ref, ref_stats = _anneal(base, netlist, incremental=False)
-        assert vec.positions == inc.positions == ref.positions
-        for stats in (inc_stats, ref_stats):
-            assert vec_stats.initial_hpwl == stats.initial_hpwl
-            assert vec_stats.final_hpwl == stats.final_hpwl
-            assert vec_stats.moves_tried == stats.moves_tried
-            assert vec_stats.moves_accepted == stats.moves_accepted
+        fast, fast_stats = _anneal(base, netlist)
+        ref, ref_stats = _anneal(base, netlist, anneal_reference)
+        assert fast.positions == ref.positions
+        assert fast_stats.initial_hpwl == ref_stats.initial_hpwl
+        assert fast_stats.final_hpwl == ref_stats.final_hpwl
+        assert fast_stats.moves_tried == ref_stats.moves_tried
+        assert fast_stats.moves_accepted == ref_stats.moves_accepted
 
     @pytest.mark.parametrize("seed", range(3))
     def test_randomized_pairs(self, seed, seeded_rng):
@@ -59,19 +58,18 @@ class TestEngineEquivalence:
         flow = mis_flow(net, big_library(), verify=False)
         netlist = mapped_netlist(flow.mapped, flow.backend.pad_positions)
         base = flow.backend.detailed
-        vec, _ = _anneal(base, netlist, vec=True)
-        naive, _ = _anneal(base, netlist, vec=False)
-        assert vec.positions == naive.positions
+        fast, _ = _anneal(base, netlist)
+        ref, _ = _anneal(base, netlist, anneal_reference)
+        assert fast.positions == ref.positions
 
     def test_positions_dict_restored_after_run(self, placed_case):
-        # The vec engine must never leave a wrapper over
+        # The engine must never leave a wrapper over
         # placement.positions (an earlier write-through-mirror variant
         # did): the attribute stays a plain dict (deepcopy-able, no
         # dangling PinTable reference).
         flow, netlist = placed_case
         work = copy.deepcopy(flow.backend.detailed)
-        simulated_annealing(work, netlist, seed=2, moves_per_cell=2,
-                            vec=True)
+        simulated_annealing(work, netlist, seed=2, moves_per_cell=2)
         assert type(work.positions) is dict
 
     def test_restored_even_on_engine_error(self, placed_case):
@@ -81,8 +79,7 @@ class TestEngineEquivalence:
             movables=netlist.movables, sizes=netlist.sizes,
             nets=netlist.nets, fixed=netlist.fixed)
         try:
-            simulated_annealing(work, bad, seed=2, moves_per_cell=-1,
-                                vec=True)
+            simulated_annealing(work, bad, seed=2, moves_per_cell=-1)
         except Exception:
             pass
         assert type(work.positions) is dict
@@ -93,8 +90,7 @@ class TestDetailedPlaceVec:
     def test_vec_matches_naive(self, passes, placed_case):
         flow, netlist = placed_case
         seeds = dict(flow.backend.detailed.positions)
-        vec = detailed_place(netlist, seeds, improvement_passes=passes,
-                             vec=True)
-        naive = detailed_place(netlist, seeds, improvement_passes=passes,
-                               vec=False)
-        assert vec.positions == naive.positions
+        fast = detailed_place(netlist, seeds, improvement_passes=passes)
+        ref = detailed_place_reference(netlist, seeds,
+                                       improvement_passes=passes)
+        assert fast.positions == ref.positions

@@ -1,10 +1,12 @@
-"""Bitwise equality of the vectorized routing estimators (PR 9).
+"""Bitwise equality of the vectorized routing estimators.
 
-Every fast path in ``repro.route`` must produce bit-identical floats to
-its retained naive engine — the ``repro.perf.vec`` exactness
-discipline.  These fleets drive randomized hypergraphs (with 1–2 pin
-degenerates and unplaced-pin masks) through both paths and compare with
-``==``, never ``approx``.
+Every kernel in ``repro.route`` must produce bit-identical floats to a
+naive oracle — the ``repro.perf.vec`` exactness discipline.  The
+oracles are the flag-free references in ``src``
+(``netlist_wirelength_naive``, scalar ``rectilinear_mst_length``) and
+the per-candidate / per-net loops below.  These fleets drive randomized
+hypergraphs (with 1–2 pin degenerates and unplaced-pin masks) through
+both and compare with ``==``, never ``approx``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import random
 
 import pytest
 
+import repro.route.steiner as steiner
 from repro.geometry import Point
+from repro.route.global_route import _recompute_lengths
 from repro.route.spanning import mst_lengths_batched, rectilinear_mst_length
 from repro.route.steiner import rsmt_length
 from repro.route.wirelength import netlist_wirelength, netlist_wirelength_naive
@@ -104,15 +108,87 @@ class TestBatchedMst:
         assert batched[0] == rectilinear_mst_length(pts)
 
 
+def _scalar_candidate_lengths(base, candidates):
+    return [rectilinear_mst_length(list(base) + [c]) for c in candidates]
+
+
+def _scalar_leave_one_out_lengths(terminals, kept):
+    return [
+        rectilinear_mst_length(
+            list(terminals) + list(kept[:i]) + list(kept[i + 1:]))
+        for i in range(len(kept))
+    ]
+
+
+def _rsmt_scalar(pts, monkeypatch):
+    """``rsmt_length`` with every candidate MST a scalar Prim call."""
+    with monkeypatch.context() as patch:
+        patch.setattr(steiner, "_candidate_lengths",
+                      _scalar_candidate_lengths)
+        patch.setattr(steiner, "_leave_one_out_lengths",
+                      _scalar_leave_one_out_lengths)
+        return steiner.rsmt_length(pts)
+
+
 class TestRsmtVec:
     @pytest.mark.parametrize("round_", range(6))
-    def test_vec_matches_naive(self, round_):
+    def test_vec_matches_naive(self, round_, monkeypatch):
         rng = random.Random(TEST_SEED + 13 * round_)
         pts = [Point(rng.uniform(0, 60), rng.uniform(0, 60))
                for _ in range(rng.choice((4, 5, 6, 7)))]
-        assert rsmt_length(pts, vec=True) == rsmt_length(pts, vec=False)
+        assert rsmt_length(pts) == _rsmt_scalar(pts, monkeypatch)
 
-    def test_small_nets_share_one_path(self):
+    def test_small_nets_share_one_path(self, monkeypatch):
         for pts in ([], [Point(1, 1)], [Point(0, 0), Point(3, 4)],
                     [Point(0, 0), Point(4, 0), Point(2, 9)]):
-            assert rsmt_length(pts, vec=True) == rsmt_length(pts, vec=False)
+            assert rsmt_length(pts) == _rsmt_scalar(pts, monkeypatch)
+
+
+def _route_lengths_loop(mapped, positions, pads, trunk_channel,
+                        trunk_interval, channel_y):
+    """Per-net ``+=`` routed lengths: the ordered fold's oracle."""
+    lengths = {}
+    for net in mapped.nets():
+        name = net.driver.name
+        if name not in trunk_channel:
+            continue
+        trunk_y = channel_y[trunk_channel[name]]
+        lo, hi = trunk_interval[name]
+        total = hi - lo
+        for node in [net.driver] + [sink for sink, _pin in net.sinks]:
+            p = (positions.get(node.name) if node.is_gate
+                 else pads.get(node.name))
+            if p is None:
+                continue
+            total += abs(p.y - trunk_y)
+        lengths[name] = total
+    return lengths
+
+
+class TestRouteLengthFold:
+    @pytest.mark.parametrize("round_", range(3))
+    def test_ordered_fold_matches_per_net_loop(self, round_, big_lib):
+        from repro.circuits.random_logic import random_network
+        from repro.flow.pipeline import mis_flow
+
+        rng = random.Random(TEST_SEED + 57 * round_)
+        net = random_network(f"rlen{round_}", 6, 3, 20,
+                             seed=rng.randrange(2 ** 31))
+        flow = mis_flow(net, big_lib, verify=False)
+        placement = flow.backend.routed.placement
+        pads = flow.backend.pad_positions
+        names = [n.driver.name for n in flow.mapped.nets()]
+        # Random trunks over a subset of the nets; the rest are skipped.
+        channel_y = [rng.uniform(0, 500) for _ in range(6)]
+        trunk_channel = {name: rng.randrange(6) for name in names
+                         if rng.random() < 0.8}
+        trunk_interval = {}
+        for name in trunk_channel:
+            lo = rng.uniform(0, 300)
+            trunk_interval[name] = (lo, lo + rng.uniform(0, 200))
+        got = _recompute_lengths(flow.mapped, placement, pads,
+                                 trunk_channel, trunk_interval, channel_y)
+        want = _route_lengths_loop(flow.mapped, placement.positions, pads,
+                                   trunk_channel, trunk_interval,
+                                   channel_y)
+        assert list(got.items()) == list(want.items())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from oracles.timing import PerNodeIncrementalTiming
 from repro.circuits.random_logic import random_network
 from repro.geometry import Point
 from repro.library.standard import big_library
@@ -151,7 +152,7 @@ class TestIncrementalIntegration:
         rng = seeded_rng("asta", "inc", seed)
         mapped = _identity_mapped(rng, nodes=18)
         _place_all(mapped, rng)
-        engine = IncrementalTiming(mapped, wire_model=WIRE, vec=True)
+        engine = IncrementalTiming(mapped, wire_model=WIRE)
         assert engine.check_against_full() == []
         gates = sorted(g.name for g in mapped.gates)
         for _ in range(8):
@@ -166,7 +167,7 @@ class TestIncrementalIntegration:
         rng = seeded_rng("asta", "increq")
         mapped = _identity_mapped(rng, nodes=18)
         _place_all(mapped, rng)
-        vec = IncrementalTiming(mapped, wire_model=WIRE, vec=True)
-        naive = IncrementalTiming(mapped, wire_model=WIRE, vec=False)
+        vec = IncrementalTiming(mapped, wire_model=WIRE)
+        naive = PerNodeIncrementalTiming(mapped, wire_model=WIRE)
         assert vec.required() == naive.required()
         assert vec.required(deadline=42.0) == naive.required(deadline=42.0)

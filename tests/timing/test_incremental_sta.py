@@ -143,6 +143,26 @@ class TestCrossCheck:
         assert problems
         assert any(gate in p for p in problems)
 
+    def test_required_corruption_is_detected(self, seeded_rng):
+        mapped = _mapped_with_positions(seeded_rng("ista", "corrupt-req"))
+        engine = IncrementalTiming(mapped, wire_model=WIRE)
+        gate = sorted(g.name for g in mapped.gates)[0]
+        engine.required()[gate] = -1.0  # the engine's cached map
+        problems = engine.check_against_full()
+        assert len(problems) == 1
+        assert "required-time mismatch" in problems[0]
+        assert gate in problems[0]
+
+
+class TestConstruction:
+    def test_vec_keyword_accepts_only_true(self, seeded_rng):
+        mapped = _mapped_with_positions(seeded_rng("ista", "vec-kw"))
+        engine = IncrementalTiming(mapped, wire_model=WIRE, vec=True)
+        assert engine.check_against_full() == []
+        for value in (False, None, 1):
+            with pytest.raises(ValueError):
+                IncrementalTiming(mapped, wire_model=WIRE, vec=value)
+
 
 class TestVerifyIntegration:
     def test_invariant_checker_passes(self, seeded_rng):
@@ -156,3 +176,21 @@ class TestVerifyIntegration:
         assert results[0].name == "invariant.timing.incremental"
         # The audit must leave positions untouched.
         assert {n.name: n.position for n in mapped.nodes} == saved
+
+    def test_stale_required_frontier_is_detected(self, seeded_rng,
+                                                 monkeypatch):
+        """A single fast-audit trial must exercise the backward frontier."""
+        from repro.verify.invariants import check_incremental_sta
+
+        mapped = _mapped_with_positions(seeded_rng("ista", "stale-front"))
+        calls = []
+
+        def stale(self, required, effective):
+            calls.append(effective)
+            return required
+
+        monkeypatch.setattr(IncrementalTiming, "_required_frontier", stale)
+        results = check_incremental_sta(mapped, wire_model=WIRE, trials=1)
+        assert calls
+        assert not results[0].passed
+        assert "required-time mismatch" in results[0].details

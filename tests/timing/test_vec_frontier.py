@@ -1,9 +1,9 @@
-"""Level-batched vec STA frontier vs the naive heap walk (PR 9).
+"""Level-batched STA frontier vs the per-node heap walk.
 
-``IncrementalTiming(vec=True)`` batches dirty frontiers level by level
-over the ArraySTA pin tables; ``vec=False`` is the retained per-node
-reference.  These fleets drive both engines through identical random
-move sequences on a mapped Rent's-rule circuit
+``IncrementalTiming`` batches dirty frontiers level by level over the
+ArraySTA pin tables; ``oracles.timing.PerNodeIncrementalTiming`` is the
+per-node reference.  These fleets drive both engines through identical
+random move sequences on a mapped Rent's-rule circuit
 (:func:`repro.circuits.synth.synth_network` — wide levels, heavy-tailed
 fanout) and require bitwise agreement: arrivals, loads, critical PO,
 required times and the recompute counters, under both wire models and
@@ -24,6 +24,7 @@ from repro.map.mis import MisAreaMapper
 from repro.network.decompose import decompose_to_subject
 
 import repro.timing.incremental as inc
+from oracles.timing import PerNodeIncrementalTiming
 from repro.timing import IncrementalTiming
 from repro.timing.model import WireCapModel
 
@@ -73,8 +74,8 @@ def test_random_move_fleet_bitwise(restore_positions, wire, threshold,
     if threshold is not None:
         monkeypatch.setattr(inc, "SMALL_FRONTIER_NODES", threshold)
     model = WireCapModel() if wire else None
-    ev = IncrementalTiming(mapped, wire_model=model, vec=True)
-    en = IncrementalTiming(mapped, wire_model=model, vec=False)
+    ev = IncrementalTiming(mapped, wire_model=model)
+    en = PerNodeIncrementalTiming(mapped, wire_model=model)
     rng = random.Random(TEST_SEED ^ (0x9A70 + int(wire)))
     gates = sorted(g.name for g in mapped.gates)
     pis = sorted(n.name for n in mapped.primary_inputs)
@@ -104,7 +105,7 @@ def test_random_move_fleet_bitwise(restore_positions, wire, threshold,
 def test_frontier_stays_partial(restore_positions):
     """One local move must not recompute anywhere near the whole image."""
     mapped = restore_positions
-    engine = IncrementalTiming(mapped, wire_model=WireCapModel(), vec=True)
+    engine = IncrementalTiming(mapped, wire_model=WireCapModel())
     name = sorted(g.name for g in mapped.gates)[0]
     p = mapped[name].position
     engine.set_position(name, Point(p.x + 0.5, p.y + 0.5))
@@ -115,8 +116,8 @@ def test_frontier_stays_partial(restore_positions):
 
 def test_invalidate_then_update_matches(restore_positions):
     mapped = restore_positions
-    ev = IncrementalTiming(mapped, wire_model=WireCapModel(), vec=True)
-    en = IncrementalTiming(mapped, wire_model=WireCapModel(), vec=False)
+    ev = IncrementalTiming(mapped, wire_model=WireCapModel())
+    en = PerNodeIncrementalTiming(mapped, wire_model=WireCapModel())
     name = sorted(g.name for g in mapped.gates)[3]
     node = mapped[name]
     p = node.position

@@ -26,8 +26,8 @@ DOCSTRING_SCOPE = [
     "src/repro/flow/pipeline.py",
     "src/repro/flow/tables.py",
     "src/repro/flow/__main__.py",
-    "src/repro/perf/vec.py",
-    "src/repro/timing/array_sta.py",
+    "src/repro/perf",
+    "src/repro/timing",
     "src/repro/circuits/synth.py",
     "src/repro/route",
     "src/repro/map/cuts.py",
