@@ -10,8 +10,9 @@ Every snapshot uses the same schema and timing names, so any two
 The mapper rows (``mis_map``, ``lily_map``) run whatever the *default*
 mapper configuration is — from PR 2 on that includes the ``repro.perf``
 fast paths, which is exactly the point: the artifact records what a user
-gets out of the box.  ``--jobs`` additionally enables the parallel cone
-match pre-warm for the mapper rows.
+gets out of the box.  The ``matching`` rows build every gate's match
+list with a fresh matcher per repeat, so each repeat pays the whole
+table build.
 
 PR 4 adds the incremental-engine rows (``anneal`` / ``detailed_improve``
 / ``sta_moves``; ``sta_moves_naive`` re-runs the full-STA reference per
@@ -59,7 +60,7 @@ artifacts; ``--mapping-synth ''`` skips the (slow) generated workload.
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/perf_snapshot.py [out.json]
-        [--pr 10] [--circuit C880] [--repeats 3] [--jobs 1]
+        [--pr 10] [--circuit C880] [--repeats 3]
         [--suite] [--procs 4] [--serve-requests 6]
         [--scaling [1000 5000 20000]] [--synth-scaling 10000 100000]
         [--max-gates 200000] [--cluster-shards 2] [--cluster-jobs 32]
@@ -89,7 +90,6 @@ from repro.map.mis import MisAreaMapper
 from repro.match.treematch import Matcher
 from repro.network.decompose import decompose_to_subject
 from repro.obs import OBS, observed
-from repro.perf import PerfOptions
 from repro.place.anneal import simulated_annealing
 from repro.place.detailed import detailed_place
 from repro.place.global_place import GlobalPlacer
@@ -109,17 +109,17 @@ def _best_of(fn: Callable[[], object], repeats: int) -> float:
     return best
 
 
-def snapshot(
-    circuit: str = "C880", repeats: int = 3, jobs: int = 1
-) -> Dict[str, float]:
+def snapshot(circuit: str = "C880", repeats: int = 3) -> Dict[str, float]:
     """Best-of-``repeats`` seconds per component, observability off."""
     assert not OBS.enabled
-    perf = PerfOptions().with_jobs(jobs)
     net = build_circuit(circuit)
     library = big_library()
     patterns = pattern_set_for(library)  # warm the pattern cache
     subject = decompose_to_subject(net)
-    matcher = Matcher(patterns)
+
+    def match_every_gate() -> int:
+        matcher = Matcher(patterns)
+        return sum(len(matcher.matches_at(n)) for n in gate_nodes)
     region = subject_image(len(subject.gates))
     pads = assign_pads(subject, region)
     netlist = subject_netlist(subject, pads)
@@ -132,19 +132,16 @@ def snapshot(
     gate_nodes = [n for n in subject.nodes if n.is_gate]
     timings = {
         "decompose": _best_of(lambda: decompose_to_subject(net), repeats),
-        "matching": _best_of(
-            lambda: sum(len(matcher.matches_at(n)) for n in gate_nodes),
-            repeats,
-        ),
+        "matching": _best_of(match_every_gate, repeats),
         "global_placement": _best_of(
             lambda: GlobalPlacer().place(netlist, region), repeats
         ),
         "left_edge": _best_of(lambda: left_edge_route(intervals), repeats),
         "mis_map": _best_of(
-            lambda: MisAreaMapper(library, perf=perf).map(subject), repeats
+            lambda: MisAreaMapper(library).map(subject), repeats
         ),
         "lily_map": _best_of(
-            lambda: LilyAreaMapper(library, perf=perf).map(subject),
+            lambda: LilyAreaMapper(library).map(subject),
             max(1, repeats - 1),
         ),
         "sta": _best_of(lambda: analyze(mapped, wire_model=None), repeats),
@@ -153,12 +150,9 @@ def snapshot(
     # The same matcher sweep and full mapper with tracing+metrics live,
     # so the snapshot records the observability overhead explicitly.
     with observed():
-        timings["matching_observed"] = _best_of(
-            lambda: sum(len(matcher.matches_at(n)) for n in gate_nodes),
-            repeats,
-        )
+        timings["matching_observed"] = _best_of(match_every_gate, repeats)
         timings["lily_map_observed"] = _best_of(
-            lambda: LilyAreaMapper(library, perf=perf).map(subject),
+            lambda: LilyAreaMapper(library).map(subject),
             max(1, repeats - 1),
         )
     return timings
@@ -462,9 +456,6 @@ def main(argv=None) -> int:
                         help="PR number stamped into the artifact")
     parser.add_argument("--circuit", default="C880")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="threads for the parallel cone match pre-warm "
-                             "in the mapper rows")
     parser.add_argument("--suite", action="store_true",
                         help="also time a full Table 1 run sequentially "
                              "vs --procs N and record per-circuit phases")
@@ -508,7 +499,7 @@ def main(argv=None) -> int:
 
     from repro.perf.vec import kernel_backend_info
 
-    timings = snapshot(args.circuit, args.repeats, jobs=args.jobs)
+    timings = snapshot(args.circuit, args.repeats)
     scale_sizes = None
     if args.scaling is not None or args.synth_scaling is not None:
         from scaling import DEFAULT_MAX_GATES, scaling_rows

@@ -56,9 +56,6 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", default=None, metavar="OUT.JSON",
                         help="write a Chrome trace_event JSON file loadable "
                              "in chrome://tracing or Perfetto (report only)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker threads for the parallel cone match "
-                             "pre-warm (default 1: in-process)")
     parser.add_argument("--procs", type=int, default=1, metavar="N",
                         help="worker processes for table1/table2: circuits "
                              "fan out over a process pool, one MIS+Lily "
@@ -79,16 +76,11 @@ def main(argv=None) -> int:
                              "consistent-hash ClusterRouter with a shared "
                              "spill tier instead of one server (implies "
                              "--server; --procs workers per shard)")
-    parser.add_argument("--naive-perf", action="store_true",
-                        help="disable the matcher fast paths (match "
-                             "memoization, pattern index); results are "
-                             "identical, just slower")
     args = parser.parse_args(argv)
 
     from repro.perf import PerfOptions
 
-    perf = PerfOptions.naive() if args.naive_perf else PerfOptions()
-    perf = perf.with_jobs(args.jobs).with_procs(args.procs)
+    perf = PerfOptions().with_procs(args.procs)
 
     from repro.map.cuts import MapperSpecError, parse_mapper_spec
 
@@ -116,8 +108,8 @@ def main(argv=None) -> int:
             return _tables_served(args, circuits, verify)
         return _tables(args, circuits, verify, perf)
     if args.command == "verify":
-        return _verify(args, perf)
-    _report(args, verify, perf)
+        return _verify(args)
+    _report(args, verify)
     return 0
 
 
@@ -215,7 +207,7 @@ def _tables_served(args, circuits, verify) -> int:
     return 0
 
 
-def _verify(args, perf) -> int:
+def _verify(args) -> int:
     """The ``verify`` command: audit both flows on each circuit.
 
     Runs the MIS and Lily pipelines (in the requested mode) with the
@@ -240,10 +232,9 @@ def _verify(args, perf) -> int:
         for flow_fn in (mis_flow, lily_flow):
             if flow_fn is mis_flow:
                 result = flow_fn(net, library, mode=args.mode, verify=level,
-                                 perf=perf, mapper=args.mapper)
+                                 mapper=args.mapper)
             else:
-                result = flow_fn(net, library, mode=args.mode, verify=level,
-                                 perf=perf)
+                result = flow_fn(net, library, mode=args.mode, verify=level)
             report = result.verify_report
             counts = report.counts()
             status = "ok" if report.passed else "FAILED"
@@ -262,7 +253,7 @@ def _verify(args, perf) -> int:
     return 0
 
 
-def _report(args, verify, perf) -> None:
+def _report(args, verify) -> None:
     from repro.circuits.suite import build_circuit
     from repro.flow.pipeline import lily_flow, mis_flow
     from repro.flow.report import circuit_report, comparison_report
@@ -286,9 +277,8 @@ def _report(args, verify, perf) -> None:
         for name in args.circuits:
             net = build_circuit(name, scale=args.scale)
             mis = mis_flow(net, library, mode=args.mode, verify=verify,
-                           perf=perf, mapper=args.mapper)
-            lily = lily_flow(net, library, mode=args.mode, verify=verify,
-                             perf=perf)
+                           mapper=args.mapper)
+            lily = lily_flow(net, library, mode=args.mode, verify=verify)
             print(comparison_report(mis, lily))
             print()
             print(circuit_report(lily))

@@ -30,7 +30,6 @@ from repro.network.decompose import decompose_to_subject
 from repro.network.network import Network
 from repro.network.simulate import networks_equivalent
 from repro.obs import OBS, ObsReport, build_report
-from repro.perf import PerfOptions
 from repro.place.detailed import DetailedPlacement, detailed_place
 from repro.place.global_place import GlobalPlacer
 from repro.place.hypergraph import mapped_netlist
@@ -227,22 +226,17 @@ def mis_flow(
     mode: str = "area",
     wire_model: Optional[WireCapModel] = None,
     verify: Union[bool, str] = True,
-    perf: Optional[PerfOptions] = None,
     matcher=None,
     mapper: str = "tree",
 ) -> FlowResult:
     """Pipeline 1: MIS mapping, layout afterwards.
 
-    ``perf`` selects the matcher's fast-path configuration (memoization,
-    pattern indexing, ``jobs``); the default enables every cache
-    single-threaded.  Results are bit-identical across settings.
-
     ``verify`` accepts the legacy booleans or an audit level (``"fast"`` /
     ``"full"``, see :func:`_run_verification`).
 
     ``matcher`` injects a pre-built structural matcher (``repro.serve``
-    passes one wired to its warm pattern index and cross-job template
-    memo); ``None`` lets the mapper build its own from ``perf``.
+    hands each job a fresh one over its warm pattern set); ``None`` lets
+    the mapper build its own.
 
     ``mapper`` selects the covering backend (see
     :func:`repro.map.cuts.parse_mapper_spec`): ``"tree"`` is the classic
@@ -250,7 +244,7 @@ def mis_flow(
     ``"fusion"`` the best-cover-per-cone race of both, and ``"lut:K"``
     the FPGA-style K-input LUT workload.  Non-tree backends report their
     spec in ``FlowResult.mapper`` (e.g. ``"mis-cuts"``) since they change
-    the answer, unlike ``perf``.
+    the answer.
     """
     spec = parse_mapper_spec(mapper)
     flow_name = "mis" if spec.kind == "tree" else f"mis-{spec.canonical}"
@@ -272,19 +266,17 @@ def mis_flow(
         # backends pay their NPN-table build in the same phase.
         with OBS.span("patterns"):
             if spec.kind == "cuts":
-                mapper_obj = CutMapper(library, mode=mode, perf=perf)
+                mapper_obj = CutMapper(library, mode=mode)
             elif spec.kind == "fusion":
-                mapper_obj = FusionMapper(library, mode=mode, perf=perf,
+                mapper_obj = FusionMapper(library, mode=mode,
                                           matcher=matcher)
             elif spec.kind == "lut":
                 mapper_obj = CutMapper(library, mode=mode,
-                                       lut_k=spec.lut_k, perf=perf)
+                                       lut_k=spec.lut_k)
             elif mode == "area":
-                mapper_obj = MisAreaMapper(library, perf=perf,
-                                           matcher=matcher)
+                mapper_obj = MisAreaMapper(library, matcher=matcher)
             else:
-                mapper_obj = MisDelayMapper(library, perf=perf,
-                                            matcher=matcher)
+                mapper_obj = MisDelayMapper(library, matcher=matcher)
         with OBS.span("map", gates=len(subject.gates)):
             result = mapper_obj.map(subject)
         with OBS.span("pads"):
@@ -317,7 +309,6 @@ def lily_flow(
     verify: Union[bool, str] = True,
     seed_backend_from_mapper: bool = False,
     layout_driven_decomposition: bool = False,
-    perf: Optional[PerfOptions] = None,
     matcher=None,
 ) -> FlowResult:
     """Pipeline 2: pads first, Lily mapping, same layout back-end.
@@ -328,8 +319,7 @@ def lily_flow(
     and each node's decomposition tree is built proximity-first, so nearby
     signals enter each tree at topologically-near points (Figure 1.1b).
 
-    ``perf``, ``verify`` and ``matcher`` work exactly as in
-    :func:`mis_flow`.
+    ``verify`` and ``matcher`` work exactly as in :func:`mis_flow`.
     """
     start = perf_counter()
     counters_before = (
@@ -363,7 +353,7 @@ def lily_flow(
             if mode == "area":
                 mapper = LilyAreaMapper(
                     library, options=options, region=region,
-                    pad_positions=subject_pads, perf=perf, matcher=matcher
+                    pad_positions=subject_pads, matcher=matcher
                 )
             else:
                 mapper = LilyDelayMapper(
@@ -372,7 +362,6 @@ def lily_flow(
                     region=region,
                     pad_positions=subject_pads,
                     wire_cap=wire_model,
-                    perf=perf,
                     matcher=matcher,
                 )
         with OBS.span("map", gates=len(subject.gates)):

@@ -97,15 +97,13 @@ def _table1_circuit(
     library: Library,
     options: Optional[LilyOptions],
     verify: Union[bool, str],
-    perf: Optional[PerfOptions],
     mapper: str = "tree",
 ) -> Tuple[Table1Row, List[ObsReport]]:
     """One Table 1 row (both flows).  Module-level so it pickles."""
     net = build_circuit(name, scale=scale)
-    mis = mis_flow(net, library, mode="area", verify=verify, perf=perf,
-                   mapper=mapper)
+    mis = mis_flow(net, library, mode="area", verify=verify, mapper=mapper)
     lily = lily_flow(net, library, mode="area", options=options,
-                     verify=verify, perf=perf)
+                     verify=verify)
     row = Table1Row(
         name,
         mis.instance_area_mm2,
@@ -126,16 +124,15 @@ def _table2_circuit(
     library: Library,
     options: Optional[LilyOptions],
     verify: Union[bool, str],
-    perf: Optional[PerfOptions],
     wire_model: WireCapModel,
     mapper: str = "tree",
 ) -> Tuple[Table2Row, List[ObsReport]]:
     """One Table 2 row (both flows).  Module-level so it pickles."""
     net = build_circuit(name, scale=scale)
     mis = mis_flow(net, library, mode="timing", wire_model=wire_model,
-                   verify=verify, perf=perf, mapper=mapper)
+                   verify=verify, mapper=mapper)
     lily = lily_flow(net, library, mode="timing", options=options,
-                     wire_model=wire_model, verify=verify, perf=perf)
+                     wire_model=wire_model, verify=verify)
     row = Table2Row(
         name,
         mis.instance_area_mm2,
@@ -218,7 +215,7 @@ def run_table1(
     if procs is None:
         procs = perf.procs if perf is not None else 1
     args = [
-        (name, scale, library, options, verify, perf, mapper)
+        (name, scale, library, options, verify, mapper)
         for name in circuits or TABLE1_CIRCUITS
     ]
     return _run_suite(_table1_circuit, args, procs, obs_out)
@@ -253,7 +250,7 @@ def run_table2(
     # path delay in the regime the paper's experiment probes.
     wire_model = WireCapModel(4.0e-4, 3.0e-4)
     args = [
-        (name, scale, library, options, verify, perf, wire_model, mapper)
+        (name, scale, library, options, verify, wire_model, mapper)
         for name in circuits or TABLE2_CIRCUITS
     ]
     return _run_suite(_table2_circuit, args, procs, obs_out)

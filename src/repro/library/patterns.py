@@ -25,6 +25,8 @@ MAX_TREES_PER_CELL = 20000
 
 
 class PatternKind(enum.Enum):
+    """Node species of a pattern tree: the two base functions, or a pin."""
+
     NAND2 = "nand2"
     INV = "inv"
     LEAF = "leaf"
@@ -60,14 +62,17 @@ class PatternNode:
 
     @staticmethod
     def leaf(pin_index: int) -> "PatternNode":
+        """A leaf binding cell pin ``pin_index``."""
         return PatternNode(PatternKind.LEAF, (), pin_index)
 
     @staticmethod
     def inv(child: "PatternNode") -> "PatternNode":
+        """An inverter over ``child``."""
         return PatternNode(PatternKind.INV, (child,))
 
     @staticmethod
     def nand(a: "PatternNode", b: "PatternNode") -> "PatternNode":
+        """A 2-input NAND over ``a`` and ``b``, in that child order."""
         return PatternNode(PatternKind.NAND2, (a, b))
 
     def key(self) -> tuple:
@@ -99,6 +104,7 @@ class PatternNode:
         return 1 + sum(c.size() for c in self.children)
 
     def depth(self) -> int:
+        """Gate levels on the longest root-to-leaf path (0 for a leaf)."""
         if self.kind is PatternKind.LEAF:
             return 0
         return 1 + max(c.depth() for c in self.children)
@@ -140,6 +146,7 @@ class CellPattern:
 
     @property
     def num_gates(self) -> int:
+        """Number of base-function gates in the pattern tree."""
         return self.root.size()
 
 
@@ -336,10 +343,10 @@ def _self_check(cell: Cell, root: PatternNode) -> None:
 
 
 class PatternSet:
-    """All pattern graphs of a library, indexed for the matcher.
+    """All pattern graphs of a library, grouped by root kind.
 
-    Patterns are grouped by the kind of their root node so the matcher only
-    tries trees that can possibly anchor at a given subject node.
+    Patterns are grouped by the kind of their root node; the matcher
+    hash-conses them into shared subtrees (``repro.match.treematch``).
     """
 
     def __init__(self, library: Library) -> None:
@@ -364,6 +371,7 @@ class PatternSet:
         return len(self.patterns)
 
     def stats(self) -> Dict[str, int]:
+        """Number of patterns per cell name."""
         per_cell: Dict[str, int] = {}
         for pat in self.patterns:
             per_cell[pat.cell.name] = per_cell.get(pat.cell.name, 0) + 1

@@ -37,9 +37,6 @@ from repro.map.netlist import MappedNetwork, MappedNode
 from repro.match.treematch import Match, Matcher
 from repro.network.subject import SubjectGraph, SubjectNode
 from repro.obs import OBS
-from repro.perf.memomatch import MemoMatcher
-from repro.perf.options import PerfOptions
-from repro.perf.parallel import prewarm_match_cache
 
 __all__ = ["Solution", "MapResult", "BaseMapper", "NoMatchError",
            "SolutionMemo"]
@@ -143,10 +140,12 @@ class MapResult:
 
     @property
     def num_gates(self) -> int:
+        """Number of library gates in the mapped netlist."""
         return len(self.mapped.gates)
 
     @property
     def cell_area(self) -> float:
+        """Summed cell area of the mapped netlist."""
         return self.mapped.total_cell_area()
 
 
@@ -159,9 +158,9 @@ class BaseMapper:
             (no match may cross a multi-fanout stem).
         use_cone_ordering: process cones in the Section 3.5 order instead
             of declaration order.
-        perf: matcher fast-path switches (:class:`PerfOptions`);
-            defaults to all caches on, one job.  Every setting maps
-            bit-identically to the naive matcher.
+        matcher: the match source; anything with ``bind(graph)`` and
+            ``matches_at(node)``.  Defaults to the structural
+            :class:`Matcher` over the library's pattern set.
     """
 
     def __init__(
@@ -170,21 +169,11 @@ class BaseMapper:
         tree_mode: bool = False,
         use_cone_ordering: bool = False,
         matcher=None,
-        perf: Optional[PerfOptions] = None,
     ) -> None:
         self.library = library
         self.patterns = pattern_set_for(library)
-        self.perf = perf if perf is not None else PerfOptions()
         if matcher is None:
-            if self.perf.memoize_matches or self.perf.index_patterns:
-                matcher = MemoMatcher(
-                    self.patterns,
-                    tree_mode=tree_mode,
-                    memoize=self.perf.memoize_matches,
-                    index=self.perf.index_patterns,
-                )
-            else:
-                matcher = Matcher(self.patterns, tree_mode=tree_mode)
+            matcher = Matcher(self.patterns, tree_mode=tree_mode)
         self.matcher = matcher
         self.tree_mode = tree_mode
         self.use_cone_ordering = use_cone_ordering
@@ -195,7 +184,6 @@ class BaseMapper:
         self.instances: Dict[int, MappedNode] = {}
         self.memo = SolutionMemo()
         self._gate_counter = 0
-        self._match_cache: Dict[int, List[Match]] = {}
 
     # -- hooks (overridden by subclasses) ------------------------------------
 
@@ -256,19 +244,18 @@ class BaseMapper:
         self.instances = {}
         self.memo = SolutionMemo()
         self._gate_counter = 0
-        self._match_cache = {}
 
         for pi in subject.primary_inputs:
             self.instances[pi.uid] = self.mapped.add_primary_input(pi.name)
 
-        bind = getattr(self.matcher, "bind", None)
-        if bind is not None:
-            bind(subject)
         cones = logic_cones(subject)
         order = self.cone_sequence(subject, cones)
-        if self.perf.jobs > 1:
-            prewarm_match_cache(self, cones, order, self.perf.jobs)
         self.on_begin(subject)
+        # The matcher's per-graph table is the match cache.  Built after
+        # on_begin, so Lily's initial placement runs before the match
+        # lists fill the heap the garbage collector walks.
+        with OBS.span("match", gates=len(subject.gates)):
+            self.matcher.bind(subject)
         for index in order:
             po, cone = cones[index]
             self._map_cone(po, cone)
@@ -285,15 +272,6 @@ class BaseMapper:
         return MapResult(self.mapped, subject, self.lifecycle, list(order))
 
     # -- cone processing -----------------------------------------------------------
-
-    def _matches_at(self, node: SubjectNode) -> List[Match]:
-        cached = self._match_cache.get(node.uid)
-        if cached is None:
-            cached = self.matcher.matches_at(node)
-            self._match_cache[node.uid] = cached
-        elif OBS.enabled:
-            OBS.metrics.counter("match.cache_hits").inc()
-        return cached
 
     def _map_cone(self, po: SubjectNode, cone: Set[SubjectNode]) -> None:
         driver = po.fanins[0]
@@ -330,7 +308,7 @@ class BaseMapper:
             self.lifecycle.visit(node)
             best: Optional[Solution] = None
             best_key: Optional[tuple] = None
-            matches = self._matches_at(node)
+            matches = self.matcher.matches_at(node)
             if OBS.enabled:
                 OBS.metrics.counter("dp.nodes_visited").inc()
                 OBS.metrics.counter("dp.states_expanded").inc(len(matches))

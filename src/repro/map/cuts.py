@@ -63,7 +63,6 @@ from repro.map.netlist import MappedNetwork, MappedNode
 from repro.network.logic import TruthTable
 from repro.network.subject import SubjectGraph, SubjectNode
 from repro.obs import OBS
-from repro.perf.options import PerfOptions
 
 __all__ = [
     "CutError",
@@ -596,8 +595,6 @@ class CutMapper:
             library cells (FPGA mode).
         wire_cap_per_fanout / pad_cap / input_arrivals: the MIS delay
             model's knobs, as in :class:`~repro.map.mis.MisDelayMapper`.
-        perf: accepted for flow-interface symmetry; the cut DP has no
-            configurable fast paths yet (results never depend on it).
     """
 
     def __init__(
@@ -610,7 +607,6 @@ class CutMapper:
         wire_cap_per_fanout: float = DEFAULT_WIRE_CAP_PER_FANOUT,
         pad_cap: float = DEFAULT_PAD_CAP,
         input_arrivals: Optional[Dict[str, float]] = None,
-        perf: Optional[PerfOptions] = None,
     ) -> None:
         if mode not in ("area", "timing"):
             raise ValueError(f"unknown mode: {mode!r}")
@@ -621,7 +617,6 @@ class CutMapper:
         self.mode = mode
         self.lut_k = lut_k
         self.cuts_per_node = cuts_per_node
-        self.perf = perf if perf is not None else PerfOptions()
         if lut_k is not None:
             self.k = lut_k
             self.table: Optional[NpnMatchTable] = None
@@ -1056,7 +1051,6 @@ class FusionMapper:
         self,
         library: Library,
         mode: str = "area",
-        perf: Optional[PerfOptions] = None,
         matcher=None,
         cuts_per_node: int = DEFAULT_PRIORITY_CUTS,
     ) -> None:
@@ -1064,15 +1058,14 @@ class FusionMapper:
             raise ValueError(f"unknown mode: {mode!r}")
         self.library = library
         self.mode = mode
-        self.perf = perf
         if mode == "area":
             self.tree_mapper = _ProvenanceTreeAreaMapper(
-                library, perf=perf, matcher=matcher)
+                library, matcher=matcher)
         else:
             self.tree_mapper = _ProvenanceTreeDelayMapper(
-                library, perf=perf, matcher=matcher)
+                library, matcher=matcher)
         self.cut_mapper = CutMapper(library, mode=mode,
-                                    cuts_per_node=cuts_per_node, perf=perf)
+                                    cuts_per_node=cuts_per_node)
 
     def map(self, subject: SubjectGraph) -> FusionMapResult:
         """Map with both backends and keep the best cover per cone."""

@@ -180,6 +180,8 @@ class BooleanMatcher:
             self._a_pattern.setdefault(pattern.cell.name, pattern)
         self._graph: Optional[SubjectGraph] = None
         self._cuts: Dict[int, List[FrozenSet[SubjectNode]]] = {}
+        #: Match list per gate uid of the bound graph, built on first ask.
+        self._found: Dict[int, List[Match]] = {}
 
     @staticmethod
     def _p_key(tt: TruthTable) -> Tuple[int, int]:
@@ -191,12 +193,25 @@ class BooleanMatcher:
         """Enumerate cuts for a subject graph (required before matching)."""
         self._graph = graph
         self._cuts = enumerate_cuts(graph, self.k, self.cuts_per_node)
+        self._found = {}
 
     def matches_at(self, node: SubjectNode) -> List[Match]:
+        """Every library cell P-equivalent to a cut function of ``node``.
+
+        The list is built on the first ask and kept until the next
+        :meth:`bind`.
+        """
         if not node.is_gate:
             return []
         if self._graph is None:
             raise RuntimeError("BooleanMatcher.bind(graph) must run first")
+        found = self._found.get(node.uid)
+        if found is None:
+            found = self._found[node.uid] = self._enumerate(node)
+        return found
+
+    def _enumerate(self, node: SubjectNode) -> List[Match]:
+        """Match every enumerated cut of ``node`` against the library."""
         found: List[Match] = []
         seen: Set[tuple] = set()
         for cut in self._cuts.get(node.uid, []):
@@ -230,6 +245,7 @@ class BooleanMatcher:
         return found
 
     def all_matches(self, graph: SubjectGraph) -> Dict[int, List[Match]]:
+        """Binds ``graph``; matches for every gate, keyed by node uid."""
         self.bind(graph)
         return {
             node.uid: self.matches_at(node)
@@ -258,9 +274,16 @@ class UnionMatcher:
         self.boolean = boolean
 
     def bind(self, graph: SubjectGraph) -> None:
+        """Bind both matchers: each keeps per-graph state."""
+        self.structural.bind(graph)
         self.boolean.bind(graph)
 
     def matches_at(self, node: SubjectNode) -> List[Match]:
+        """Structural matches first, then the Boolean ones not among them.
+
+        Two matches are the same when they bind one cell to the same
+        inputs over the same covered nodes.
+        """
         merged: Dict[tuple, Match] = {}
         for match in self.structural.matches_at(node) + \
                 self.boolean.matches_at(node):

@@ -74,13 +74,6 @@ class ObsSession:
             return _NULL
         return self.tracer.span(name, **attrs)
 
-    def span_in(self, parent: Optional[Span], name: str, **attrs: Any):
-        """A span under an explicit parent (worker threads); no-op when
-        disabled."""
-        if not self.enabled:
-            return _NULL
-        return self.tracer.span_in(parent, name, **attrs)
-
     def annotate(self, span: Optional[Span], **attrs: Any) -> None:
         """Attach attributes to an open span (no-op when disabled)."""
         if span is not None:

@@ -5,16 +5,12 @@ The tracer keeps a stack of open :class:`Span` objects *per thread*;
 span the calling thread currently has open.  Every span records
 inclusive wall time on the monotonic ``time.perf_counter`` clock (the
 same clock the flow's ``runtime_s`` uses), and *exclusive* time —
-inclusive minus the inclusive time of its direct **same-thread**
-children — falls out at read time.
+inclusive minus the inclusive time of its direct children — falls out
+at read time.
 
-Worker threads (the ``--jobs N`` match prewarm) either start their own
-root spans or attach under an explicit parent via
-``tracer.span_in(parent, ...)``; cross-thread child appends are
-serialised by a lock.  Children recorded from another thread run
-*concurrently* with their parent, so they are excluded from the parent's
-exclusive time — subtracting them would drive it negative and corrupt
-the ``--profile`` phase table.
+A thread with no open span starts a root of its own (the serve worker
+threads each record their jobs this way); root appends are serialised
+by a lock, so a span never nests under another thread's span.
 
 Two export formats:
 
@@ -60,15 +56,8 @@ class Span:
 
     @property
     def exclusive(self) -> float:
-        """Inclusive time minus the inclusive time of direct children.
-
-        Only same-thread children are subtracted: a child recorded from
-        another thread ran concurrently, not inside this span's wall
-        time.
-        """
-        return self.duration - sum(
-            c.duration for c in self.children if c.tid == self.tid
-        )
+        """Inclusive time minus the inclusive time of direct children."""
+        return self.duration - sum(c.duration for c in self.children)
 
     def walk(self) -> Iterator["Span"]:
         """This span and all descendants, pre-order."""
@@ -83,18 +72,17 @@ class Span:
 class _SpanContext:
     """Context manager opening/closing one span on the tracer stack."""
 
-    __slots__ = ("_tracer", "_name", "_attrs", "_parent", "_span")
+    __slots__ = ("_tracer", "_name", "_attrs", "_span")
 
-    def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any],
-                 parent: Optional[Span] = None) -> None:
+    def __init__(self, tracer: "Tracer", name: str,
+                 attrs: Dict[str, Any]) -> None:
         self._tracer = tracer
         self._name = name
         self._attrs = attrs
-        self._parent = parent
         self._span: Optional[Span] = None
 
     def __enter__(self) -> Span:
-        self._span = self._tracer._open(self._name, self._attrs, self._parent)
+        self._span = self._tracer._open(self._name, self._attrs)
         return self._span
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -130,30 +118,13 @@ class Tracer:
         """Open a nested span for the duration of a ``with`` block."""
         return _SpanContext(self, name, attrs)
 
-    def span_in(self, parent: Optional[Span], name: str,
-                **attrs: Any) -> _SpanContext:
-        """Open a span attached under an explicit ``parent`` span.
-
-        The bridge for worker threads: the thread's own stack is empty,
-        so a plain :meth:`span` would start a new root; ``span_in``
-        parents it under a span owned by another thread instead (the
-        append is lock-protected).  With a non-empty local stack, or a
-        ``None`` parent, this degrades to :meth:`span`.
-        """
-        return _SpanContext(self, name, attrs, parent)
-
-    def _open(self, name: str, attrs: Dict[str, Any],
-              parent: Optional[Span] = None) -> Span:
+    def _open(self, name: str, attrs: Dict[str, Any]) -> Span:
         stack = self._stack()
         span = Span(name, attrs, self.clock(), depth=0,
                     tid=threading.get_ident())
         if stack:
             span.depth = len(stack)
             stack[-1].children.append(span)
-        elif parent is not None:
-            span.depth = parent.depth + 1
-            with self._lock:
-                parent.children.append(span)
         else:
             with self._lock:
                 self.roots.append(span)

@@ -3,9 +3,10 @@
 The repeated-request shape of physically-aware flows (map→place loops,
 mapper fusion, suite regeneration) is exactly what a resident service
 amortises: the MSU library is parsed once, pattern graphs and the
-pattern index are built once and shared read-only by a worker pool, and
-results are cached content-addressed by (netlist hash, library hash,
-canonical options) with LRU bounds and optional disk spill.
+matcher's pattern forest are built once and shared read-only by a
+worker pool, and results are cached content-addressed by (netlist hash,
+library hash, canonical options) with LRU bounds and optional disk
+spill.
 
 Scale-out lives in ``repro.serve.cluster``: a :class:`ClusterRouter`
 consistent-hashes jobs across N shard servers sharing one disk-spill

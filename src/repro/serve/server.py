@@ -11,15 +11,14 @@ process-wide warm state registry.  A job travels::
       -> worker thread:
            warm state lookup (library/patterns/index, built once)
            network build (cached per circuit name / BLIF content)
-           flow run (fast perf; on failure retry PerfOptions.naive())
+           flow run (warm matcher; on failure retry with a fresh one)
            payload build; cache store
 
 Three degradation rules keep the server answering under stress:
 
-* **fast-path failure** — any exception from the flow with the standard
-  fast ``PerfOptions`` and the warm matcher is retried once with
-  ``PerfOptions.naive()`` (the naive matcher; the layout kernels have no
-  switch) and the response is flagged ``degraded`` (``serve.degraded``
+* **matcher failure** — any exception from the flow with the matcher the
+  warm state handed out is retried once with a matcher the mapper builds
+  itself, and the response is flagged ``degraded`` (``serve.degraded``
   counts it);
 * **timeout** — :meth:`MappingServer.run` bounds the wait; on expiry the
   job is cancelled (cooperatively between phases if already running,
@@ -57,7 +56,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs import OBS, Metrics, ObsReport, merge_reports
 from repro.obs.events import EventLog, new_request_id
-from repro.perf import PerfOptions
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import (
     JobError,
@@ -117,8 +115,6 @@ class ServerConfig:
             point two processes at the same directory to share results.
         timeout_s: default per-job timeout for :meth:`MappingServer.run`
             (``None``: wait forever).
-        perf: flow fast-path switches; jobs that fail under them retry
-            with ``PerfOptions.naive()``.
         slow_request_s: jobs whose mapping runtime exceeds this log a
             ``job.slow`` event (the slow-request audit trail).
         event_ring: in-memory event-log bound (older events drop).
@@ -136,7 +132,6 @@ class ServerConfig:
     cache_entries: int = 128
     spill_dir: Optional[str] = None
     timeout_s: Optional[float] = None
-    perf: Optional[PerfOptions] = None
     slow_request_s: float = 5.0
     event_ring: int = 4096
     event_stream: Optional[str] = None
@@ -404,24 +399,21 @@ class MappingServer:
         net, _ = state.network_for(spec.circuit, spec.blif, spec.scale)
         if handle.cancelled:
             raise JobCancelled(handle.key)
-        perf = self.config.perf if self.config.perf is not None \
-            else PerfOptions()
         degraded = False
         reports: List[ObsReport] = []
         try:
-            result = run_flow(spec, net, state.library, perf=perf,
+            result = run_flow(spec, net, state.library,
                               matcher=state.matcher())
         except Exception as exc:  # noqa: BLE001 — degrade, don't error
             if handle.cancelled:
                 raise JobCancelled(handle.key)
-            # Graceful degradation: the naive matcher is the reference
-            # implementation; answer slowly rather than not at all.
+            # Graceful degradation: nothing of the first attempt is
+            # reused; the mapper builds its own matcher.
             degraded = True
             self.events.emit(
                 "job.degraded", handle.request_id, key=handle.key,
                 error=f"{type(exc).__name__}: {exc}")
-            result = run_flow(spec, net, state.library,
-                              perf=PerfOptions.naive())
+            result = run_flow(spec, net, state.library)
         if result.obs is not None:
             reports.append(result.obs)
         if handle.cancelled:

@@ -2,18 +2,18 @@
 
 Cold-starting one mapping request costs far more than the request itself
 on small circuits: parse the genlib library, derive every cell's pattern
-graphs, build the root-kind/height pattern index.  A resident server
-pays those once per library and shares the results:
+graphs, hash-cons them into the matcher's pattern forest.  A resident
+server pays those once per library and shares the results:
 
 * the parsed :class:`~repro.library.cell.Library` (one instance per
   library spec, so :func:`~repro.library.patterns.pattern_set_for`'s
   identity cache keeps hitting);
-* its :class:`~repro.library.patterns.PatternSet` and
-  :class:`~repro.perf.patindex.PatternIndex` (read-only after build);
-* one cross-job signature->match-template memo, shared by every matcher
-  the state hands out (entries are pure functions of structure, so
-  racing writers only ever store identical values);
+* its :class:`~repro.library.patterns.PatternSet` and the pattern forest
+  every :class:`~repro.match.treematch.Matcher` over it shares
+  (read-only after build);
 * built suite circuits and parsed BLIF networks, keyed by content.
+
+Match tables are per subject graph, so each job gets a fresh matcher.
 
 Counters (``serve.state_builds``, ``serve.library_parses``,
 ``serve.network_builds``) record cold-start work both in the always-on
@@ -35,9 +35,8 @@ from repro.library.patterns import PatternSet, pattern_set_for
 from repro.library.standard import big_library, scale_library, tiny_library
 from repro.network.blif import parse_blif
 from repro.network.network import Network
+from repro.match.treematch import Matcher
 from repro.obs import OBS
-from repro.perf.memomatch import MemoMatcher
-from repro.perf.patindex import PatternIndex
 
 __all__ = ["WarmState", "warm_state_for", "reset_warm_states"]
 
@@ -56,9 +55,6 @@ class WarmState:
         self.library = library
         self.library_hash = library_hash(library)
         self.patterns: PatternSet = pattern_set_for(library)
-        self.pattern_index = PatternIndex(self.patterns)
-        #: Cross-job signature -> match-template memo (see module doc).
-        self.shared_templates: dict = {}
         self._networks: Dict[Tuple[str, float], Tuple[Network, str]] = {}
         self._network_order: list = []
         self._lock = threading.Lock()
@@ -70,17 +66,13 @@ class WarmState:
         if OBS.enabled:
             OBS.metrics.counter("serve.library_parses").inc()
 
-    def matcher(self) -> MemoMatcher:
-        """A fresh matcher wired to the warm index and template memo.
+    def matcher(self) -> Matcher:
+        """A fresh matcher over the warm pattern set and its forest.
 
-        Per-graph state (gate heights) stays private to the returned
-        instance, so concurrent jobs on different subjects are safe.
+        The match tables stay private to the returned instance, so
+        concurrent jobs on different subjects are safe.
         """
-        return MemoMatcher(
-            self.patterns,
-            shared_index=self.pattern_index,
-            shared_templates=self.shared_templates,
-        )
+        return Matcher(self.patterns)
 
     def network_for(self, circuit: Optional[str], blif: Optional[str],
                     scale: float = 1.0) -> Tuple[Network, str]:
@@ -150,9 +142,9 @@ def warm_state_for(library: str = "big",
                    genlib: Optional[str] = None) -> WarmState:
     """The process-wide :class:`WarmState` for a library spec.
 
-    The first call for a spec parses the library and builds patterns and
-    index (``serve.state_builds`` increments); every later call — from
-    any worker thread — returns the same instance untouched.
+    The first call for a spec parses the library and builds its patterns
+    and their forest (``serve.state_builds`` increments); every later
+    call — from any worker thread — returns the same instance untouched.
     """
     if genlib is not None:
         key = "genlib:" + hashlib.sha256(genlib.encode("utf-8")).hexdigest()

@@ -167,3 +167,39 @@ class TestUnionMatcher:
             for m in matches
         ]
         assert len(keys) == len(set(keys))
+
+    def test_one_mapper_maps_two_graphs(self, big_lib):
+        """A ``UnionMatcher`` reused across subject graphs must rebind its
+        structural side too: each graph's lists hold the structural
+        matches the oracle finds there, and the structural matcher holds
+        nothing of the graph before (an unbound one would keep every
+        graph's tables, and answer for them)."""
+        from oracles.match import OracleMatcher
+        from repro.circuits.suite import build_circuit
+        from repro.map.mis import MisAreaMapper
+
+        patterns = pattern_set_for(big_lib)
+        mapper = MisAreaMapper(
+            big_lib,
+            matcher=UnionMatcher(Matcher(patterns), BooleanMatcher(big_lib)),
+        )
+        oracle = OracleMatcher(patterns)
+
+        def key(m):
+            return (m.pattern, m.root, m.inputs, m.covered)
+
+        previous = None
+        for name in ("misex1", "b9"):
+            net = build_circuit(name)
+            subject = decompose_to_subject(net)
+            result = mapper.map(subject)
+            assert networks_equivalent(net, result.mapped)
+            for node in subject.gates:
+                found = {key(m) for m in mapper.matcher.matches_at(node)}
+                missing = [m for m in oracle.matches_at(node)
+                           if key(m) not in found]
+                assert not missing, f"{name}: {node.name} lost {missing}"
+            if previous is not None:
+                with pytest.raises(RuntimeError, match="bind its graph"):
+                    mapper.matcher.structural.matches_at(previous.gates[0])
+            previous = subject

@@ -1,25 +1,10 @@
-"""Tracer behaviour under worker threads (the ``--jobs`` prewarm)."""
+"""Tracer behaviour under worker threads (the serve workers)."""
 
 from __future__ import annotations
 
 import threading
 
 from repro.obs.tracer import Tracer
-
-
-class FakeClock:
-    """Deterministic clock; every thread shares one monotonic counter."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self._lock = threading.Lock()
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, dt: float) -> None:
-        with self._lock:
-            self.now += dt
 
 
 def test_worker_spans_do_not_nest_into_other_threads():
@@ -45,67 +30,12 @@ def test_worker_spans_do_not_nest_into_other_threads():
     assert all(not r.children for r in tracer.roots)
 
 
-def test_span_in_attaches_under_cross_thread_parent():
-    tracer = Tracer()
-    with tracer.span("parent") as parent:
-
-        def work() -> None:
-            with tracer.span_in(parent, "child", batch=1):
-                pass
-
-        t = threading.Thread(target=work)
-        t.start()
-        t.join()
-    (child,) = parent.children
-    assert child.name == "child"
-    assert child.depth == parent.depth + 1
-    assert child.tid != parent.tid
-
-
-def test_exclusive_ignores_cross_thread_children():
-    """A concurrent child must not be subtracted from the parent's
-    exclusive time (that would drive it negative)."""
-    clock = FakeClock()
-    tracer = Tracer(clock=clock)
-    with tracer.span("parent") as parent:
-
-        def work() -> None:
-            with tracer.span_in(parent, "overlapping"):
-                clock.advance(5.0)
-
-        t = threading.Thread(target=work)
-        t.start()
-        t.join()
-        clock.advance(1.0)
-        with tracer.span("inline"):
-            clock.advance(2.0)
-    assert parent.duration == 8.0
-    # Only the same-thread child (2s) is subtracted; the 5s concurrent
-    # child overlapped the parent's own work.
-    assert parent.exclusive == 6.0
-    overlapping = next(c for c in parent.children if c.name == "overlapping")
-    assert overlapping.duration == 5.0
-    assert overlapping.exclusive == 5.0
-
-
-def test_span_in_prefers_local_stack():
-    """On a thread that already has an open span, span_in nests locally
-    (the explicit parent is only a bridge for fresh worker threads)."""
-    tracer = Tracer()
-    with tracer.span("a") as a:
-        with tracer.span("b") as b:
-            with tracer.span_in(a, "c") as c:
-                pass
-    assert c in b.children
-    assert c not in a.children
-
-
 def test_chrome_events_renumber_thread_tracks():
     tracer = Tracer()
-    with tracer.span("main") as parent:
+    with tracer.span("main"):
 
         def work() -> None:
-            with tracer.span_in(parent, "worker"):
+            with tracer.span("worker"):
                 pass
 
         t = threading.Thread(target=work)

@@ -1,10 +1,12 @@
 """Golden equivalence: every fast path is bit-identical to the naive one.
 
-The goldens map with the naive matcher (``PerfOptions.naive()``) and,
-for Lily, with the ``oracles.lily`` mappers, which price every match on
-the general cost path without the cross-cone net cache.  The variants
-flip only the matcher switches, so each one compares the matcher fast
-paths plus Lily's net cache and fast evaluator against the naive code.
+The goldens map with the recursive oracle matcher (``oracles.match``)
+and, for Lily, with the ``oracles.lily`` mappers, which price every
+match on the general cost path without the cross-cone net cache.  So
+each comparison checks the table matcher plus Lily's net cache and fast
+evaluator against the naive code.  The variants map with a fresh mapper
+and with one that mapped another circuit first, whose matcher must
+rebuild its tables for the new subject graph.
 
 The DP cover breaks cost ties by scan order, positions feed back into
 later cones, and the final netlist hashes all of it together — so the
@@ -17,21 +19,32 @@ from __future__ import annotations
 import pytest
 
 from oracles.lily import NaiveLilyAreaMapper, NaiveLilyDelayMapper
+from oracles.match import OracleMatcher
 from repro.circuits.suite import build_circuit
 from repro.core.lily import LilyAreaMapper, LilyDelayMapper
+from repro.library.patterns import pattern_set_for
 from repro.map.mis import MisAreaMapper, MisDelayMapper
 from repro.network.decompose import decompose_to_subject
-from repro.perf import PerfOptions
 
 CIRCUITS = ["misex1", "b9", "apex7"]
 
-VARIANTS = {
-    "memo_only": PerfOptions(memoize_matches=True, index_patterns=False),
-    "index_only": PerfOptions(memoize_matches=False, index_patterns=True),
-    "matcher_naive": PerfOptions.naive(),
-    "all_on": PerfOptions(),
-    "parallel": PerfOptions().with_jobs(2),
-}
+
+def _fresh(cls, library, other):
+    return cls(library)
+
+
+def _reused(cls, library, other):
+    """A mapper whose matcher already holds another graph's tables."""
+    mapper = cls(library)
+    mapper.map(other)
+    return mapper
+
+
+VARIANTS = {"fresh": _fresh, "reused": _reused}
+
+
+def _oracle(cls, library):
+    return cls(library, matcher=OracleMatcher(pattern_set_for(library)))
 
 
 def _fingerprint(result):
@@ -61,20 +74,18 @@ def subjects():
 @pytest.mark.parametrize("circuit", CIRCUITS)
 def test_lily_area_all_variants(subjects, big_lib, circuit):
     subject = subjects[circuit]
-    golden = _fingerprint(
-        NaiveLilyAreaMapper(big_lib, perf=PerfOptions.naive()).map(subject)
-    )
-    for name, perf in VARIANTS.items():
-        fp = _fingerprint(LilyAreaMapper(big_lib, perf=perf).map(subject))
+    golden = _fingerprint(_oracle(NaiveLilyAreaMapper, big_lib).map(subject))
+    other = subjects[CIRCUITS[CIRCUITS.index(circuit) - 1]]
+    for name, variant in VARIANTS.items():
+        mapper = variant(LilyAreaMapper, big_lib, other)
+        fp = _fingerprint(mapper.map(subject))
         assert fp == golden, f"{circuit}/{name} diverged from naive"
 
 
 @pytest.mark.parametrize("circuit", CIRCUITS)
 def test_mis_area_fast_vs_naive(subjects, big_lib, circuit):
     subject = subjects[circuit]
-    golden = _fingerprint(
-        MisAreaMapper(big_lib, perf=PerfOptions.naive()).map(subject)
-    )
+    golden = _fingerprint(_oracle(MisAreaMapper, big_lib).map(subject))
     fast = _fingerprint(MisAreaMapper(big_lib).map(subject))
     assert fast == golden
 
@@ -83,11 +94,10 @@ def test_delay_mappers_fast_vs_naive(subjects, big_lib):
     subject = subjects["misex1"]
     for cls, oracle in ((LilyDelayMapper, NaiveLilyDelayMapper),
                         (MisDelayMapper, MisDelayMapper)):
-        golden = _fingerprint(
-            oracle(big_lib, perf=PerfOptions.naive()).map(subject)
-        )
-        for name, perf in VARIANTS.items():
-            fp = _fingerprint(cls(big_lib, perf=perf).map(subject))
+        golden = _fingerprint(_oracle(oracle, big_lib).map(subject))
+        for name, variant in VARIANTS.items():
+            mapper = variant(cls, big_lib, subjects["b9"])
+            fp = _fingerprint(mapper.map(subject))
             assert fp == golden, f"{cls.__name__}/{name} diverged"
 
 
@@ -106,16 +116,17 @@ def _backend_fingerprint(flow):
 
 
 def test_full_flow_fast_vs_naive(big_lib):
-    """End-to-end: mapping with the matcher fast paths on lands on the
-    bitwise-identical layout the naive matcher produces (the backend
+    """End-to-end: mapping with the table matcher lands on the
+    bitwise-identical layout the oracle matcher produces (the backend
     kernels have one path each; their oracles live in the placement,
     routing and timing tests)."""
     from repro.flow.pipeline import lily_flow, mis_flow
 
     net = build_circuit("misex1")
     for runner in (mis_flow, lily_flow):
-        fast = runner(net, big_lib, verify=False, perf=PerfOptions())
-        naive = runner(net, big_lib, verify=False, perf=PerfOptions.naive())
+        fast = runner(net, big_lib, verify=False)
+        naive = runner(net, big_lib, verify=False,
+                       matcher=OracleMatcher(pattern_set_for(big_lib)))
         assert _backend_fingerprint(fast) == _backend_fingerprint(naive), (
             f"{runner.__name__} backend diverged from naive"
         )

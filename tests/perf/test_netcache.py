@@ -81,12 +81,15 @@ def test_clear_empties_everything(audited_run):
 
 def test_cache_always_on_and_oracle_bypasses_it():
     from oracles.lily import NaiveLilyAreaMapper
+    from oracles.match import OracleMatcher
+    from repro.library.patterns import pattern_set_for
     from repro.library.standard import big_library
-    from repro.perf import PerfOptions
 
     subject = decompose_to_subject(build_circuit("misex1"))
-    # The net cache has no switch: the naive matcher options keep it.
-    mapper = LilyAreaMapper(big_library(), perf=PerfOptions.naive())
+    # The net cache has no switch: the oracle matcher keeps it too.
+    mapper = LilyAreaMapper(
+        big_library(),
+        matcher=OracleMatcher(pattern_set_for(big_library())))
     mapper.map(subject)
     assert mapper._netcache._entries
     # The golden oracle must never read it, or it would compare the

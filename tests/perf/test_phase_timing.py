@@ -1,8 +1,9 @@
-"""Per-phase timings must account for the wall clock, even with --jobs.
+"""Per-phase timings must account for the wall clock.
 
 The profile table's credibility rests on the depth-1 phases covering the
-flow's wall time; concurrent worker spans used to corrupt that by being
-subtracted from (or double-counted against) their parents.
+flow's wall time, and on every phase's exclusive time staying within
+its inclusive time.  Matching has its own phase under ``map``, so the
+profile splits the match tables from the covering DP.
 """
 
 from __future__ import annotations
@@ -11,32 +12,29 @@ import pytest
 
 from repro.circuits.suite import build_circuit
 from repro.flow.pipeline import lily_flow, mis_flow
-from repro.obs import OBS, observed
-from repro.perf import PerfOptions
+from repro.obs import observed
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_phase_sum_tracks_wall(big_lib, jobs):
+@pytest.mark.parametrize("flow", [lily_flow, mis_flow],
+                         ids=["lily", "mis"])
+def test_phase_sum_tracks_wall(big_lib, flow):
     net = build_circuit("misex1")
-    perf = PerfOptions().with_jobs(jobs)
     with observed():
-        result = lily_flow(net, big_lib, verify=False, perf=perf)
+        result = flow(net, big_lib, verify=False)
     report = result.obs
     assert report is not None
     assert report.wall_s > 0
     gap = abs(report.phase_total() - report.wall_s) / report.wall_s
     assert gap < 0.05, (
         f"phase sum {report.phase_total():.4f}s vs wall "
-        f"{report.wall_s:.4f}s (jobs={jobs})"
+        f"{report.wall_s:.4f}s"
     )
 
 
-def test_exclusive_times_stay_nonnegative_with_jobs(big_lib):
+def test_exclusive_times_stay_nonnegative(big_lib):
     net = build_circuit("misex1")
     with observed():
-        result = mis_flow(
-            net, big_lib, verify=False, perf=PerfOptions().with_jobs(2)
-        )
+        result = mis_flow(net, big_lib, verify=False)
     report = result.obs
     assert report is not None
     for phase in report.phases:
@@ -44,12 +42,13 @@ def test_exclusive_times_stay_nonnegative_with_jobs(big_lib):
         assert phase.total_s >= phase.exclusive_s - 1e-9, phase.path
 
 
-def test_prewarm_phase_appears_with_jobs(big_lib):
+@pytest.mark.parametrize("flow", [lily_flow, mis_flow],
+                         ids=["lily", "mis"])
+def test_match_phase_appears_once_per_map(big_lib, flow):
     net = build_circuit("misex1")
     with observed():
-        result = lily_flow(
-            net, big_lib, verify=False, perf=PerfOptions().with_jobs(2)
-        )
-    prewarm = result.obs.phase("map/map.prewarm")
-    assert prewarm is not None
-    assert prewarm.count == 1
+        result = flow(net, big_lib, verify=False)
+    match = result.obs.phase("map/match")
+    assert match is not None
+    assert match.count == 1
+    assert result.obs.phase("map").count == 1

@@ -180,7 +180,7 @@ class TestShedding:
         release = threading.Event()
         started = []
 
-        def stuck(spec, net, library, perf=None, matcher=None):
+        def stuck(spec, net, library, matcher=None):
             started.append(spec.blif)
             release.wait(30.0)
             return real_result
@@ -215,7 +215,7 @@ class TestShedding:
             self, serve_blif, other_blif, real_result, monkeypatch):
         release = threading.Event()
 
-        def stuck(spec, net, library, perf=None, matcher=None):
+        def stuck(spec, net, library, matcher=None):
             release.wait(30.0)
             return real_result
 
@@ -255,7 +255,7 @@ class TestAsyncClient:
         release = threading.Event()
         started = []
 
-        def gated(spec, net, library, perf=None, matcher=None):
+        def gated(spec, net, library, matcher=None):
             started.append(spec.blif)
             if spec.blif == serve_blif:
                 release.wait(30.0)

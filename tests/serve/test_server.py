@@ -14,7 +14,6 @@ import pytest
 
 from repro.network.blif import parse_blif
 from repro.obs import OBS
-from repro.perf import PerfOptions
 from repro.serve import (
     Client,
     JobSpec,
@@ -50,8 +49,7 @@ class TestBasics:
         from repro.serve.state import warm_state_for
 
         state = warm_state_for("big")
-        direct = run_flow(spec, parse_blif(serve_blif), state.library,
-                          perf=PerfOptions())
+        direct = run_flow(spec, parse_blif(serve_blif), state.library)
         assert envelope["result"] == build_payload(spec, direct)
 
     def test_invalid_spec_answers_error(self):
@@ -134,16 +132,17 @@ class TestCaching:
 
 
 class TestDegradation:
-    def test_fast_path_failure_falls_back_to_naive(self, blif_spec,
-                                                   monkeypatch):
-        """A crash under fast PerfOptions retries naive and flags it."""
+    def test_matcher_failure_retries_with_fresh_matcher(self, blif_spec,
+                                                        monkeypatch):
+        """A crash with the warm state's matcher retries without it and
+        flags the answer."""
         calls = []
 
-        def flaky(spec, net, library, perf=None, matcher=None):
-            calls.append((perf, matcher))
+        def flaky(spec, net, library, matcher=None):
+            calls.append(matcher)
             if matcher is not None:
                 raise RuntimeError("fast path exploded")
-            return run_flow(spec, net, library, perf=perf)
+            return run_flow(spec, net, library)
 
         monkeypatch.setattr(serve_server, "run_flow", flaky)
         with MappingServer(workers=1) as server:
@@ -151,22 +150,26 @@ class TestDegradation:
         assert envelope["ok"] is True
         assert envelope["degraded"] is True
         assert server.stats_counters["degraded"] == 1
-        # First attempt carried the warm matcher; the retry was naive.
-        assert calls[0][1] is not None
-        assert calls[1][1] is None
-        assert calls[1][0] == PerfOptions.naive()
+        # First attempt carried the warm state's matcher; the retry let
+        # the mapper build its own.
+        assert calls[0] is not None
+        assert calls[1] is None
 
     def test_degraded_payload_is_still_exact(self, blif_spec, monkeypatch):
-        """The naive fallback answers the same payload as the fast path."""
+        """A matcher that breaks mid-job is what the retry rescues: the
+        job still answers the exact payload of a healthy run."""
+        from repro.match.treematch import Matcher
+        from repro.serve.state import WarmState
+
         with MappingServer(workers=1) as server:
             fast = server.run(blif_spec)
 
-        def always_degrade(spec, net, library, perf=None, matcher=None):
-            if matcher is not None:
-                raise RuntimeError("boom")
-            return run_flow(spec, net, library, perf=perf)
+        class BrokenMatcher(Matcher):
+            def bind(self, graph):
+                raise RuntimeError("match table lost")
 
-        monkeypatch.setattr(serve_server, "run_flow", always_degrade)
+        monkeypatch.setattr(WarmState, "matcher",
+                            lambda state: BrokenMatcher(state.patterns))
         with MappingServer(workers=1) as server:
             slow = server.run(blif_spec)
         assert slow["degraded"] is True
@@ -174,7 +177,7 @@ class TestDegradation:
         assert slow["result"] == fast["result"]
 
     def test_total_failure_answers_error(self, blif_spec, monkeypatch):
-        def broken(spec, net, library, perf=None, matcher=None):
+        def broken(spec, net, library, matcher=None):
             raise RuntimeError("no flow for you")
 
         monkeypatch.setattr(serve_server, "run_flow", broken)
@@ -191,7 +194,7 @@ class TestTimeoutAndCancel:
                                          monkeypatch):
         release = threading.Event()
 
-        def stuck(spec, net, library, perf=None, matcher=None):
+        def stuck(spec, net, library, matcher=None):
             release.wait(30.0)
             return real_result
 
@@ -219,7 +222,7 @@ class TestTimeoutAndCancel:
         release = threading.Event()
         ran = []
 
-        def gated(spec, net, library, perf=None, matcher=None):
+        def gated(spec, net, library, matcher=None):
             ran.append(spec.blif)
             release.wait(30.0)
             return real_result
@@ -248,7 +251,7 @@ class TestTimeoutAndCancel:
                                                monkeypatch):
         release = threading.Event()
 
-        def stuck(spec, net, library, perf=None, matcher=None):
+        def stuck(spec, net, library, matcher=None):
             release.wait(30.0)
             return real_result
 

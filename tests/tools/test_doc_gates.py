@@ -31,6 +31,9 @@ DOCSTRING_SCOPE = [
     "src/repro/circuits/synth.py",
     "src/repro/route",
     "src/repro/map/cuts.py",
+    "src/repro/map/base.py",
+    "src/repro/match",
+    "src/repro/library/patterns.py",
     "src/repro/place",
 ]
 
