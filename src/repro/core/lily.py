@@ -181,9 +181,8 @@ class _LilyMixin:
         # inner nodes became doves: drop the net entries that saw them.
         cache = self._netcache
         cache.invalidate(node)
-        if solution.match is not None:
-            for inner in solution.match.inner:
-                cache.invalidate(inner)
+        for inner in solution.inner:
+            cache.invalidate(inner)
 
     def on_cone_done(self, po: SubjectNode) -> None:
         interval = self.options.replace_interval
@@ -262,6 +261,8 @@ class LilyAreaMapper(_LilyMixin, BaseMapper):
     def evaluate_match(
         self, node: SubjectNode, match: Match, inputs: Sequence[Solution]
     ) -> Solution:
+        """``area + wire_weight * wire`` of ``match`` at its tentative
+        mapPosition (the cached fast path for halfperim/CM-of-Fans)."""
         if (
             self.options.wire_model == "halfperim"
             and self.options.position_update == "cm_of_fans"
@@ -398,6 +399,7 @@ class LilyAreaMapper(_LilyMixin, BaseMapper):
         )
 
     def hawk_solution(self, node: SubjectNode) -> Solution:
+        """A hawk costs nothing more and sits at its mapPosition."""
         instance = self.instances[node.uid]
         return Solution(
             node,
@@ -531,6 +533,7 @@ class LilyDelayMapper(_LilyMixin, BaseMapper):
     def evaluate_match(
         self, node: SubjectNode, match: Match, inputs: Sequence[Solution]
     ) -> Solution:
+        """Output arrival of ``match`` by the Section 4.4 procedure."""
         position = self._tentative_position(node, match, inputs)
         blocks: List[float] = []
         for pin_index, fanin in enumerate(match.inputs):
@@ -558,6 +561,7 @@ class LilyDelayMapper(_LilyMixin, BaseMapper):
         )
 
     def leaf_solution(self, node: SubjectNode) -> Solution:
+        """A primary input arrives at its given time, at its pad."""
         arrival = self.input_arrivals.get(node.name, 0.0)
         position = (
             self.state.place_position(node) if self.state is not None else None
@@ -567,26 +571,16 @@ class LilyDelayMapper(_LilyMixin, BaseMapper):
         )
 
     def hawk_solution(self, node: SubjectNode) -> Solution:
+        """A hawk at its mapPosition, with its committed gate's arrival
+        and block arrivals (to recalculate under a new load)."""
         instance = self.instances[node.uid]
-        committed = self._committed_solutions.get(node.uid)
+        committed = self.committed[node.uid]
         arrival = instance.arrival if instance.arrival is not None else 0.0
-        blocks = committed.block_arrivals if committed is not None else None
-        match = committed.match if committed is not None else None
         return Solution(
             node,
-            match,
+            committed.match,
             cost=arrival,
             arrival=arrival,
             position=self.state.map_position(node),
-            block_arrivals=blocks,
+            block_arrivals=committed.block_arrivals,
         )
-
-    def on_commit(
-        self, node: SubjectNode, solution: Solution, instance: MappedNode
-    ) -> None:
-        super().on_commit(node, solution, instance)
-        self._committed_solutions[node.uid] = solution
-
-    def map(self, subject: SubjectGraph):
-        self._committed_solutions: Dict[int, Solution] = {}
-        return super().map(subject)

@@ -51,17 +51,21 @@ class PlacementState:
     # -- placePositions ------------------------------------------------------
 
     def place_position(self, node: SubjectNode) -> Point:
+        """The node's global-placement position (pads for terminals)."""
         return self._place[node.uid]
 
     def set_place_position(self, node: SubjectNode, p: Point) -> None:
+        """Move the node's placePosition (a re-place of the network)."""
         self._place[node.uid] = p
 
     # -- mapPositions ---------------------------------------------------------
 
     def map_position(self, node: SubjectNode) -> Optional[Point]:
+        """The committed gate's mapPosition, or ``None`` before commit."""
         return self._map.get(node.uid)
 
     def set_map_position(self, node: SubjectNode, p: Point) -> None:
+        """Record the mapPosition of the gate committed at ``node``."""
         self._map[node.uid] = p
 
     def best_position(self, node: SubjectNode) -> Point:
@@ -69,4 +73,5 @@ class PlacementState:
         return self._map.get(node.uid, self._place[node.uid])
 
     def pad_position(self, name: str) -> Optional[Point]:
+        """The pad of terminal ``name``, if it has one."""
         return self._pads.get(name)

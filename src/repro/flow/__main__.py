@@ -45,7 +45,8 @@ def main(argv=None) -> int:
                              "tree (the paper's dynamic-programming tree "
                              "mapper, default), cuts (priority-cut "
                              "enumeration + NPN boolean matching), fusion "
-                             "(best of tree/cuts per output cone), or "
+                             "(best of tree/cuts per output cone, unless "
+                             "one is better on the whole netlist), or "
                              "lut:K (FPGA-style K-input LUT covering)")
     parser.add_argument("--svg", default=None,
                         help="write the Lily layout as SVG (report only)")

@@ -241,10 +241,11 @@ def mis_flow(
     ``mapper`` selects the covering backend (see
     :func:`repro.map.cuts.parse_mapper_spec`): ``"tree"`` is the classic
     DAGON/MIS tree matcher, ``"cuts"`` the priority-cut DAG coverer,
-    ``"fusion"`` the best-cover-per-cone race of both, and ``"lut:K"``
-    the FPGA-style K-input LUT workload.  Non-tree backends report their
-    spec in ``FlowResult.mapper`` (e.g. ``"mis-cuts"``) since they change
-    the answer.
+    ``"fusion"`` the best-cover-per-cone race of both (or the tree or
+    cut cover when it is strictly better on the whole netlist), and
+    ``"lut:K"`` the FPGA-style K-input LUT workload.  Non-tree backends
+    report their spec in ``FlowResult.mapper`` (e.g. ``"mis-cuts"``)
+    since they change the answer.
     """
     spec = parse_mapper_spec(mapper)
     flow_name = "mis" if spec.kind == "tree" else f"mis-{spec.canonical}"

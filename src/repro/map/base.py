@@ -1,38 +1,41 @@
-"""The shared dynamic-programming covering engine (DAGON/MIS style).
+"""The covering driver every DP mapper runs on (DAGON/MIS style).
 
 Cones are processed one primary output at a time (optionally in Lily's
-Section 3.5 order).  Within a cone, every gate node gets its best match by
-bottom-up DP: the cost of match ``m`` at node ``v`` is the hook-defined
-combination of the gate's own cost and the best costs of the match inputs.
-The chosen cover is then committed: match roots become *hawks* (instantiated
-library gates), covered interior nodes become *doves*, and logic shared with
-later cones may be duplicated (dove reincarnation) exactly as in Section 2.
+Section 3.5 order).  Within a cone, every gate node gets its best
+candidate by bottom-up DP; the chosen cover is then committed: candidate
+roots become *hawks* (instantiated library gates), covered interior nodes
+become *doves*, and logic shared with later cones may be duplicated (dove
+reincarnation) exactly as in Section 2.
 
 Solutions are kept across cones (:class:`SolutionMemo`): a shared node is
 solved again only when a node its solution read has since become a hawk,
 so the DP does work proportional to the subject graph rather than to the
 sum of the cone sizes.
 
-Subclasses specialise four hooks:
+Subclasses specialise hooks of :class:`BaseMapper`:
 
-* :meth:`evaluate_match` — the cost function (area / arrival / layout);
-* :meth:`hawk_solution` — the cost of reusing an already-mapped node;
-* :meth:`position_for` — a ``map_position`` for a committed gate (Lily);
-* :meth:`on_begin` / :meth:`on_cone_done` / :meth:`on_commit` — lifecycle
-  hooks (Lily's placement bookkeeping).
+* ``evaluate_match`` / ``leaf_solution`` / ``hawk_solution`` — the cost
+  function (area / arrival / layout);
+* ``position_for`` — a ``map_position`` for a committed gate (Lily);
+* ``on_begin`` / ``on_cone_begin`` / ``on_cone_done`` / ``on_commit`` —
+  lifecycle hooks (Lily's placement bookkeeping);
+* ``prepare`` / ``best_solution`` / ``build_gate`` — the candidates: tree
+  pattern matches by default, (cut, NPN binding) pairs in
+  :class:`~repro.map.cuts.CutMapper`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.geometry import Point
 from repro.library.cell import Library
 from repro.library.patterns import pattern_set_for
 from repro.map.cones import logic_cones, order_cones
-from repro.map.lifecycle import LifecycleTracker, NodeState
+from repro.map.lifecycle import LifecycleTracker
 from repro.map.netlist import MappedNetwork, MappedNode
 from repro.match.treematch import Match, Matcher
 from repro.network.subject import SubjectGraph, SubjectNode
@@ -65,6 +68,16 @@ class Solution:
         """Deterministic comparison key: cost, then area, then identity."""
         cell = self.match.cell.name if self.match else ""
         return (self.cost, self.area, cell)
+
+    @property
+    def inputs(self) -> Tuple[SubjectNode, ...]:
+        """Subject nodes feeding the chosen gate, indexed by cell pin."""
+        return self.match.inputs
+
+    @property
+    def inner(self) -> FrozenSet[SubjectNode]:
+        """Covered nodes other than the root (they become doves)."""
+        return self.match.inner
 
 
 class SolutionMemo(dict):
@@ -150,7 +163,8 @@ class MapResult:
 
 
 class BaseMapper:
-    """DP tree/DAG covering over logic cones.
+    """DP covering over logic cones, by default with tree pattern matches
+    under MIS area costs.
 
     Args:
         library: target gate library.
@@ -162,6 +176,9 @@ class BaseMapper:
             ``matches_at(node)``.  Defaults to the structural
             :class:`Matcher` over the library's pattern set.
     """
+
+    #: Prefix of the driver's work counters (``dp.nodes_visited``, ...).
+    COUNTER_PREFIX = "dp"
 
     def __init__(
         self,
@@ -177,12 +194,19 @@ class BaseMapper:
         self.matcher = matcher
         self.tree_mode = tree_mode
         self.use_cone_ordering = use_cone_ordering
-        # Per-run state, initialised in map().
-        self.subject: Optional[SubjectGraph] = None
-        self.lifecycle: Optional[LifecycleTracker] = None
-        self.mapped: Optional[MappedNetwork] = None
+        self._reset()
+
+    def _reset(self, subject: Optional[SubjectGraph] = None) -> None:
+        """Set up the per-run state (for covering ``subject``, if given)."""
+        self.subject = subject
+        self.lifecycle = LifecycleTracker()
+        self.mapped: Optional[MappedNetwork] = (
+            MappedNetwork(f"{subject.name}_mapped")
+            if subject is not None else None)
         self.instances: Dict[int, MappedNode] = {}
         self.memo = SolutionMemo()
+        #: Node uid -> the solution committed there, for every hawk.
+        self.committed: Dict[int, Solution] = {}
         self._gate_counter = 0
 
     # -- hooks (overridden by subclasses) ------------------------------------
@@ -234,28 +258,74 @@ class BaseMapper:
             return order_cones(subject, cones)
         return list(range(len(cones)))
 
+    def prepare(self, subject: SubjectGraph) -> None:
+        """Per-graph set-up after :meth:`on_begin`: bind the matcher.
+
+        Binding builds the match lists after ``on_begin``, so Lily's
+        initial placement runs before they fill the heap the garbage
+        collector walks."""
+        with OBS.span("match", gates=len(subject.gates)):
+            self.matcher.bind(subject)
+
+    def best_solution(
+        self, node: SubjectNode
+    ) -> Tuple[Optional[Solution], Iterable[SubjectNode]]:
+        """The first minimum of :meth:`Solution.key` over the matches at
+        gate ``node`` priced by :meth:`evaluate_match` (``None`` if none
+        is), and the match inputs read."""
+        best: Optional[Solution] = None
+        best_key: Optional[tuple] = None
+        matches = self.matcher.matches_at(node)
+        if OBS.enabled:
+            OBS.metrics.counter("dp.states_expanded").inc(len(matches))
+        # Matches share inputs: answer solution_of once per input.
+        solved: Dict[int, Solution] = {}
+        reads: List[SubjectNode] = []
+        for match in matches:
+            inputs = []
+            for v in match.inputs:
+                answer = solved.get(v.uid)
+                if answer is None:
+                    answer = solved[v.uid] = self.solution_of(v)
+                    reads.append(v)
+                inputs.append(answer)
+            solution = self.evaluate_match(node, match, inputs)
+            if solution is None:
+                continue
+            key = solution.key()
+            if best_key is None or key < best_key:
+                best, best_key = solution, key
+        return best, reads
+
+    def build_gate(self, node: SubjectNode, solution: Solution,
+                   fanins: List[MappedNode]) -> MappedNode:
+        """Add the gate ``solution`` chose at ``node``, reading ``fanins``
+        (the instances of its inputs); returns the gate's output."""
+        match = solution.match
+        self._gate_counter += 1
+        name = f"{match.cell.name}_{self._gate_counter}"
+        instance = self.mapped.add_gate(name, match.cell, fanins)
+        instance.arrival = solution.arrival
+        instance.position = self.position_for(node, match)
+        return instance
+
     # -- main entry -------------------------------------------------------------
 
     def map(self, subject: SubjectGraph) -> MapResult:
         """Cover the subject graph; returns the mapped netlist and records."""
-        self.subject = subject
-        self.lifecycle = LifecycleTracker()
-        self.mapped = MappedNetwork(f"{subject.name}_mapped")
-        self.instances = {}
-        self.memo = SolutionMemo()
-        self._gate_counter = 0
+        order = self._cover(subject)
+        return MapResult(self.mapped, subject, self.lifecycle, order)
 
+    def _cover(self, subject: SubjectGraph) -> List[int]:
+        """Run the covering driver behind every backend's ``map``;
+        returns the cone order."""
+        self._reset(subject)
         for pi in subject.primary_inputs:
             self.instances[pi.uid] = self.mapped.add_primary_input(pi.name)
-
         cones = logic_cones(subject)
         order = self.cone_sequence(subject, cones)
         self.on_begin(subject)
-        # The matcher's per-graph table is the match cache.  Built after
-        # on_begin, so Lily's initial placement runs before the match
-        # lists fill the heap the garbage collector walks.
-        with OBS.span("match", gates=len(subject.gates)):
-            self.matcher.bind(subject)
+        self.prepare(subject)
         for index in order:
             po, cone = cones[index]
             self._map_cone(po, cone)
@@ -269,18 +339,19 @@ class BaseMapper:
             raise RuntimeError(
                 "mapping left live nodes that are neither hawk nor dove"
             )
-        return MapResult(self.mapped, subject, self.lifecycle, list(order))
+        return list(order)
 
     # -- cone processing -----------------------------------------------------------
 
     def _map_cone(self, po: SubjectNode, cone: Set[SubjectNode]) -> None:
         driver = po.fanins[0]
         if OBS.enabled:
-            OBS.metrics.counter("dp.cones").inc()
-            OBS.metrics.histogram("dp.cone_size").observe(len(cone))
+            prefix = self.COUNTER_PREFIX
+            OBS.metrics.counter(f"{prefix}.cones").inc()
+            OBS.metrics.histogram(f"{prefix}.cone_size").observe(len(cone))
         self.on_cone_begin(po)
         if driver.is_gate:
-            self._solve_cone(driver, cone)
+            self._solve_cone(driver)
             instance = self._commit(driver)
         elif driver.is_pi:
             instance = self.instances[driver.uid]
@@ -289,7 +360,7 @@ class BaseMapper:
         self.mapped.add_primary_output(po.name, instance)
         self.on_cone_done(po)
 
-    def _solve_cone(self, root: SubjectNode, cone: Set[SubjectNode]) -> None:
+    def _solve_cone(self, root: SubjectNode) -> None:
         """Bottom-up DP over the cone's gates (reversed-DFS order).
 
         Gates whose memo entry is still valid keep it (see
@@ -299,6 +370,7 @@ class BaseMapper:
         memo = self.memo
         invalidated = memo.drop_stale()
         reused = 0
+        visit_counter = f"{self.COUNTER_PREFIX}.nodes_visited"
         for node in self._cone_topological(root):
             if self.lifecycle.is_hawk(node):
                 continue  # reuse: its gate already exists
@@ -306,29 +378,9 @@ class BaseMapper:
                 reused += 1
                 continue
             self.lifecycle.visit(node)
-            best: Optional[Solution] = None
-            best_key: Optional[tuple] = None
-            matches = self.matcher.matches_at(node)
             if OBS.enabled:
-                OBS.metrics.counter("dp.nodes_visited").inc()
-                OBS.metrics.counter("dp.states_expanded").inc(len(matches))
-            # Matches share inputs: answer solution_of once per input.
-            solved: Dict[int, Solution] = {}
-            reads: List[SubjectNode] = []
-            for match in matches:
-                inputs = []
-                for v in match.inputs:
-                    answer = solved.get(v.uid)
-                    if answer is None:
-                        answer = solved[v.uid] = self.solution_of(v)
-                        reads.append(v)
-                    inputs.append(answer)
-                solution = self.evaluate_match(node, match, inputs)
-                if solution is None:
-                    continue
-                key = solution.key()
-                if best_key is None or key < best_key:
-                    best, best_key = solution, key
+                OBS.metrics.counter(visit_counter).inc()
+            best, reads = self.best_solution(node)
             if best is None:
                 raise NoMatchError(
                     f"no match at {node.name} ({node.type.value}); "
@@ -336,8 +388,10 @@ class BaseMapper:
                 )
             memo.store(node, best, reads)
         if OBS.enabled:
-            OBS.metrics.counter("dp.solutions_reused").inc(reused)
-            OBS.metrics.counter("dp.solutions_invalidated").inc(invalidated)
+            prefix = self.COUNTER_PREFIX
+            OBS.metrics.counter(f"{prefix}.solutions_reused").inc(reused)
+            OBS.metrics.counter(f"{prefix}.solutions_invalidated").inc(
+                invalidated)
 
     def _cone_topological(self, root: SubjectNode) -> List[SubjectNode]:
         """Gate nodes of the cone of ``root`` in fanin-first order."""
@@ -362,7 +416,7 @@ class BaseMapper:
         return order
 
     def solution_of(self, node: SubjectNode) -> Solution:
-        """Best solution for a node referenced as a match input."""
+        """Best solution for a node referenced as a candidate input."""
         if node.is_pi or node.is_constant:
             return self.leaf_solution(node)
         if self.lifecycle.is_hawk(node):
@@ -382,8 +436,8 @@ class BaseMapper:
     def _commit(self, root: SubjectNode) -> MappedNode:
         """Instantiate the chosen cover of ``root``; returns its instance.
 
-        Iterative post-order over the chosen matches' input DAG; revisits of
-        already-resolved nodes are harmless no-ops.
+        Iterative post-order over the chosen candidates' input DAG;
+        revisits of already-resolved nodes are harmless no-ops.
         """
         stack: List[Tuple[SubjectNode, bool]] = [(root, False)]
         while stack:
@@ -398,7 +452,7 @@ class BaseMapper:
                 self._instantiate(node, solution)
                 continue
             stack.append((node, True))
-            for v in solution.match.inputs:
+            for v in solution.inputs:
                 if not self._is_resolved(v):
                     stack.append((v, False))
         return self.instances[root.uid]
@@ -411,22 +465,18 @@ class BaseMapper:
         return self.lifecycle.is_hawk(node)
 
     def _instantiate(self, node: SubjectNode, solution: Solution) -> None:
-        match = solution.match
         fanins = []
-        for v in match.inputs:
+        for v in solution.inputs:
             if v.is_constant and v.uid not in self.instances:
                 self._constant_instance(v)
             fanins.append(self.instances[v.uid])
-        self._gate_counter += 1
-        name = f"{match.cell.name}_{self._gate_counter}"
-        instance = self.mapped.add_gate(name, match.cell, fanins)
-        instance.arrival = solution.arrival
-        instance.position = self.position_for(node, match)
+        instance = self.build_gate(node, solution, fanins)
         self.lifecycle.make_hawk(node)
         self.memo.note_hawk(node)
-        for inner in sorted(match.inner, key=attrgetter("uid")):
+        for inner in sorted(solution.inner, key=attrgetter("uid")):
             self.lifecycle.make_dove(inner)
         self.instances[node.uid] = instance
+        self.committed[node.uid] = solution
         if OBS.enabled:
-            OBS.metrics.counter("dp.gates_committed").inc()
+            OBS.metrics.counter(f"{self.COUNTER_PREFIX}.gates_committed").inc()
         self.on_commit(node, solution, instance)

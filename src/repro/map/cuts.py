@@ -18,22 +18,22 @@ pattern shapes.  This module implements the other classical paradigm:
    which keeps the one-time build sub-second.  Input/output negations are
    realised by inserting library inverters at commit time (deduplicated
    per driven signal) and priced into the DP cost.
-3. **DP covering** (:class:`CutMapper`) — cone-by-cone bottom-up dynamic
-   programming with the same egg/nestling/hawk/dove lifecycle, cone
-   partition, cross-cone solution reuse
-   (:class:`~repro.map.base.SolutionMemo`) and
-   :class:`~repro.map.base.MapResult` contract as the tree mapper, so
-   placement, routing, STA, serve and verify run unchanged.
-   ``mode="area"`` minimises cell area, ``mode="timing"`` minimises
-   arrival under the MIS constant-load model of :mod:`repro.map.mis`.
+3. **DP covering** (:class:`CutMapper`) — the tree mapper's covering
+   driver (:class:`~repro.map.base.BaseMapper`: cone loop, DP step,
+   cross-cone solution reuse, egg/nestling/hawk/dove commit and
+   :class:`~repro.map.base.MapResult` contract) with (cut, binding)
+   candidates, so placement, routing, STA, serve and verify run
+   unchanged.  ``mode="area"`` minimises cell area, ``mode="timing"``
+   minimises arrival under the MIS constant-load model of
+   :mod:`repro.map.mis`.
 4. **LUT-k mode** — ``lut_k=K`` covers with generated k-input LUT cells
    (:func:`lut_cell`) instead of library gates: the classic FPGA mapping
    workload, where every cut function is implementable and the objective
    degenerates to LUT count.
 5. **Fusion** (:class:`FusionMapper`) — runs the tree mapper *and* the
-   cut mapper on the same subject graph and keeps, per output cone, the
-   cover that is better under the selected objective, so the fused area
-   is never worse than either backend on any cone.
+   cut mapper on the same subject graph, assembles the better cover of
+   each output cone, and returns that assembly unless one backend's
+   whole cover is strictly better under the selected objective.
 
 Everything is deterministic: cuts, bindings and tie-breaks are ordered by
 explicit keys, so two processes mapping the same graph produce bit-stable
@@ -45,12 +45,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.library.cell import Cell, Library, Pin, PinTiming
-from repro.map.base import MapResult, NoMatchError, SolutionMemo
-from repro.map.cones import logic_cones
+from repro.map.base import BaseMapper, MapResult
 from repro.map.lifecycle import LifecycleTracker
 from repro.map.mis import (
     DEFAULT_PAD_CAP,
@@ -58,6 +57,7 @@ from repro.map.mis import (
     MisAreaMapper,
     MisDelayMapper,
     _typical_input_cap,
+    estimated_load,
 )
 from repro.map.netlist import MappedNetwork, MappedNode
 from repro.network.logic import TruthTable
@@ -531,6 +531,16 @@ class CutSolution:
         return _candidate_key(self.cost, self.area, self.binding,
                               tuple(n.uid for n in self.leaves))
 
+    @property
+    def inputs(self) -> Tuple[SubjectNode, ...]:
+        """The cut leaves feeding the chosen gate, in uid order."""
+        return self.leaves
+
+    @property
+    def inner(self) -> FrozenSet[SubjectNode]:
+        """Covered nodes other than the root (they become doves)."""
+        return self.covered - {self.node}
+
 
 def _candidate_key(cost: float, area: float, binding: NpnBinding,
                    leaf_uids: Tuple[int, ...]) -> tuple:
@@ -573,15 +583,14 @@ class _CutChoice:
         self.bindings = bindings
 
 
-class CutMapper:
+class CutMapper(BaseMapper):
     """Priority-cut DAG covering with NPN matching (area/timing/LUT).
 
-    ``map`` enumerates the priority cuts, then prepares every retained
-    cut once for the whole graph: its truth table, vacuous-leaf verdict,
-    interior cone and NPN bindings (:func:`cut_functions`).  Cones are
-    then covered one primary output at a time by a bottom-up DP whose
-    solutions are kept across cones until a node they read becomes a
-    hawk (:class:`~repro.map.base.SolutionMemo`).
+    Runs :class:`~repro.map.base.BaseMapper`'s covering driver with
+    (cut, binding) candidates: :meth:`prepare` prepares every retained
+    cut once per graph (truth table, vacuous-leaf verdict, interior cone
+    and NPN bindings), :meth:`best_solution` picks the best candidate at
+    a node and :meth:`build_gate` adds its pin and output inverters.
 
     Args:
         library: target gate library (function table and inverters; its
@@ -596,6 +605,10 @@ class CutMapper:
         wire_cap_per_fanout / pad_cap / input_arrivals: the MIS delay
             model's knobs, as in :class:`~repro.map.mis.MisDelayMapper`.
     """
+
+    COUNTER_PREFIX = "cut"
+    #: Cut covers take the cones in declaration order.
+    use_cone_ordering = False
 
     def __init__(
         self,
@@ -631,60 +644,38 @@ class CutMapper:
         self.wire_cap_per_fanout = wire_cap_per_fanout
         self.pad_cap = pad_cap
         self.input_arrivals = dict(input_arrivals or {})
-        # Per-run state, initialised in map().
-        self.subject: Optional[SubjectGraph] = None
-        self.lifecycle: Optional[LifecycleTracker] = None
-        self.mapped: Optional[MappedNetwork] = None
-        self.instances: Dict[int, MappedNode] = {}
-        self.memo = SolutionMemo()
+        self._reset()
+
+    def _reset(self, subject: Optional[SubjectGraph] = None) -> None:
+        """The driver's per-run state plus the cut cover and its caches."""
+        super()._reset(subject)
         self.cut_cover: List[CutCoverRecord] = []
-        self.provenance: Dict[str, Tuple[SubjectNode,
-                                         FrozenSet[SubjectNode]]] = {}
         self._choices: Dict[int, List[_CutChoice]] = {}
         self._inverters: Dict[str, MappedNode] = {}
-        self._gate_counter = 0
 
     # -- main entry ----------------------------------------------------------
 
     def map(self, subject: SubjectGraph) -> CutMapResult:
         """Cover the subject graph; same contract as ``BaseMapper.map``."""
-        self.subject = subject
-        self.lifecycle = LifecycleTracker()
-        self.mapped = MappedNetwork(f"{subject.name}_mapped")
-        self.instances = {}
-        self.memo = SolutionMemo()
-        self.cut_cover = []
-        self.provenance = {}
-        self._inverters = {}
-        self._gate_counter = 0
-        for pi in subject.primary_inputs:
-            self.instances[pi.uid] = self.mapped.add_primary_input(pi.name)
+        order = self._cover(subject)
+        return CutMapResult(self.mapped, subject, self.lifecycle, order,
+                            cut_cover=list(self.cut_cover))
+
+    # -- the driver's candidate hooks ----------------------------------------
+
+    def prepare(self, subject: SubjectGraph) -> None:
+        """Enumerate the priority cuts, then keep the usable cuts of each
+        gate (non-vacuous, with at least one binding), each priced once."""
         with OBS.span("cut.enumerate", gates=len(subject.gates)):
             cuts = enumerate_priority_cuts(subject, self.k,
                                            self.cuts_per_node)
         with OBS.span("cut.functions"):
             self._choices = self._prepare_choices(
                 cut_functions(subject, cuts))
-        cones = logic_cones(subject)
-        order = list(range(len(cones)))
-        for index in order:
-            po, cone = cones[index]
-            self._map_cone(po)
-        self.mapped.check()
-        live_gates = [
-            n for n in subject.transitive_fanin(subject.primary_outputs)
-            if n.is_gate
-        ]
-        if not self.lifecycle.finished(live_gates):
-            raise RuntimeError(
-                "cut mapping left live nodes that are neither hawk nor dove")
-        return CutMapResult(self.mapped, subject, self.lifecycle,
-                            list(order), cut_cover=list(self.cut_cover))
 
     def _prepare_choices(
         self, functions: Dict[int, List[CutFunction]]
     ) -> Dict[int, List[_CutChoice]]:
-        """Usable cuts per gate: non-vacuous, with at least one binding."""
         inverter_area = self.inverter.area if self.inverter else 0.0
         priced_by_function: Dict[Tuple[int, int], list] = {}
         choices: Dict[int, List[_CutChoice]] = {}
@@ -711,81 +702,22 @@ class CutMapper:
             choices[uid] = usable
         return choices
 
-    # -- cone processing -----------------------------------------------------
-
-    def _map_cone(self, po: SubjectNode) -> None:
-        driver = po.fanins[0]
-        if OBS.enabled:
-            OBS.metrics.counter("cut.cones").inc()
-        if driver.is_gate:
-            self._solve_cone(driver)
-            instance = self._commit(driver)
-        elif driver.is_pi:
-            instance = self.instances[driver.uid]
-        else:  # constant
-            instance = self._constant_instance(driver)
-        self.mapped.add_primary_output(po.name, instance)
-
-    def _cone_topological(self, root: SubjectNode) -> List[SubjectNode]:
-        """Gate nodes of the cone of ``root`` in fanin-first order."""
-        order: List[SubjectNode] = []
-        visited: Set[int] = set()
-        stack: List[Tuple[SubjectNode, int]] = [(root, 0)]
-        on_stack = {root.uid}
-        while stack:
-            node, idx = stack[-1]
-            if idx < len(node.fanins):
-                stack[-1] = (node, idx + 1)
-                child = node.fanins[idx]
-                if (child.is_gate and child.uid not in visited
-                        and child.uid not in on_stack):
-                    stack.append((child, 0))
-                    on_stack.add(child.uid)
-            else:
-                stack.pop()
-                on_stack.discard(node.uid)
-                if node.uid not in visited:
-                    visited.add(node.uid)
-                    order.append(node)
-        return order
-
-    def _solve_cone(self, root: SubjectNode) -> None:
-        """Bottom-up DP over the cone's gates, reusing valid solutions."""
-        memo = self.memo
-        invalidated = memo.drop_stale()
-        reused = 0
-        for node in self._cone_topological(root):
-            if self.lifecycle.is_hawk(node):
-                continue  # reuse: its gate already exists
-            if node.uid in memo:
-                reused += 1
-                continue
-            self.lifecycle.visit(node)
-            if OBS.enabled:
-                OBS.metrics.counter("cut.nodes_visited").inc()
-            choices = self._choices[node.uid]
-            best = self._best_solution(node, choices)
-            if best is None:
-                raise NoMatchError(
-                    f"no cut match at {node.name} ({node.type.value}); "
-                    f"library {self.library.name!r} cannot cover the graph")
-            memo.store(node, best, (v for c in choices for v in c.leaves))
-        if OBS.enabled:
-            OBS.metrics.counter("cut.solutions_reused").inc(reused)
-            OBS.metrics.counter("cut.solutions_invalidated").inc(invalidated)
-
-    def _best_solution(
-        self, node: SubjectNode, choices: Sequence[_CutChoice]
-    ) -> Optional[CutSolution]:
-        """The best (cut, binding) at ``node``: the first minimum of
-        :meth:`CutSolution.key`, compared without building a solution
-        per candidate."""
+    def best_solution(
+        self, node: SubjectNode
+    ) -> Tuple[Optional[CutSolution], Iterable[SubjectNode]]:
+        """The best (cut, binding) at ``node``, and the leaves of every
+        usable cut: the first minimum of :meth:`CutSolution.key`,
+        compared without building a solution per candidate."""
+        choices = self._choices[node.uid]
+        reads = (v for c in choices for v in c.leaves)
         timing = self.mode == "timing"
-        load = self._estimated_load(node) if timing else 0.0
+        load = (estimated_load(node, self.input_cap, self.pad_cap,
+                               self.wire_cap_per_fanout)
+                if timing else 0.0)
         best_key: Optional[tuple] = None
         best = None
         for choice in choices:
-            leaf_solutions = [self._solution_of(leaf) for leaf in choice.leaves]
+            leaf_solutions = [self.solution_of(leaf) for leaf in choice.leaves]
             leaf_uids = tuple(leaf.uid for leaf in choice.leaves)
             if OBS.enabled:
                 OBS.metrics.counter("cut.states_expanded").inc(
@@ -804,21 +736,11 @@ class CutMapper:
                     best_key = key
                     best = (choice, binding, cost, area)
         if best is None:
-            return None
+            return None, reads
         choice, binding, cost, area = best
         return CutSolution(node, choice.leaves, binding,
                            frozenset(choice.interior), cost, area=area,
-                           arrival=cost if timing else 0.0)
-
-    def _estimated_load(self, node: SubjectNode) -> float:
-        """The MIS constant-load model of ``repro.map.mis``."""
-        load = 0.0
-        for sink in node.fanouts:
-            load += self.pad_cap if sink.is_po else self.input_cap
-        if not node.fanouts:
-            load += self.pad_cap
-        load += self.wire_cap_per_fanout * max(1, len(node.fanouts))
-        return load
+                           arrival=cost if timing else 0.0), reads
 
     def _estimated_arrival(
         self,
@@ -848,57 +770,22 @@ class CutMapper:
                         inv_timing.worst_resistance * load)
         return arrival
 
-    def _solution_of(self, node: SubjectNode) -> CutSolution:
-        """Best solution for a node referenced as a cut leaf."""
-        if node.is_pi or node.is_constant:
-            arrival = self.input_arrivals.get(node.name, 0.0)
-            cost = arrival if self.mode == "timing" else 0.0
-            return CutSolution(node, (), None, frozenset(), cost,
-                               arrival=arrival)
-        if self.lifecycle.is_hawk(node):
-            instance = self.instances[node.uid]
-            arrival = instance.arrival if instance.arrival is not None else 0.0
-            cost = arrival if self.mode == "timing" else 0.0
-            return CutSolution(node, (), None, frozenset(), cost,
-                               arrival=arrival)
-        return self.memo[node.uid]
+    def _leaf_or_hawk(self, node: SubjectNode, arrival: float) -> CutSolution:
+        cost = arrival if self.mode == "timing" else 0.0
+        return CutSolution(node, (), None, frozenset(), cost, arrival=arrival)
+
+    def leaf_solution(self, node: SubjectNode) -> CutSolution:
+        """A primary input arrives at its given time (0 by default)."""
+        arrival = self.input_arrivals.get(node.name, 0.0)
+        return self._leaf_or_hawk(node, arrival)
+
+    def hawk_solution(self, node: SubjectNode) -> CutSolution:
+        """A hawk's output arrives when its committed gate's does."""
+        instance = self.instances[node.uid]
+        return self._leaf_or_hawk(
+            node, instance.arrival if instance.arrival is not None else 0.0)
 
     # -- cover commitment -----------------------------------------------------
-
-    def _constant_instance(self, node: SubjectNode) -> MappedNode:
-        existing = self.instances.get(node.uid)
-        if existing is None:
-            value = node.type.value == "const1"
-            existing = self.mapped.add_constant(f"const{int(value)}", value)
-            self.instances[node.uid] = existing
-        return existing
-
-    def _is_resolved(self, node: SubjectNode) -> bool:
-        if node.is_pi:
-            return True
-        if node.is_constant:
-            return node.uid in self.instances
-        return self.lifecycle.is_hawk(node)
-
-    def _commit(self, root: SubjectNode) -> MappedNode:
-        """Instantiate the chosen cover of ``root`` (iterative post-order)."""
-        stack: List[Tuple[SubjectNode, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if node.is_pi or self.lifecycle.is_hawk(node):
-                continue
-            if node.is_constant:
-                self._constant_instance(node)
-                continue
-            solution = self.memo[node.uid]
-            if expanded:
-                self._instantiate(node, solution)
-                continue
-            stack.append((node, True))
-            for leaf in solution.leaves:
-                if not self._is_resolved(leaf):
-                    stack.append((leaf, False))
-        return self.instances[root.uid]
 
     def _inverted(self, source: MappedNode) -> MappedNode:
         """An inverter instance on ``source``, deduplicated per signal."""
@@ -912,34 +799,28 @@ class CutMapper:
             self._inverters[source.name] = cached
         return cached
 
-    def _instantiate(self, node: SubjectNode, solution: CutSolution) -> None:
+    def build_gate(self, node: SubjectNode, solution: CutSolution,
+                   fanins: List[MappedNode]) -> MappedNode:
+        """Add the bound cell with its pin and output inverters; records
+        the match in :attr:`cut_cover`.  ``fanins`` are the leaves'
+        instances; returns the output inverter when the binding negates
+        the output."""
         binding = solution.binding
         cell = binding.cell
-        leaf_instances = []
-        for leaf in solution.leaves:
-            if leaf.is_constant and leaf.uid not in self.instances:
-                self._constant_instance(leaf)
-            leaf_instances.append(self.instances[leaf.uid])
-        fanins = []
+        pins = []
         for pin_index in range(cell.num_inputs):
-            source = leaf_instances[binding.leaf_of_pin[pin_index]]
+            source = fanins[binding.leaf_of_pin[pin_index]]
             if binding.pin_negated[pin_index]:
                 source = self._inverted(source)
-            fanins.append(source)
+            pins.append(source)
         self._gate_counter += 1
         name = f"{cell.name}_{self._gate_counter}"
-        instance = self.mapped.add_gate(name, cell, fanins)
+        instance = self.mapped.add_gate(name, cell, pins)
         instance.arrival = solution.arrival
         output = instance
         if binding.output_negated:
             output = self._inverted(instance)
             output.arrival = solution.arrival
-        self.lifecycle.make_hawk(node)
-        self.memo.note_hawk(node)
-        for inner in sorted(solution.covered, key=attrgetter("uid")):
-            if inner is not node:
-                self.lifecycle.make_dove(inner)
-        self.instances[node.uid] = output
         self.cut_cover.append(CutCoverRecord(
             instance=name,
             cell=cell.name,
@@ -949,40 +830,22 @@ class CutMapper:
             pin_negated=binding.pin_negated,
             output_negated=binding.output_negated,
         ))
-        self.provenance[name] = (node, solution.covered - {node})
-        if OBS.enabled:
-            OBS.metrics.counter("cut.gates_committed").inc()
+        return output
 
 
 # -- mapping fusion -----------------------------------------------------------
 
 
-class _ProvenanceTreeAreaMapper(MisAreaMapper):
-    """Area tree mapper that records instance -> subject-match provenance."""
+def _provenance(
+    mapper: BaseMapper,
+) -> Dict[str, Tuple[SubjectNode, FrozenSet[SubjectNode]]]:
+    """Output instance name -> (root, inner) of every committed candidate.
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.provenance: Dict[str, Tuple[SubjectNode,
-                                         FrozenSet[SubjectNode]]] = {}
-
-    def on_commit(self, node, solution, instance) -> None:
-        """Record the committed match's root and interior doves."""
-        self.provenance[instance.name] = (node,
-                                          frozenset(solution.match.inner))
-
-
-class _ProvenanceTreeDelayMapper(MisDelayMapper):
-    """Delay tree mapper that records instance -> subject-match provenance."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.provenance: Dict[str, Tuple[SubjectNode,
-                                         FrozenSet[SubjectNode]]] = {}
-
-    def on_commit(self, node, solution, instance) -> None:
-        """Record the committed match's root and interior doves."""
-        self.provenance[instance.name] = (node,
-                                          frozenset(solution.match.inner))
+    A cut binding that negates its output sits on its output inverter,
+    which the fusion copier visits right after the cell it inverts.
+    """
+    return {mapper.instances[uid].name: (solution.node, solution.inner)
+            for uid, solution in mapper.committed.items()}
 
 
 @dataclass(frozen=True)
@@ -997,11 +860,16 @@ class FusionChoice:
 
 @dataclass
 class FusionMapResult(MapResult):
-    """A fused :class:`~repro.map.base.MapResult` plus both source covers."""
+    """The cover fusion returns, plus both source covers.
+
+    :attr:`cover` names the returned cover: ``"fused"`` (the per-cone
+    assembly :attr:`choices` describes), ``"tree"`` or ``"cuts"``.
+    """
 
     choices: List[FusionChoice] = field(default_factory=list)
     tree_result: Optional[MapResult] = None
     cut_result: Optional[CutMapResult] = None
+    cover: str = "fused"
 
 
 def _mapped_cone_instances(driver: MappedNode) -> List[MappedNode]:
@@ -1034,17 +902,31 @@ def _cone_cost(driver: MappedNode, mode: str) -> float:
     return sum(g.cell.area for g in _mapped_cone_instances(driver))
 
 
+def _netlist_cost(mapped: MappedNetwork, mode: str) -> float:
+    """A whole mapped netlist's cost: total cell area, or in timing mode
+    the worst estimated primary-output arrival."""
+    if mode == "timing":
+        return max((_cone_cost(po.fanins[0], mode)
+                    for po in mapped.primary_outputs), default=0.0)
+    return mapped.total_cell_area()
+
+
 class FusionMapper:
     """Best-cover-per-cone fusion of the tree and cut backends.
 
     Runs :class:`~repro.map.mis.MisAreaMapper` (or the delay variant) and
     :class:`CutMapper` on the same subject graph, then assembles a fused
     netlist by copying, for every primary output, the cone of whichever
-    backend scored better under the objective — so the fused cover is
-    never worse than either backend on any cone.  The lifecycle history
+    backend scored better under the objective.  The lifecycle history
     is replayed from the copied instances' match provenance, keeping the
     full ``repro.verify`` audit (lifecycle + cone partition + per-cone
     equivalence) applicable unchanged.
+
+    Copied cones stop sharing logic, so the fused cover can lose to its
+    own inputs on the whole netlist.  :meth:`map` therefore returns the
+    tree or cut cover instead when it is strictly better under
+    :func:`_netlist_cost` (total cell area, or the worst estimated
+    output arrival); ties keep the fused cover.
     """
 
     def __init__(
@@ -1058,24 +940,20 @@ class FusionMapper:
             raise ValueError(f"unknown mode: {mode!r}")
         self.library = library
         self.mode = mode
-        if mode == "area":
-            self.tree_mapper = _ProvenanceTreeAreaMapper(
-                library, matcher=matcher)
-        else:
-            self.tree_mapper = _ProvenanceTreeDelayMapper(
-                library, matcher=matcher)
+        tree = MisAreaMapper if mode == "area" else MisDelayMapper
+        self.tree_mapper = tree(library, matcher=matcher)
         self.cut_mapper = CutMapper(library, mode=mode,
                                     cuts_per_node=cuts_per_node)
 
     def map(self, subject: SubjectGraph) -> FusionMapResult:
-        """Map with both backends and keep the best cover per cone."""
+        """Map with both backends, fuse them per cone, return the best."""
         with OBS.span("fusion.tree"):
             tree_result = self.tree_mapper.map(subject)
         with OBS.span("fusion.cuts"):
             cut_result = self.cut_mapper.map(subject)
         sources = {
-            "tree": (tree_result, self.tree_mapper.provenance, "t"),
-            "cuts": (cut_result, self.cut_mapper.provenance, "c"),
+            "tree": (tree_result, _provenance(self.tree_mapper), "t"),
+            "cuts": (cut_result, _provenance(self.cut_mapper), "c"),
         }
         fused = MappedNetwork(f"{subject.name}_mapped")
         lifecycle = LifecycleTracker()
@@ -1116,10 +994,20 @@ class FusionMapper:
         if not lifecycle.finished(live_gates):
             raise RuntimeError(
                 "fusion left live nodes that are neither hawk nor dove")
+        covers = {
+            "fused": MapResult(fused, subject, lifecycle,
+                               list(range(len(subject.primary_outputs)))),
+            "tree": tree_result,
+            "cuts": cut_result,
+        }
+        # The first minimum: ties keep the fused cover, then the tree's.
+        cover = min(covers, key=lambda name: _netlist_cost(
+            covers[name].mapped, self.mode))
+        won = covers[cover]
         return FusionMapResult(
-            fused, subject, lifecycle,
-            list(range(len(subject.primary_outputs))),
-            choices=choices, tree_result=tree_result, cut_result=cut_result)
+            won.mapped, subject, won.lifecycle, list(won.cone_order),
+            choices=choices, tree_result=tree_result, cut_result=cut_result,
+            cover=cover)
 
     def _copy_cone(
         self,
@@ -1134,7 +1022,8 @@ class FusionMapper:
         """Copy one source cone into the fused netlist (post-order DFS).
 
         Instances are renamed ``<tag>_<name>`` so the two sources never
-        collide; primary inputs and constants are shared.  Every copied
+        collide; primary inputs and constants are shared.  ``copies`` maps
+        ``(tag, source name)`` to the fused node.  Every copied
         instance's provenance replays into the fused lifecycle (hawk for
         the match root, doves for the interior), which reconstructs a
         legal Figure 2.2 history covering all live gates.
@@ -1142,46 +1031,31 @@ class FusionMapper:
         stack: List[Tuple[MappedNode, bool]] = [(driver, False)]
         while stack:
             node, expanded = stack.pop()
-            if node.is_pi:
-                continue
-            if node.is_constant:
-                if node.const_value not in constants:
-                    constants[node.const_value] = fused.add_constant(
-                        node.name, node.const_value)
-                continue
             key = (tag, node.name)
             if key in copies:
                 continue
-            if not expanded:
+            if node.is_pi:
+                copies[key] = fused[node.name]
+            elif node.is_constant:
+                if node.const_value not in constants:
+                    constants[node.const_value] = fused.add_constant(
+                        node.name, node.const_value)
+                copies[key] = constants[node.const_value]
+            elif not expanded:
                 stack.append((node, True))
                 for fanin in node.fanins:
                     stack.append((fanin, False))
-                continue
-            fanins = [self._copied(fused, fanin, tag, copies, constants)
-                      for fanin in node.fanins]
-            instance = fused.add_gate(f"{tag}_{node.name}", node.cell, fanins)
-            instance.arrival = node.arrival
-            instance.position = node.position
-            copies[key] = instance
-            entry = provenance.get(node.name)
-            if entry is not None:
-                root, inner = entry
-                lifecycle.make_hawk(root)
-                for dove in sorted(inner, key=lambda n: n.uid):
-                    lifecycle.make_dove(dove)
-        return self._copied(fused, driver, tag, copies, constants)
-
-    @staticmethod
-    def _copied(
-        fused: MappedNetwork,
-        node: MappedNode,
-        tag: str,
-        copies: Dict[Tuple[str, str], MappedNode],
-        constants: Dict[bool, MappedNode],
-    ) -> MappedNode:
-        """The fused-netlist node standing for a source-netlist node."""
-        if node.is_pi:
-            return fused[node.name]
-        if node.is_constant:
-            return constants[node.const_value]
-        return copies[(tag, node.name)]
+            else:
+                fanins = [copies[(tag, fanin.name)] for fanin in node.fanins]
+                instance = fused.add_gate(f"{tag}_{node.name}", node.cell,
+                                          fanins)
+                instance.arrival = node.arrival
+                instance.position = node.position
+                copies[key] = instance
+                entry = provenance.get(node.name)
+                if entry is not None:
+                    root, inner = entry
+                    lifecycle.make_hawk(root)
+                    for dove in sorted(inner, key=lambda n: n.uid):
+                        lifecycle.make_dove(dove)
+        return copies[(tag, driver.name)]

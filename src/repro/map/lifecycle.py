@@ -27,6 +27,8 @@ __all__ = ["NodeState", "LifecycleTracker", "LifecycleError"]
 
 
 class NodeState(enum.Enum):
+    """A subject node's life-cycle state (Figure 2.2)."""
+
     EGG = "egg"
     NESTLING = "nestling"
     HAWK = "hawk"
@@ -60,15 +62,19 @@ class LifecycleTracker:
         self.reincarnations = 0
 
     def state(self, node: SubjectNode) -> NodeState:
+        """The node's current state (egg until first touched)."""
         return self._state.get(node.uid, NodeState.EGG)
 
     def is_hawk(self, node: SubjectNode) -> bool:
+        """Whether the node is the output of a committed gate."""
         return self.state(node) is NodeState.HAWK
 
     def is_dove(self, node: SubjectNode) -> bool:
+        """Whether the node is covered inside a committed gate."""
         return self.state(node) is NodeState.DOVE
 
     def is_egg(self, node: SubjectNode) -> bool:
+        """Whether no DP pass has reached the node (or it reincarnated)."""
         return self.state(node) is NodeState.EGG
 
     def _transition(self, node: SubjectNode, to: NodeState) -> None:
@@ -120,6 +126,7 @@ class LifecycleTracker:
         self._transition(node, NodeState.DOVE)
 
     def counts(self) -> Dict[NodeState, int]:
+        """Number of touched nodes in each state."""
         out = {state: 0 for state in NodeState}
         for state in self._state.values():
             out[state] += 1

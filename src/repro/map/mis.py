@@ -20,7 +20,8 @@ from repro.match.treematch import Match
 from repro.network.subject import SubjectGraph, SubjectNode
 from repro.obs import OBS
 
-__all__ = ["MisAreaMapper", "MisDelayMapper", "inchoate_fanout_count"]
+__all__ = ["MisAreaMapper", "MisDelayMapper", "inchoate_fanout_count",
+           "estimated_load"]
 
 #: Default wiring capacitance per fanout connection, pF (MIS's linear model).
 DEFAULT_WIRE_CAP_PER_FANOUT = 0.05
@@ -31,6 +32,23 @@ DEFAULT_PAD_CAP = 0.25
 def inchoate_fanout_count(node: SubjectNode) -> int:
     """Number of fanout connections of a node in N_inchoate."""
     return max(1, len(node.fanouts))
+
+
+def estimated_load(node: SubjectNode, input_cap: float, pad_cap: float,
+                   wire_cap_per_fanout: float) -> float:
+    """MIS load model: constant cap per fanout gate + linear wire cap.
+
+    Every fanout gate presents ``input_cap`` and every output pad
+    ``pad_cap`` (a node without fanouts drives a pad); the wire adds
+    ``wire_cap_per_fanout`` per fanout connection.
+    """
+    load = 0.0
+    for sink in node.fanouts:
+        load += pad_cap if sink.is_po else input_cap
+    if not node.fanouts:
+        load += pad_cap
+    load += wire_cap_per_fanout * inchoate_fanout_count(node)
+    return load
 
 
 class MisAreaMapper(BaseMapper):
@@ -67,22 +85,15 @@ class MisDelayMapper(BaseMapper):
         self.input_arrivals = dict(input_arrivals or {})
 
     def estimated_load(self, node: SubjectNode) -> float:
-        """MIS load model: constant cap per fanout gate + linear wire cap."""
-        load = 0.0
-        fanouts = node.fanouts or [node]
-        for sink in node.fanouts:
-            if sink.is_po:
-                load += self.pad_cap
-            else:
-                load += self.input_cap
-        if not node.fanouts:
-            load += self.pad_cap
-        load += self.wire_cap_per_fanout * len(fanouts)
-        return load
+        """:func:`estimated_load` of ``node`` under this mapper's caps."""
+        return estimated_load(node, self.input_cap, self.pad_cap,
+                              self.wire_cap_per_fanout)
 
     def evaluate_match(
         self, node: SubjectNode, match: Match, inputs: Sequence[Solution]
     ) -> Solution:
+        """Arrival of ``match``'s output: the latest, over its pins, of
+        input arrival + block delay + drive resistance x estimated load."""
         if OBS.enabled:
             OBS.metrics.counter("mis.delay_evals").inc()
         load = self.estimated_load(node)
@@ -100,10 +111,12 @@ class MisDelayMapper(BaseMapper):
         return Solution(node, match, cost=arrival, area=area, arrival=arrival)
 
     def leaf_solution(self, node: SubjectNode) -> Solution:
+        """A primary input arrives at its given time (0 by default)."""
         arrival = self.input_arrivals.get(node.name, 0.0)
         return Solution(node, None, cost=arrival, area=0.0, arrival=arrival)
 
     def hawk_solution(self, node: SubjectNode) -> Solution:
+        """A hawk's output arrives when its committed gate's does."""
         instance = self.instances[node.uid]
         arrival = instance.arrival if instance.arrival is not None else 0.0
         return Solution(node, None, cost=arrival, area=0.0, arrival=arrival)

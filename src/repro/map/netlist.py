@@ -20,6 +20,8 @@ __all__ = ["MappedNodeKind", "MappedNode", "Net", "MappedNetwork"]
 
 
 class MappedNodeKind(enum.Enum):
+    """What a :class:`MappedNode` is: port, gate instance or constant."""
+
     PRIMARY_INPUT = "pi"
     PRIMARY_OUTPUT = "po"
     GATE = "gate"
@@ -53,22 +55,27 @@ class MappedNode:
 
     @property
     def is_pi(self) -> bool:
+        """Whether the node is a primary input port."""
         return self.kind is MappedNodeKind.PRIMARY_INPUT
 
     @property
     def is_po(self) -> bool:
+        """Whether the node is a primary output port."""
         return self.kind is MappedNodeKind.PRIMARY_OUTPUT
 
     @property
     def is_gate(self) -> bool:
+        """Whether the node is a library-gate instance."""
         return self.kind is MappedNodeKind.GATE
 
     @property
     def is_constant(self) -> bool:
+        """Whether the node is a constant source."""
         return self.kind is MappedNodeKind.CONSTANT
 
     @property
     def area(self) -> float:
+        """Cell area of a gate instance; 0 for ports and constants."""
         return self.cell.area if self.cell is not None else 0.0
 
     def truth_table(self) -> TruthTable:
@@ -99,10 +106,12 @@ class Net:
 
     @property
     def name(self) -> str:
+        """A net is named after its driver."""
         return self.driver.name
 
     @property
     def num_pins(self) -> int:
+        """Driver plus sink pins."""
         return 1 + len(self.sinks)
 
     def pin_positions(self) -> List[Point]:
@@ -140,6 +149,7 @@ class MappedNetwork:
         return node
 
     def add_primary_input(self, name: str) -> MappedNode:
+        """Add an input port; raises ``ValueError`` on a duplicate name."""
         node = self._register(MappedNode(name, MappedNodeKind.PRIMARY_INPUT))
         self.primary_inputs.append(node)
         return node
@@ -147,6 +157,7 @@ class MappedNetwork:
     def add_gate(
         self, name: str, cell: Cell, fanins: Sequence[MappedNode]
     ) -> MappedNode:
+        """Add an instance of ``cell`` whose pin ``i`` reads ``fanins[i]``."""
         if len(fanins) != cell.num_inputs:
             raise ValueError(
                 f"gate {name!r}: {len(fanins)} fanins for "
@@ -157,11 +168,13 @@ class MappedNetwork:
         )
 
     def add_constant(self, name: str, value: bool) -> MappedNode:
+        """Add a constant-``value`` source."""
         return self._register(
             MappedNode(name, MappedNodeKind.CONSTANT, const_value=value)
         )
 
     def add_primary_output(self, name: str, driver: MappedNode) -> MappedNode:
+        """Add an output port driven by ``driver``."""
         node = self._register(
             MappedNode(name, MappedNodeKind.PRIMARY_OUTPUT, fanins=[driver])
         )
@@ -181,13 +194,16 @@ class MappedNetwork:
 
     @property
     def nodes(self) -> List[MappedNode]:
+        """Every node, in insertion order."""
         return list(self._nodes.values())
 
     @property
     def gates(self) -> List[MappedNode]:
+        """The gate instances, in insertion order."""
         return [n for n in self._nodes.values() if n.is_gate]
 
     def topological_order(self) -> List[MappedNode]:
+        """Every node, fanins first; raises ``ValueError`` on a cycle."""
         order: List[MappedNode] = []
         done: Set[str] = set()
         for root in self._nodes.values():
@@ -246,6 +262,7 @@ class MappedNetwork:
         return sum(g.area for g in self.gates)
 
     def cell_histogram(self) -> Dict[str, int]:
+        """Instance count per cell name."""
         hist: Dict[str, int] = {}
         for g in self.gates:
             hist[g.cell.name] = hist.get(g.cell.name, 0) + 1
@@ -270,6 +287,7 @@ class MappedNetwork:
         self.topological_order()
 
     def stats(self) -> Dict[str, float]:
+        """Port and gate counts and total cell area."""
         return {
             "inputs": len(self.primary_inputs),
             "outputs": len(self.primary_outputs),

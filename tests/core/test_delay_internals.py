@@ -37,7 +37,7 @@ def armed_mapper(big_lib):
     mapper.lifecycle = LifecycleTracker()
     mapper.mapped = MappedNetwork("t")
     mapper.instances = {}
-    mapper._committed_solutions = {}
+    mapper.committed = {}
     mapper.on_begin(g)
     return g, mapper, n1, n2
 

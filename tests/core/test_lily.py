@@ -122,8 +122,8 @@ class TestLilyDelayMapper:
         subject = decompose_to_subject(small_network)
         mapper = LilyDelayMapper(big_lib)
         result = mapper.map(subject)
-        assert mapper._committed_solutions
-        for sol in mapper._committed_solutions.values():
+        assert mapper.committed
+        for sol in mapper.committed.values():
             assert sol.block_arrivals is not None
             assert len(sol.block_arrivals) == sol.match.cell.num_inputs
 

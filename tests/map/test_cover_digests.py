@@ -1,10 +1,14 @@
 """Pinned mapped-BLIF digests: the covers later refactors must keep.
 
-The sha256 of the mapped BLIF for C880 and apex7, tree and cut covering,
-area and timing mode.  The digests were taken before cross-cone solution
+The sha256 of the mapped BLIF for C880 and apex7: tree and cut covering
+in area and timing mode, LUT-4 covering in area mode and fusion in both
+modes.  The tree and cut digests were taken before cross-cone solution
 reuse and per-graph cut functions, so they pin that those changes kept
-every cover bit for bit; any later change to either covering backend that
-moves a digest changes a cover and must say why.
+every cover bit for bit; any later change to a covering backend that
+moves a digest changes a cover and must say why.  Area-mode fusion
+returns the cut cover of C880 and the tree cover of apex7 (each smaller
+in total area than its per-cone assembly), so those rows repeat their
+digests.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import pytest
 
 from repro.circuits.suite import build_circuit
 from repro.map.blif_io import write_mapped_blif
-from repro.map.cuts import CutMapper
+from repro.map.cuts import CutMapper, FusionMapper
 from repro.map.mis import MisAreaMapper, MisDelayMapper
 from repro.network.decompose import decompose_to_subject
 
@@ -36,12 +40,28 @@ PINNED = {
         "376bd7c528a072bce43496ced0cd3294b2f75c4a801dd00a13254c3758d25504",
     ("apex7", "cuts", "timing"):
         "211241cb532c0e985d8bf89974b8ae35a3be4347448109d13b8d211e630911ec",
+    ("C880", "lut:4", "area"):
+        "ff4adc1a286e109dbe9a45abdc122460d12dad87e1f6a4d03b7f8583bd9cf8f1",
+    ("apex7", "lut:4", "area"):
+        "97297aed4c6ba625b1f77827675ef658bbd413d148a0791a308c8f6e9bdecce9",
+    ("C880", "fusion", "area"):
+        "0029f111114e8264890c9b611bc050de7017b66bac5100857511ed3980ca30cd",
+    ("C880", "fusion", "timing"):
+        "1285fb4fe285c6accbd79fca6d02377a62439f3a4d32dd81a6cda6d7a0666726",
+    ("apex7", "fusion", "area"):
+        "86fdf0fc8226da148407531bf121242f148263f7952dd5fcfd5820c8fd8290ae",
+    ("apex7", "fusion", "timing"):
+        "d1b11383cc6401f7d1d06b8ebdd642ce5df4fb27f6edbed0166e106646545048",
 }
 
 
 def _mapper(kind, mode, library):
     if kind == "cuts":
         return CutMapper(library, mode=mode)
+    if kind == "lut:4":
+        return CutMapper(library, mode=mode, lut_k=4)
+    if kind == "fusion":
+        return FusionMapper(library, mode=mode)
     return MisAreaMapper(library) if mode == "area" else MisDelayMapper(library)
 
 

@@ -16,7 +16,8 @@ Five families:
   and LUT cells synthesise their defining truth table;
 * **covering** — area/timing/LUT covers of the shared small circuit pass
   the fast audit (including the cut-cover invariant), fusion is never
-  worse than either backend on any cone, and mapper specs parse/reject
+  worse than either backend on the whole netlist (nor, when it keeps
+  its per-cone assembly, on any cone), and mapper specs parse/reject
   with the pinned messages;
 * **determinism** — two *separate interpreter processes* with different
   hash seeds produce bit-identical tree and cut covers and lifecycle
@@ -373,15 +374,20 @@ def test_unknown_mode_rejected(big_lib):
 
 def test_fusion_no_worse_than_either_backend_per_cone(small_network,
                                                       big_lib):
-    """The acceptance bound: per output cone, the fused cover's cost is
-    ≤ min(tree, cuts) — fusion copies the winning cone verbatim."""
+    """The acceptance bound: the returned cover's area is ≤ min(tree,
+    cuts); when it is the per-cone assembly, each cone's cost is too —
+    fusion copies the winning cone verbatim."""
     from repro.map.cuts import _cone_cost
 
     result = FusionMapper(big_lib, mode="area").map(
         decompose_to_subject(small_network))
     report = audit_mapping(result, net=small_network, level="fast")
     assert report.passed, [str(c) for c in report.failures]
+    assert result.cell_area <= min(result.tree_result.cell_area,
+                                   result.cut_result.cell_area)
     assert result.choices, "fusion recorded no per-cone choices"
+    if result.cover != "fused":
+        return
     for choice in result.choices:
         fused_driver = result.mapped[choice.output].fanins[0]
         fused_cost = _cone_cost(fused_driver, "area")
@@ -389,6 +395,25 @@ def test_fusion_no_worse_than_either_backend_per_cone(small_network,
         assert fused_cost <= floor + 1e-9, (
             f"cone {choice.output}: fused {fused_cost} > "
             f"min(tree={choice.tree_cost}, cuts={choice.cut_cost})")
+
+
+@pytest.mark.parametrize("circuit,mode,cover", [
+    ("C880", "area", "cuts"),  # strictly smaller than the assembly
+    ("apex7", "area", "tree"),
+    ("misex1", "area", "fused"),  # ties the cut cover: fused kept
+    ("C880", "timing", "fused"),
+])
+def test_fusion_returns_the_strictly_better_cover(circuit, mode, cover,
+                                                  big_lib):
+    result = FusionMapper(big_lib, mode=mode).map(
+        decompose_to_subject(build_circuit(circuit)))
+    assert result.cover == cover
+    sources = {"tree": result.tree_result, "cuts": result.cut_result}
+    if cover in sources:
+        assert result.mapped is sources[cover].mapped
+        assert result.lifecycle is sources[cover].lifecycle
+    else:
+        assert all(result.mapped is not s.mapped for s in sources.values())
 
 
 def test_fusion_records_both_source_results(small_network, big_lib):

@@ -1,17 +1,20 @@
 """Exact work gate for matching and covering.
 
-The matcher and the covering DP count their work in ``repro.obs``:
+The matcher and the covering DPs count their work in ``repro.obs``:
 ``match.table_entries`` (subtree results the table matcher stored),
-``match.found`` (matches it kept) and ``dp.nodes_visited`` (DP solves).
-At a fixed circuit the counts are deterministic, so a committed table of
-them gates work on any host, without timing noise: a change that makes
-any count grow fails here.  Counts that shrink pass; re-record them
-with::
+``match.found`` (matches it kept) and ``dp.nodes_visited`` (tree DP
+solves); ``cut.functions_computed`` (cut truth tables),
+``cut.nodes_visited`` (cut DP solves) and ``cut.states_expanded``
+((cut, binding) candidates priced).  At a fixed circuit the counts are
+deterministic, so a committed table of them gates work on any host,
+without timing noise: a change that makes any count grow fails here.
+Counts that shrink pass; re-record them with::
 
     PYTHONPATH=src python tests/perf/test_work_gate.py
 
 Cases: the five ``paper_tables`` circuits and ``synth:19910611:1000``,
-each mapped by the MIS area mapper in cone and in tree mode.
+each mapped in area mode by the MIS mapper in cone and in tree mode and
+by the cut mapper.
 """
 
 from __future__ import annotations
@@ -24,20 +27,29 @@ import pytest
 
 from repro.circuits.suite import build_circuit
 from repro.library.standard import big_library
+from repro.map.cuts import CutMapper
 from repro.map.mis import MisAreaMapper
 from repro.network.decompose import decompose_to_subject
 from repro.obs import OBS
 
 TABLE = Path(__file__).with_name("work_gate.json")
 CIRCUITS = ["C880", "C1908", "duke2", "e64", "apex7", "synth:19910611:1000"]
-MODES = {"cone": False, "tree": True}
-COUNTERS = ("match.table_entries", "match.found", "dp.nodes_visited")
+TREE_COUNTERS = ("match.table_entries", "match.found", "dp.nodes_visited")
+CUT_COUNTERS = ("cut.functions_computed", "cut.nodes_visited",
+                "cut.states_expanded")
+#: mode -> (area mapper factory over a library, gated counters).
+MODES = {
+    "cone": (MisAreaMapper, TREE_COUNTERS),
+    "tree": (lambda lib: MisAreaMapper(lib, tree_mode=True), TREE_COUNTERS),
+    "cuts": (CutMapper, CUT_COUNTERS),
+}
 
 
 def measure(circuit: str, mode: str) -> dict:
-    """The gated counters of one MIS area mapping."""
+    """The gated counters of one area mapping."""
+    make, counters = MODES[mode]
     subject = decompose_to_subject(build_circuit(circuit))
-    mapper = MisAreaMapper(big_library(), tree_mode=MODES[mode])
+    mapper = make(big_library())
     was_enabled = OBS.enabled
     if not was_enabled:
         OBS.enable()
@@ -49,7 +61,7 @@ def measure(circuit: str, mode: str) -> dict:
         if not was_enabled:
             OBS.disable()
     return {name: after.get(name, 0) - before.get(name, 0)
-            for name in COUNTERS}
+            for name in counters}
 
 
 def _key(circuit: str, mode: str) -> str:
@@ -66,17 +78,17 @@ def committed():
 def test_work_never_grows(committed, circuit, mode):
     counts = measure(circuit, mode)
     recorded = committed[_key(circuit, mode)]
-    grown = {name: (recorded[name], counts[name]) for name in COUNTERS
-             if counts[name] > recorded[name]}
+    grown = {name: (recorded[name], count)
+             for name, count in counts.items() if count > recorded[name]}
     assert not grown, f"work grew (recorded, now): {grown}"
-    assert counts["match.found"] > 0
+    assert all(counts.values()), f"a gated counter stayed at 0: {counts}"
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_counts_repeat_exactly(mode):
     first = measure("apex7", mode)
     assert first == measure("apex7", mode)
-    assert all(first[name] > 0 for name in COUNTERS)
+    assert all(first.values())
 
 
 def test_table_covers_every_case(committed):

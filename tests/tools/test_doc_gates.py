@@ -30,8 +30,8 @@ DOCSTRING_SCOPE = [
     "src/repro/timing",
     "src/repro/circuits/synth.py",
     "src/repro/route",
-    "src/repro/map/cuts.py",
-    "src/repro/map/base.py",
+    "src/repro/map",
+    "src/repro/core",
     "src/repro/match",
     "src/repro/library/patterns.py",
     "src/repro/place",
