@@ -11,6 +11,15 @@ Both mappers keep a live placement of the inchoate network:
    their real locations.  Optionally the partially mapped network is
    re-placed every N cones.
 
+DP solutions are kept across cones, as in every covering backend
+(:class:`~repro.map.base.SolutionMemo`).  Besides its input solutions, a
+Lily solution at node v reads the :class:`~repro.perf.netcache.NetCache`
+entry of each match input's net, v's own output net (its direct fanouts'
+states and positions), and place positions.  So a commit of x (hawk or
+dove) drops the solutions that read a net entry it invalidated and the
+solutions at ``x.fanins``, whose output net it sits on; a re-place drops
+everything.
+
 :class:`LilyAreaMapper` minimises ``area + w * wire`` (Section 3);
 :class:`LilyDelayMapper` minimises arrival times with placement-derived
 wire capacitance and the LI/LD block-arrival split (Section 4).
@@ -102,11 +111,6 @@ class _LilyMixin:
         """:func:`~repro.core.rectangles.true_fanouts`, cached across cones."""
         return self._netcache.consumers(node)
 
-    def on_cone_begin(self, po: SubjectNode) -> None:
-        # Costs read placements and dove states that every commit moves,
-        # so no solution outlives its cone (see SolutionMemo).
-        self.memo.clear()
-
     # -- global placement of the inchoate network (Section 3.1) -------------
 
     def on_begin(self, subject: SubjectGraph) -> None:
@@ -178,11 +182,14 @@ class _LilyMixin:
         if instance.position is not None:
             self.state.set_map_position(node, instance.position)
         # The root became a hawk (with a fresh map position) and the
-        # inner nodes became doves: drop the net entries that saw them.
+        # inner nodes became doves: drop the net entries that saw them,
+        # the solutions that priced those nets, and the solutions at
+        # their fanins, whose output net they sit on.
         cache = self._netcache
-        cache.invalidate(node)
-        for inner in solution.inner:
-            cache.invalidate(inner)
+        memo = self.memo
+        for changed in (node, *solution.inner):
+            memo.note_changed(cache.invalidate(changed))
+            memo.note_stale(changed.fanins)
 
     def on_cone_done(self, po: SubjectNode) -> None:
         interval = self.options.replace_interval
@@ -235,7 +242,11 @@ class _LilyMixin:
                 p = positions.get(node.name)
                 if p is not None:
                     self.state.set_place_position(node, p)
-        self._netcache.clear()  # every gate may have moved
+        # Every gate may have moved: no net entry or solution survives.
+        self._netcache.clear()
+        if OBS.enabled:
+            OBS.metrics.counter("dp.solutions_invalidated").inc(len(self.memo))
+        self.memo.clear()
 
 
 class LilyAreaMapper(_LilyMixin, BaseMapper):

@@ -223,13 +223,20 @@ def _verify(args) -> int:
     level = args.verify_level or "fast"
     library = big_library()
     failures = 0
-    unknown = [name for name in args.circuits if name not in SUITE]
+    # Build every circuit before the first flow, so a typo fails fast;
+    # build_circuit decides what a name means (suite or synth:SEED:GATES).
+    names = args.circuits or TABLE1_CIRCUITS
+    nets, unknown = [], []
+    for name in names:
+        try:
+            nets.append(build_circuit(name, scale=args.scale))
+        except KeyError:
+            unknown.append(name)
     if unknown:
         raise SystemExit(
             f"unknown circuit(s): {', '.join(unknown)} "
-            f"(known: {', '.join(sorted(SUITE))})")
-    for name in args.circuits or TABLE1_CIRCUITS:
-        net = build_circuit(name, scale=args.scale)
+            f"(known: {', '.join(sorted(SUITE))} or synth:SEED:GATES)")
+    for name, net in zip(names, nets):
         for flow_fn in (mis_flow, lily_flow):
             if flow_fn is mis_flow:
                 result = flow_fn(net, library, mode=args.mode, verify=level,

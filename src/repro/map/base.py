@@ -8,9 +8,10 @@ become *doves*, and logic shared with later cones may be duplicated (dove
 reincarnation) exactly as in Section 2.
 
 Solutions are kept across cones (:class:`SolutionMemo`): a shared node is
-solved again only when a node its solution read has since become a hawk,
-so the DP does work proportional to the subject graph rather than to the
-sum of the cone sizes.
+solved again only when something its solution read has since changed (a
+read node became a hawk, or, for Lily, a net the solution priced was
+touched by a commit), so the DP does work proportional to the subject
+graph rather than to the sum of the cone sizes.
 
 Subclasses specialise hooks of :class:`BaseMapper`:
 
@@ -91,12 +92,18 @@ class SolutionMemo(dict):
     entry it read; :meth:`drop_stale` then drops it and, transitively,
     every entry that read it.
 
-    Hawks are queued by :meth:`note_hawk` during a commit and dropped by
-    the next cone's :meth:`drop_stale`, because a commit still reads the
-    memo entry of a cover root after its leaves have become hawks.  A
-    mapper whose costs read state that changes at every commit (Lily)
-    empties the memo in ``on_cone_begin``; :meth:`drop_stale` on an empty
-    memo costs nothing.
+    A mapper whose costs also read placement state (Lily) reports what a
+    commit changed: :meth:`note_changed` for the nets whose true-fanout
+    lists or pin points moved (their readers are the entries that have
+    the net's driver as a candidate input), and :meth:`note_stale` for
+    nodes whose own entry read a changed net (the commit touched their
+    output net).  Such a mapper clears the memo when every position
+    moves at once.
+
+    Every change is queued during a commit and dropped by the next cone's
+    :meth:`drop_stale`, because a commit still reads the memo entry of a
+    cover root after its leaves have become hawks.  :meth:`drop_stale` on
+    an empty memo only forgets the queue.
     """
 
     def __init__(self) -> None:
@@ -106,6 +113,8 @@ class SolutionMemo(dict):
         self._readers: Dict[int, List[int]] = {}
         self._registered: Set[int] = set()
         self._new_hawks: List[int] = []
+        self._changed: List[int] = []
+        self._stale: List[int] = []
 
     def store(self, node: SubjectNode, solution,
               reads: Iterable[SubjectNode]) -> None:
@@ -116,29 +125,41 @@ class SolutionMemo(dict):
             return
         self._registered.add(uid)
         readers = self._readers
-        for read in {n.uid for n in reads if n.is_gate}:
+        for read in {n.uid for n in reads}:
             readers.setdefault(read, []).append(uid)
 
     def note_hawk(self, node: SubjectNode) -> None:
         """``node`` became a hawk; its readers go stale after the commit."""
         self._new_hawks.append(node.uid)
 
+    def note_changed(self, uids: Iterable[int]) -> None:
+        """The nets driven by ``uids`` changed; their readers go stale."""
+        self._changed.extend(uids)
+
+    def note_stale(self, nodes: Iterable[SubjectNode]) -> None:
+        """The entries at ``nodes`` (and their readers) go stale."""
+        self._stale.extend(n.uid for n in nodes)
+
     def drop_stale(self) -> int:
-        """Drop every entry that read a new hawk; returns how many."""
-        hawks = self._new_hawks
-        if not self:
-            hawks.clear()
-            return 0
-        for uid in hawks:
-            self.pop(uid, None)  # final now: answered by hawk_solution
+        """Drop every entry a queued change made stale; returns how many."""
         dropped = 0
-        readers = self._readers
-        stack = hawks
-        while stack:
-            for reader in readers.get(stack.pop(), ()):
-                if self.pop(reader, None) is not None:
+        if self:
+            for uid in self._new_hawks:
+                self.pop(uid, None)  # final now: answered by hawk_solution
+            stack = self._new_hawks + self._changed
+            for uid in self._stale:
+                if self.pop(uid, None) is not None:
                     dropped += 1
-                    stack.append(reader)
+                    stack.append(uid)
+            readers = self._readers
+            while stack:
+                for reader in readers.get(stack.pop(), ()):
+                    if self.pop(reader, None) is not None:
+                        dropped += 1
+                        stack.append(reader)
+        self._new_hawks.clear()
+        self._changed.clear()
+        self._stale.clear()
         return dropped
 
 
@@ -329,6 +350,10 @@ class BaseMapper:
         for index in order:
             po, cone = cones[index]
             self._map_cone(po, cone)
+        # The solutions served only this cover; released here, they no
+        # longer weigh on every full garbage collection of the caller's
+        # later work (a flow's layout back end).
+        self.memo = SolutionMemo()
         self.mapped.check()
         live_gates = [
             n

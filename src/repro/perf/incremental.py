@@ -1,23 +1,18 @@
 """Incremental net-cost bookkeeping for the placement engines.
 
 The annealer and the detailed-placement swap pass both score a move by
-re-folding every affected net's half-perimeter bounding box from scratch —
-O(pins-of-net) per net per probe.  :class:`NetBoxCache` keeps one live
-bounding box per net and updates it in O(pins-of-moved-cell) per move:
+the half-perimeter bounding boxes of the nets it touches.  Re-folding a
+box from scratch is O(pins-of-net) per net per probe; these caches keep
+one live bounding box per net instead:
 
-* a pin moving strictly inside the box, expanding it, or moving
-  outward from a boundary is an O(1) coordinate update;
-* a pin leaving a box boundary inward forces a re-fold of that net only
-  (the box may shrink and min/max cannot be updated incrementally);
-* nets of cells that were shifted as a *side effect* of a move (row
-  repacking in the annealer) but are outside the move's scored set are
-  lazily marked dirty and re-folded on the next read — exactly the cost
-  the naive path pays on every read anyway.
-
-Every probe runs inside a transaction (:meth:`begin` / :meth:`commit` /
-:meth:`rollback`): the first touch of a net snapshots its ``(box, dirty)``
-pair, so a rejected move restores the cache in O(nets-touched) without
-re-folding anything.
+* :class:`NetBoxCache` (detailed placement) holds the boxes and a
+  per-net dirty flag.  The swap pass delta-updates the boxes of a probed
+  swap itself (an O(1) coordinate update for pins moving inside the box
+  or outward from a boundary, a re-fold when a pin leaves a boundary
+  inward), commits them on accept, and dirty-marks the nets of an undone
+  swap, which re-fold on the next read;
+* :class:`StampedNetBoxCache` (annealer) re-folds a net on read exactly
+  when one of its cells moved since the last fold.
 
 Bit-identity: a bounding box is the min/max over a finite set of floats —
 an exact, order-independent reduction — so a box maintained by expansion
@@ -28,7 +23,7 @@ The golden-equivalence and randomized-move tests assert this.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.geometry import Point
 
@@ -156,19 +151,20 @@ class _BoxCacheBase:
 
 
 class NetBoxCache(_BoxCacheBase):
-    """Per-net live bounding boxes with eager delta updates + rollback.
+    """Per-net live bounding boxes with lazy dirty-flag re-folds.
 
     Args:
         nets: the hypergraph nets (lists of pin names).
         positions: the *live* movable-cell position dict — the cache reads
-            it on every re-fold, so mutate it in place and report moves
-            via :meth:`apply_moves`.
+            it on every re-fold, so mutate it in place.
         fixed: immovable terminal positions (pads); folded once into a
             static per-net partial box.
 
-    Pins present in neither dict are ignored, and a net with fewer than
-    two located pins has zero HPWL forever — both exactly as the naive
-    fold behaves.
+    The detailed-placement swap pass owns the updates: it reads and
+    writes ``_box`` and ``_dirty`` directly, plans each swap with
+    :meth:`swap_plan` and re-folds with ``_fold``.  Pins present in
+    neither dict are ignored, and a net with fewer than two located pins
+    has zero HPWL forever — both exactly as the naive fold behaves.
     """
 
     def __init__(
@@ -179,10 +175,8 @@ class NetBoxCache(_BoxCacheBase):
     ) -> None:
         super().__init__(nets, positions, fixed)
         self._dirty: List[bool] = [False] * len(nets)
-        self._txn: Optional[Dict[int, Tuple[Optional[Box], bool]]] = None
         self._pair_memo: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
         self.fast_updates = 0
-        self.rollbacks = 0
 
     def swap_plan(self, a: str, b: str) -> List[Tuple[int, int]]:
         """``(net_id, membership)`` rows for a two-cell move (memoized).
@@ -217,116 +211,6 @@ class NetBoxCache(_BoxCacheBase):
         if box is None:
             return 0.0
         return (box[2] - box[0]) + (box[3] - box[1])
-
-    # -- transactions --------------------------------------------------------
-
-    def begin(self) -> None:
-        """Open a move transaction (snapshot on first touch per net)."""
-        self._txn = {}
-
-    def commit(self) -> None:
-        """Accept the open transaction's updates."""
-        self._txn = None
-
-    def rollback(self) -> None:
-        """Restore every net the open transaction touched."""
-        txn = self._txn
-        if txn:
-            box = self._box
-            dirty = self._dirty
-            for net_id, (old_box, old_dirty) in txn.items():
-                box[net_id] = old_box
-                dirty[net_id] = old_dirty
-        self._txn = None
-        self.rollbacks += 1
-
-    def _save(self, net_id: int) -> None:
-        txn = self._txn
-        if txn is not None and net_id not in txn:
-            txn[net_id] = (self._box[net_id], self._dirty[net_id])
-
-    # -- updates -------------------------------------------------------------
-
-    def move_pin(self, net_id: int, old: Point, new: Point) -> None:
-        """Update one net's box for a pin that moved ``old -> new``.
-
-        The live position dict must already hold the new position (a
-        re-fold reads it).  Interior moves and boundary moves *outward*
-        are exact O(1) updates (an outward move from the min/max stays
-        the min/max); only a pin leaving a boundary inward can shrink
-        the box, which min/max cannot track — that case re-folds.
-        """
-        box = self._box[net_id]
-        if box is None:  # under two located pins: HPWL is 0.0 forever
-            return
-        self._save(net_id)
-        if self._dirty[net_id]:
-            self._box[net_id] = self._fold(net_id)
-            self._dirty[net_id] = False
-            self.refolds += 1
-            return
-        lx, ly, ux, uy = box
-        ox, oy = old.x, old.y
-        x, y = new.x, new.y
-        if lx < ox < ux:
-            if x < lx:
-                lx = x
-            elif x > ux:
-                ux = x
-        elif ox == lx and x <= ox:
-            lx = x
-        elif ox == ux and x >= ox:
-            ux = x
-        else:
-            self._box[net_id] = self._fold(net_id)
-            self.refolds += 1
-            return
-        if ly < oy < uy:
-            if y < ly:
-                ly = y
-            elif y > uy:
-                uy = y
-        elif oy == ly and y <= oy:
-            ly = y
-        elif oy == uy and y >= oy:
-            uy = y
-        else:
-            self._box[net_id] = self._fold(net_id)
-            self.refolds += 1
-            return
-        self._box[net_id] = (lx, ly, ux, uy)
-        self.fast_updates += 1
-
-    def mark_dirty(self, net_id: int) -> None:
-        """Lazily invalidate one net (re-folded on the next read)."""
-        if self._located[net_id] < 2:
-            return
-        self._save(net_id)
-        self._dirty[net_id] = True
-
-    def apply_moves(
-        self,
-        moved: Iterable[Tuple[str, Point, Point]],
-        scored: Optional[Set[int]] = None,
-    ) -> None:
-        """Propagate a batch of cell moves into the per-net boxes.
-
-        Args:
-            moved: ``(cell, old_position, new_position)`` records; the
-                live position dict must already reflect the new state.
-            scored: the net ids the caller is about to read.  Nets of
-                moved cells outside this set are only dirty-marked
-                (O(1)); ``None`` updates every touched net eagerly.
-        """
-        located = self._located
-        for cell, old, new in moved:
-            for net_id in self.cell_nets.get(cell, ()):
-                if located[net_id] < 2:
-                    continue
-                if scored is None or net_id in scored:
-                    self.move_pin(net_id, old, new)
-                else:
-                    self.mark_dirty(net_id)
 
 
 class StampedNetBoxCache(_BoxCacheBase):

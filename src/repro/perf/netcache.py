@@ -2,10 +2,11 @@
 
 Lily's cost model asks, for every candidate match input, for the input
 net's *true fanouts* (the fanout walk through doves) and their current
-points.  Per-cone memoization already avoids recomputing them within one
-DP pass; this cache keeps the entries alive **across** cones and
-invalidates only what a commit actually touched, instead of throwing the
-whole table away.
+points.  This cache keeps each net's entry alive across cones and drops
+only what a commit actually touched.  It also tells the covering DP
+which nets a commit changed: :meth:`NetCache.invalidate` returns them,
+and the DP's :class:`~repro.map.base.SolutionMemo` drops exactly the
+solutions that priced those nets.
 
 Correctness rests on a dependency index: an entry records every node its
 fanout walk *visited* (consumers found and doves walked through).  A
@@ -145,29 +146,35 @@ class NetCache:
                 bucket.add(key)
         return entry
 
-    def invalidate(self, node: SubjectNode) -> None:
-        """Drop every entry whose walk visited ``node``.
+    def invalidate(self, node: SubjectNode) -> List[int]:
+        """Drop every entry whose walk visited ``node``; returns the uids
+        of the nets whose true-fanout entries went.
 
         Called per committed node (the match root and each new dove);
-        their life-cycle states and/or map positions just changed.
+        their life-cycle states and/or map positions just changed.  The
+        output-net entries dropped here belong to ``node``'s fanins, so
+        they are not reported.
         """
-        dropped = 0
+        dropped: List[int] = []
         keys = self._deps.pop(node.uid, None)
         if keys:
             entries = self._entries
             for key in keys:
                 if entries.pop(key, None) is not None:
-                    dropped += 1
+                    dropped.append(key)
+        count = len(dropped)
         out_keys = self._out_deps.pop(node.uid, None)
         if out_keys:
             out_entries = self._out_entries
             for key in out_keys:
                 if out_entries.pop(key, None) is not None:
-                    dropped += 1
-        if OBS.enabled and dropped:
-            OBS.metrics.counter("perf.netcache_invalidations").inc(dropped)
+                    count += 1
+        if OBS.enabled and count:
+            OBS.metrics.counter("perf.netcache_invalidations").inc(count)
         # Stale dep buckets for other nodes may still name the dropped
-        # keys; that only triggers harmless re-drops of absent entries.
+        # keys; a drop through one only re-derives an entry (and re-solves
+        # its readers) needlessly, it never keeps a stale one.
+        return dropped
 
     def clear(self) -> None:
         """Forget everything (placement refresh moved every gate)."""

@@ -28,6 +28,17 @@ class TestCli:
         assert main(["table1", "b9", "--scale", "0.5", "--no-verify"]) == 0
         assert "b9" in capsys.readouterr().out
 
+    def test_verify_accepts_synth_spec(self, capsys):
+        assert main(["verify", "synth:5:60"]) == 0
+        out = capsys.readouterr().out
+        assert "== synth:5:60 / mis / area:" in out
+        assert "== synth:5:60 / lily / area:" in out
+        assert "verification passed" in out
+
+    def test_verify_rejects_unknown_circuit(self):
+        with pytest.raises(SystemExit, match=r"unknown circuit\(s\): nope"):
+            main(["verify", "nope"])
+
     def test_report_requires_circuit(self):
         with pytest.raises(SystemExit):
             main(["report", "--no-verify"])

@@ -202,8 +202,37 @@ class TestSolutionMemo:
         memo = SolutionMemo()
         memo.store(y, "Y", [x])
         memo.note_hawk(x)
-        memo.clear()  # what a per-cone mapper (Lily) does
+        memo.clear()  # what a per-cone oracle or Lily's re-place does
         assert memo.drop_stale() == 0
         memo.store(y, "Y", [x])
         assert memo.drop_stale() == 0
         assert y.uid in memo
+
+    def test_changed_net_drops_its_readers_not_its_driver(self):
+        a, x, y, z, w, u = self._chain()
+        memo = SolutionMemo()
+        memo.store(x, "X", [a])
+        memo.store(y, "Y", [x])
+        memo.store(z, "Z", [y])
+        memo.store(w, "W", [a, x])
+        memo.store(u, "U", [a])
+        memo.note_changed([y.uid])
+        assert memo.drop_stale() == 1
+        assert set(memo) == {x.uid, y.uid, w.uid, u.uid}
+        # A primary input's net has readers too: x, w and u, then y and
+        # z through x.
+        memo.store(z, "Z", [y])
+        memo.note_changed([a.uid])
+        assert memo.drop_stale() == 5
+        assert not memo
+
+    def test_stale_entry_drops_itself_and_its_readers(self):
+        a, x, y, z, w, u = self._chain()
+        memo = SolutionMemo()
+        memo.store(x, "X", [a])
+        memo.store(y, "Y", [x])
+        memo.store(z, "Z", [y])
+        memo.store(u, "U", [a])
+        memo.note_stale([y, w])  # w was never solved: nothing to drop
+        assert memo.drop_stale() == 2
+        assert set(memo) == {x.uid, u.uid}

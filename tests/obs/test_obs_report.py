@@ -168,6 +168,10 @@ class TestFlowIntegration:
         )
         assert report.phase("map/lily.initial_place") is not None
         assert report.counters["lily.position_evals"] > 0
+        # Lily keeps DP solutions across cones and drops the ones a
+        # commit's net changes reach.
+        assert report.counters["dp.solutions_reused"] > 0
+        assert report.counters["dp.solutions_invalidated"] > 0
 
     def test_consecutive_flows_have_separate_counters(self, net, library):
         with observed():

@@ -1,13 +1,16 @@
-"""Lily without the cross-cone net cache: the oracle of the fast costs.
+"""Lily without the cross-cone net cache or solution reuse: the oracle of
+the fast costs.
 
 Production Lily reads true-fanout lists through
-:class:`repro.perf.netcache.NetCache` and prices the default
+:class:`repro.perf.netcache.NetCache`, keeps DP solutions across cones
+until a commit changes a net they priced, and prices the default
 halfperim / CM-of-Fans combination with ``_evaluate_fast``.  These
 subclasses recompute true fanouts with
 :func:`repro.core.rectangles.true_fanouts` (cached only within one cone,
-where life-cycle states cannot change) and price every match through
-``_evaluate_general``, so the golden tests compare both the cache and
-the fast evaluator against the Section 3/4 primitives.
+where life-cycle states cannot change), empty the solution memo before
+every cone and price every match through ``_evaluate_general``, so the
+golden tests compare the solution reuse, the cache and the fast
+evaluator against the Section 3/4 primitives solved from scratch.
 """
 
 from __future__ import annotations
@@ -20,10 +23,14 @@ from repro.network.subject import SubjectNode
 
 
 class _UncachedNets:
-    """True fanouts from the lifecycle walk, never from the net cache."""
+    """True fanouts from the lifecycle walk, never from the net cache,
+    and every cone solved from scratch."""
 
     def on_cone_begin(self, po: SubjectNode) -> None:
         super().on_cone_begin(po)
+        # The net cache never sees these reads, so its drops cannot
+        # reach the memo: no solution may outlive its cone.
+        self.memo.clear()
         self._cone_fanouts: Dict[int, List[SubjectNode]] = {}
 
     def _true_fanouts(self, node: SubjectNode) -> List[SubjectNode]:

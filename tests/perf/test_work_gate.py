@@ -2,19 +2,25 @@
 
 The matcher and the covering DPs count their work in ``repro.obs``:
 ``match.table_entries`` (subtree results the table matcher stored),
-``match.found`` (matches it kept) and ``dp.nodes_visited`` (tree DP
-solves); ``cut.functions_computed`` (cut truth tables),
+``match.found`` (matches it kept) and ``dp.nodes_visited`` (tree and
+Lily DP solves); ``cut.functions_computed`` (cut truth tables),
 ``cut.nodes_visited`` (cut DP solves) and ``cut.states_expanded``
-((cut, binding) candidates priced).  At a fixed circuit the counts are
-deterministic, so a committed table of them gates work on any host,
-without timing noise: a change that makes any count grow fails here.
-Counts that shrink pass; re-record them with::
+((cut, binding) candidates priced); ``lily.position_evals`` (Lily
+matches priced at a tentative mapPosition).  At a fixed circuit the
+counts are deterministic, so a committed table of them gates work on
+any host, without timing noise: a change that makes any count grow fails
+here.  Counts that shrink pass; re-record them with::
 
     PYTHONPATH=src python tests/perf/test_work_gate.py
 
 Cases: the five ``paper_tables`` circuits and ``synth:19910611:1000``,
 each mapped in area mode by the MIS mapper in cone and in tree mode and
-by the cut mapper.
+by the cut mapper; and the five ``paper_tables`` circuits mapped by Lily
+in area mode and in timing mode (CM-of-Merged, as ``lily_flow`` maps
+it).  Lily's costs read a global placement whose solves run through
+BLAS, and on a 4k-gate subject graph its counts move with the BLAS
+thread count, so the synth circuit has no Lily rows; the paper circuits'
+rows repeat at one and two threads.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from pathlib import Path
 import pytest
 
 from repro.circuits.suite import build_circuit
+from repro.core.lily import LilyAreaMapper, LilyDelayMapper, LilyOptions
 from repro.library.standard import big_library
 from repro.map.cuts import CutMapper
 from repro.map.mis import MisAreaMapper
@@ -33,21 +40,31 @@ from repro.network.decompose import decompose_to_subject
 from repro.obs import OBS
 
 TABLE = Path(__file__).with_name("work_gate.json")
-CIRCUITS = ["C880", "C1908", "duke2", "e64", "apex7", "synth:19910611:1000"]
+PAPER_CIRCUITS = ["C880", "C1908", "duke2", "e64", "apex7"]
+CIRCUITS = PAPER_CIRCUITS + ["synth:19910611:1000"]
 TREE_COUNTERS = ("match.table_entries", "match.found", "dp.nodes_visited")
 CUT_COUNTERS = ("cut.functions_computed", "cut.nodes_visited",
                 "cut.states_expanded")
-#: mode -> (area mapper factory over a library, gated counters).
+LILY_COUNTERS = ("dp.nodes_visited", "lily.position_evals")
+#: mode -> (mapper factory over a library, gated counters, circuits).
 MODES = {
-    "cone": (MisAreaMapper, TREE_COUNTERS),
-    "tree": (lambda lib: MisAreaMapper(lib, tree_mode=True), TREE_COUNTERS),
-    "cuts": (CutMapper, CUT_COUNTERS),
+    "cone": (MisAreaMapper, TREE_COUNTERS, CIRCUITS),
+    "tree": (lambda lib: MisAreaMapper(lib, tree_mode=True), TREE_COUNTERS,
+             CIRCUITS),
+    "cuts": (CutMapper, CUT_COUNTERS, CIRCUITS),
+    "lily-area": (LilyAreaMapper, LILY_COUNTERS, PAPER_CIRCUITS),
+    "lily-timing": (
+        lambda lib: LilyDelayMapper(
+            lib, options=LilyOptions(position_update="cm_of_merged")),
+        LILY_COUNTERS, PAPER_CIRCUITS),
 }
+CASES = [(circuit, mode) for mode, (_, _, circuits) in MODES.items()
+         for circuit in circuits]
 
 
 def measure(circuit: str, mode: str) -> dict:
-    """The gated counters of one area mapping."""
-    make, counters = MODES[mode]
+    """The gated counters of one mapping."""
+    make, counters, _ = MODES[mode]
     subject = decompose_to_subject(build_circuit(circuit))
     mapper = make(big_library())
     was_enabled = OBS.enabled
@@ -73,8 +90,7 @@ def committed():
     return json.loads(TABLE.read_text())
 
 
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("circuit", CIRCUITS)
+@pytest.mark.parametrize("circuit,mode", CASES)
 def test_work_never_grows(committed, circuit, mode):
     counts = measure(circuit, mode)
     recorded = committed[_key(circuit, mode)]
@@ -92,11 +108,10 @@ def test_counts_repeat_exactly(mode):
 
 
 def test_table_covers_every_case(committed):
-    assert sorted(committed) == sorted(
-        _key(c, m) for c in CIRCUITS for m in MODES)
+    assert sorted(committed) == sorted(_key(c, m) for c, m in CASES)
 
 
 if __name__ == "__main__":
-    rows = {_key(c, m): measure(c, m) for c in CIRCUITS for m in MODES}
+    rows = {_key(c, m): measure(c, m) for c, m in CASES}
     TABLE.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(f"wrote {TABLE}\n")

@@ -1,11 +1,13 @@
 """Cross-cone solution reuse against the per-cone oracle.
 
-The tree and cut covering DPs keep their solutions across cones
+The tree, cut and Lily covering DPs keep their solutions across cones
 (:class:`repro.map.base.SolutionMemo`): an entry is dropped only when a
-node it read has become a hawk.  The oracle subclasses below empty the
-memo before every cone, which is how both DPs worked before reuse, and
-every cover must come out identical: mapped BLIF, cut-cover records,
-cone order and the lifecycle history, transition for transition.
+node it read has become a hawk or, for Lily, when a commit changed a net
+it priced.  The oracle subclasses below empty the memo before every
+cone, which is how the DPs worked before reuse, and every cover must
+come out identical: mapped BLIF, gate positions and arrivals, cut-cover
+records, cone order and the lifecycle history, transition for
+transition.
 
 The DP counters must add up too: every non-hawk node of a cone walk is
 either solved or reused, so ``nodes_visited + solutions_reused`` with
@@ -13,8 +15,11 @@ reuse equals ``nodes_visited`` of the oracle, which never reuses.
 
 Cases: small and mid-size Table 1/2 circuits, two ``synth:SEED:GATES``
 sizes (seeds derived from the session seed) and the random fleet, each
-in tree area/delay and cuts area/timing.  Lily opts out of reuse; the
-last test pins that it solves every cone from scratch.
+in tree area/delay, cuts area/timing and five Lily variants: area and
+delay, each with CM-of-Fans and CM-of-Merged, and area re-placing the
+partial network every three cones.  The Lily variants also audit the
+memo itself on two circuits: after every cone's DP, each kept entry must
+equal a fresh solve.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import os
 import pytest
 
 from repro.circuits.suite import build_circuit
-from repro.core.lily import LilyAreaMapper
+from repro.core.lily import LilyAreaMapper, LilyDelayMapper, LilyOptions
 from repro.map.blif_io import write_mapped_blif
 from repro.map.cuts import CutMapper
 from repro.map.mis import MisAreaMapper, MisDelayMapper
@@ -64,6 +69,39 @@ class PerConeCutMapper(CutMapper):
         super()._solve_cone(root)
 
 
+class PerConeLilyAreaMapper(LilyAreaMapper):
+    """Oracle: the Lily area DP re-solving every cone from scratch."""
+
+    def on_cone_begin(self, po) -> None:
+        self.memo.clear()
+
+
+class PerConeLilyDelayMapper(LilyDelayMapper):
+    """Oracle: the Lily delay DP re-solving every cone from scratch."""
+
+    def on_cone_begin(self, po) -> None:
+        self.memo.clear()
+
+
+#: Lily variant -> (mapper, per-cone oracle, ``LilyOptions`` fields).
+LILY_VARIANTS = {
+    "area-fans": (LilyAreaMapper, PerConeLilyAreaMapper,
+                  {"position_update": "cm_of_fans"}),
+    "area-merged": (LilyAreaMapper, PerConeLilyAreaMapper,
+                    {"position_update": "cm_of_merged"}),
+    "delay-merged": (LilyDelayMapper, PerConeLilyDelayMapper,
+                     {"position_update": "cm_of_merged"}),
+    "delay-fans": (LilyDelayMapper, PerConeLilyDelayMapper,
+                   {"position_update": "cm_of_fans"}),
+    "area-replace3": (LilyAreaMapper, PerConeLilyAreaMapper,
+                      {"replace_interval": 3}),
+}
+
+
+def _lily(mapper, options):
+    return lambda lib: mapper(lib, options=LilyOptions(**options))
+
+
 #: variant -> (mapper, oracle, counter prefix), each built from a library.
 VARIANTS = {
     "tree-area": (MisAreaMapper, PerConeAreaMapper, "dp."),
@@ -72,6 +110,8 @@ VARIANTS = {
     "cuts-timing": (lambda lib: CutMapper(lib, mode="timing"),
                     lambda lib: PerConeCutMapper(lib, mode="timing"),
                     "cut."),
+    **{f"lily-{name}": (_lily(mapper, options), _lily(oracle, options), "dp.")
+       for name, (mapper, oracle, options) in LILY_VARIANTS.items()},
 }
 
 
@@ -82,6 +122,8 @@ def _map(make, library, net):
         counters = OBS.metrics.snapshot_counters()
     fingerprint = {
         "blif": write_mapped_blif(result.mapped),
+        "gates": [(g.name, g.position, g.arrival)
+                  for g in result.mapped.gates],
         "cut_cover": [repr(r) for r in getattr(result, "cut_cover", [])],
         "cone_order": list(result.cone_order),
         "history": [(uid, a.value, b.value)
@@ -94,7 +136,7 @@ def _assert_reuse_matches_oracle(net, library, variant, label):
     make, make_oracle, prefix = VARIANTS[variant]
     got, counters, reincarnations = _map(make, library, net)
     want, oracle_counters, _ = _map(make_oracle, library, net)
-    for field in ("blif", "cut_cover", "cone_order", "history"):
+    for field in ("blif", "gates", "cut_cover", "cone_order", "history"):
         assert got[field] == want[field], (
             f"{label} {variant}: {field} differs from the per-cone oracle")
     visited = counters.get(prefix + "nodes_visited", 0)
@@ -134,13 +176,41 @@ def test_fleet_reuse_matches_per_cone_oracle(case, fleet_case, replay_hint,
                                      replay_hint("reuse", case))
 
 
-def test_lily_solves_every_cone_from_scratch(fleet_library):
-    """Lily's costs read placements that every commit moves, so it
-    empties the memo at each cone and never reuses a solution."""
-    with observed():
-        LilyAreaMapper(fleet_library).map(
-            decompose_to_subject(build_circuit("b9")))
-        counters = OBS.metrics.snapshot_counters()
-    assert counters["dp.nodes_visited"] > 0
-    assert counters.get("dp.solutions_reused", 0) == 0
-    assert counters.get("dp.solutions_invalidated", 0) == 0
+class _AuditedMemo:
+    """After each cone's DP, every kept entry must equal a fresh solve.
+
+    The oracle tests compare covers, which only read the entries a cover
+    reaches; this checks the memo itself, so a stale entry no cover
+    happened to read still fails."""
+
+    audited = 0
+
+    def _solve_cone(self, root) -> None:
+        super()._solve_cone(root)
+        by_uid = {n.uid: n for n in self.subject.nodes}
+        for uid, kept in list(self.memo.items()):
+            fresh, _reads = self.best_solution(by_uid[uid])
+            assert fresh == kept, f"stale memo entry at {by_uid[uid].name}"
+            self.audited += 1
+
+
+class AuditedLilyAreaMapper(_AuditedMemo, LilyAreaMapper):
+    """Lily area with the memo audit."""
+
+
+class AuditedLilyDelayMapper(_AuditedMemo, LilyDelayMapper):
+    """Lily delay with the memo audit."""
+
+
+AUDITED = {LilyAreaMapper: AuditedLilyAreaMapper,
+           LilyDelayMapper: AuditedLilyDelayMapper}
+
+
+@pytest.mark.parametrize("variant", sorted(LILY_VARIANTS))
+@pytest.mark.parametrize("circuit", ["b9", "apex7"])
+def test_lily_memo_entries_equal_fresh_solves(circuit, variant,
+                                              fleet_library):
+    mapper, _oracle, options = LILY_VARIANTS[variant]
+    audited = AUDITED[mapper](fleet_library, options=LilyOptions(**options))
+    audited.map(decompose_to_subject(build_circuit(circuit)))
+    assert audited.audited > 0
