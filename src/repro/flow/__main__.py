@@ -86,6 +86,7 @@ def main(argv=None) -> int:
     from repro.map.cuts import MapperSpecError, parse_mapper_spec
 
     circuits = args.circuits or None
+    _check_circuits(args.circuits)
     try:
         parse_mapper_spec(args.mapper)
     except MapperSpecError as exc:
@@ -112,6 +113,33 @@ def main(argv=None) -> int:
         return _verify(args)
     _report(args, verify)
     return 0
+
+
+def _check_circuits(names) -> None:
+    """Exit with a one-line error unless every circuit name is valid.
+
+    Runs once, before any flow: a suite name must be known and a
+    ``synth:SEED:GATES`` spec well formed (see
+    :func:`repro.circuits.suite.build_circuit`).
+    """
+    from repro.circuits.suite import SUITE
+    from repro.circuits.synth import parse_synth_spec
+
+    problems, unknown = [], []
+    for name in names:
+        if name.startswith("synth:"):
+            try:
+                parse_synth_spec(name[len("synth:"):])
+            except ValueError as exc:
+                problems.append(f"malformed circuit spec {name!r} ({exc})")
+        elif name not in SUITE:
+            unknown.append(name)
+    if unknown:
+        problems.append(
+            f"unknown circuit(s): {', '.join(unknown)} "
+            f"(known: {', '.join(sorted(SUITE))} or synth:SEED:GATES)")
+    if problems:
+        raise SystemExit("; ".join(problems))
 
 
 def _tables(args, circuits, verify, perf) -> int:
@@ -216,27 +244,17 @@ def _verify(args) -> int:
     Returns a non-zero exit code if any check fails, so the command works
     as a CI gate.
     """
-    from repro.circuits.suite import SUITE, TABLE1_CIRCUITS, build_circuit
+    from repro.circuits.suite import TABLE1_CIRCUITS, build_circuit
     from repro.flow.pipeline import lily_flow, mis_flow
     from repro.library.standard import big_library
 
     level = args.verify_level or "fast"
     library = big_library()
     failures = 0
-    # Build every circuit before the first flow, so a typo fails fast;
-    # build_circuit decides what a name means (suite or synth:SEED:GATES).
+    # ``main`` has checked every name.
     names = args.circuits or TABLE1_CIRCUITS
-    nets, unknown = [], []
     for name in names:
-        try:
-            nets.append(build_circuit(name, scale=args.scale))
-        except KeyError:
-            unknown.append(name)
-    if unknown:
-        raise SystemExit(
-            f"unknown circuit(s): {', '.join(unknown)} "
-            f"(known: {', '.join(sorted(SUITE))} or synth:SEED:GATES)")
-    for name, net in zip(names, nets):
+        net = build_circuit(name, scale=args.scale)
         for flow_fn in (mis_flow, lily_flow):
             if flow_fn is mis_flow:
                 result = flow_fn(net, library, mode=args.mode, verify=level,

@@ -280,6 +280,9 @@ def mis_flow(
                 mapper_obj = MisDelayMapper(library, matcher=matcher)
         with OBS.span("map", gates=len(subject.gates)):
             result = mapper_obj.map(subject)
+        # Nothing after the cover reads the mapper: release its tables
+        # and per-run state before the back end allocates.
+        del mapper_obj
         with OBS.span("pads"):
             pad_order = io_affinity_order(net)
             pad_order = _mapped_terminal_names(result.mapped, pad_order)
@@ -367,6 +370,9 @@ def lily_flow(
                 )
         with OBS.span("map", gates=len(subject.gates)):
             result = mapper.map(subject)
+        # As in mis_flow: the back end never reads the mapper (its net
+        # cache, placement state and bound matcher).
+        del mapper
         backend_pad_order = _mapped_terminal_names(result.mapped, pad_order)
         seed = None
         if seed_backend_from_mapper:

@@ -179,14 +179,16 @@ def rect_distance_x(x: float, r: Rect) -> float:
         ``f(x) = (|r.lx - x| + |r.ux - x| - (r.ux - r.lx)) / 2``
 
     It is zero when ``x`` lies within the rectangle's x-extent and grows
-    linearly outside.
+    linearly outside.  It is computed as ``max(r.lx - x, 0, x - r.ux)``,
+    the same value without the cancellation that let a point inside read
+    as a tiny negative distance.
     """
-    return (abs(r.lx - x) + abs(r.ux - x) - (r.ux - r.lx)) / 2.0
+    return max(r.lx - x, 0.0, x - r.ux)
 
 
 def rect_distance_y(y: float, r: Rect) -> float:
     """Vertical distance from ordinate ``y`` to rectangle ``r``."""
-    return (abs(r.ly - y) + abs(r.uy - y) - (r.uy - r.ly)) / 2.0
+    return max(r.ly - y, 0.0, y - r.uy)
 
 
 def rect_manhattan_distance(p: Point, r: Rect) -> float:

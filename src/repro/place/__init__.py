@@ -10,7 +10,7 @@ from repro.place.hypergraph import (
     subject_netlist,
 )
 from repro.place.quadratic import solve_quadratic
-from repro.place.fm import fm_bipartition
+from repro.place.fm import fm_refine
 from repro.place.global_place import GlobalPlacement, GlobalPlacer
 from repro.place.pads import assign_pads, perimeter_slots
 from repro.place.detailed import DetailedPlacement, Row, detailed_place
@@ -24,7 +24,7 @@ __all__ = [
     "AnnealStats",
     "simulated_annealing",
     "solve_quadratic",
-    "fm_bipartition",
+    "fm_refine",
     "GlobalPlacement",
     "GlobalPlacer",
     "assign_pads",

@@ -11,16 +11,26 @@ region holds at most ``min_cells_per_region`` cells — the paper's
 The result is the *balanced point placement* Lily needs: gates uniformly
 distributed over the image, no over- or under-subscribed subregions, pads
 fixed on the boundary.
+
+The placer indexes the netlist once and then works on integer ids:
+movables ``0..n-1`` in ``netlist.movables`` order (the quadratic system's
+index order), fixed terminals after them, nets as id lists.  Positions
+stay in coordinate arrays between levels, each level's anchors go into
+the solve as arrays, and the name-keyed :class:`GlobalPlacement` is
+built once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.geometry import Point, Rect
 from repro.obs import OBS
-from repro.place.fm import fm_bipartition
+from repro.place.fm import fm_refine
 from repro.place.hypergraph import PlacementNetlist
 from repro.place.quadratic import QuadraticSystem
 
@@ -72,18 +82,17 @@ class GlobalPlacer:
         netlist.check()
         if not netlist.movables:
             return GlobalPlacement({}, region, [region], {})
-        cell_nets = _cell_net_ids(netlist)
+        index = _NetlistIndex(netlist)
+        n = len(netlist.movables)
         # One cached assembly serves every partitioning level: anchors
         # only touch the diagonal/rhs, so each level's re-solve skips the
         # net traversal while building a bitwise-identical system.
-        with OBS.span("place.quadratic", cells=len(netlist.movables)):
+        with OBS.span("place.quadratic", cells=n):
             system = QuadraticSystem(netlist, region)
-            positions = system.solve()
+            xs, ys = system.solve_arrays()
         if OBS.enabled:
             OBS.metrics.counter("place.quadratic_solves").inc()
-        partitions: List[Tuple[Rect, List[str]]] = [
-            (region, list(netlist.movables))
-        ]
+        partitions: List[Tuple[Rect, List[int]]] = [(region, list(range(n)))]
         levels_run = 0
         for level in range(self.max_levels):
             if all(
@@ -91,78 +100,80 @@ class GlobalPlacer:
                 for _rect, cells in partitions
             ):
                 break
-            partitions = self._split_level(partitions, netlist, cell_nets,
-                                           positions, level)
+            partitions = self._split_level(partitions, index,
+                                           index.axes(xs, ys, region))
             levels_run = level + 1
             anchor_weight = self.anchor_base * (2.0 ** level)
-            anchors = {}
-            for rect, cells in partitions:
-                center = rect.center
-                for cell in cells:
-                    anchors[cell] = (center, anchor_weight)
+            anchor_x, anchor_y = _region_centers(partitions, n)
             with OBS.span("place.quadratic", level=level,
                           partitions=len(partitions)):
-                positions = system.solve(anchors=anchors)
+                xs, ys = system.solve_arrays(anchor_weight, anchor_x,
+                                             anchor_y)
             if OBS.enabled:
                 OBS.metrics.counter("place.quadratic_solves").inc()
         if OBS.enabled:
             OBS.metrics.counter("place.partitions").inc(len(partitions))
             OBS.metrics.gauge("place.levels").set(levels_run)
 
+        # The result outlives the index and the system: free them first,
+        # so its objects can fill their memory (a second placement in the
+        # same process then peaks lower).
+        del index, system
+        # Clip into the image, then into the leaf, one cell at a time:
+        # Python's min/max keep each bound's type and each zero's sign.
+        xs = xs.tolist()
+        ys = ys.tolist()
+        names = netlist.movables
         final: Dict[str, Point] = {}
         assignment: Dict[str, int] = {}
         leaf_regions: List[Rect] = []
         for region_index, (rect, cells) in enumerate(partitions):
             leaf_regions.append(rect)
             for cell in cells:
-                p = positions[cell]
-                final[cell] = Point(
-                    min(max(p.x, rect.lx), rect.ux),
-                    min(max(p.y, rect.ly), rect.uy),
+                x = float(min(max(xs[cell], region.lx), region.ux))
+                y = float(min(max(ys[cell], region.ly), region.uy))
+                name = names[cell]
+                final[name] = Point(
+                    min(max(x, rect.lx), rect.ux),
+                    min(max(y, rect.ly), rect.uy),
                 )
-                assignment[cell] = region_index
+                assignment[name] = region_index
         return GlobalPlacement(final, region, leaf_regions, assignment)
 
     # -- partitioning -------------------------------------------------------
 
     def _split_level(
         self,
-        partitions: List[Tuple[Rect, List[str]]],
-        netlist: PlacementNetlist,
-        cell_nets: Dict[str, List[int]],
-        positions: Dict[str, Point],
-        level: int,
-    ) -> List[Tuple[Rect, List[str]]]:
-        out: List[Tuple[Rect, List[str]]] = []
+        partitions: List[Tuple[Rect, List[int]]],
+        index: "_NetlistIndex",
+        axes,
+    ) -> List[Tuple[Rect, List[int]]]:
+        out: List[Tuple[Rect, List[int]]] = []
         for rect, cells in partitions:
             if len(cells) <= self.min_cells_per_region:
                 out.append((rect, cells))
                 continue
-            out.extend(self._split_region(rect, cells, netlist, cell_nets,
-                                          positions))
+            out.extend(self._split_region(rect, cells, index, axes))
         return out
 
     def _split_region(
         self,
         rect: Rect,
-        cells: List[str],
-        netlist: PlacementNetlist,
-        cell_nets: Dict[str, List[int]],
-        positions: Dict[str, Point],
-    ) -> List[Tuple[Rect, List[str]]]:
+        cells: List[int],
+        index: "_NetlistIndex",
+        axes,
+    ) -> List[Tuple[Rect, List[int]]]:
         """Split one region in two along its longer dimension."""
         vertical_cut = rect.width >= rect.height  # cut x if wide
-        coordinate = (
-            (lambda c: positions[c].x) if vertical_cut else (lambda c: positions[c].y)
-        )
-        ordered = sorted(cells, key=lambda c: (coordinate(c), c))
-        sizes = netlist.sizes
-        total = sum(sizes.get(c, 1.0) for c in cells)
+        coordinate, order = axes[0] if vertical_cut else axes[1]
+        ordered = sorted(cells, key=order.__getitem__)
+        size = index.size
+        total = sum([size[c] for c in cells])
         # Area-weighted median split.
         acc = 0.0
         split_at = len(ordered) // 2
         for i, cell in enumerate(ordered):
-            acc += sizes.get(cell, 1.0)
+            acc += size[cell]
             if acc >= total / 2.0:
                 split_at = min(max(i + 1, 1), len(ordered) - 1)
                 break
@@ -172,13 +183,11 @@ class GlobalPlacer:
         if self.use_fm and len(cells) >= 8:
             with OBS.span("place.fm", cells=len(cells)):
                 low_cells, high_cells = self._refine_split(
-                    low_cells, high_cells, netlist, cell_nets, positions,
-                    vertical_cut,
-                )
+                    low_cells, high_cells, index, coordinate)
             if not low_cells or not high_cells:
                 low_cells, high_cells = ordered[:split_at], ordered[split_at:]
 
-        low_area = sum(sizes.get(c, 1.0) for c in low_cells)
+        low_area = sum([size[c] for c in low_cells])
         ratio = low_area / total if total > 0 else 0.5
         ratio = min(max(ratio, 0.2), 0.8)
         if vertical_cut:
@@ -193,79 +202,150 @@ class GlobalPlacer:
 
     def _refine_split(
         self,
-        low_cells: List[str],
-        high_cells: List[str],
-        netlist: PlacementNetlist,
-        cell_nets: Dict[str, List[int]],
-        positions: Dict[str, Point],
-        vertical_cut: bool,
-    ) -> Tuple[List[str], List[str]]:
+        low_cells: List[int],
+        high_cells: List[int],
+        index: "_NetlistIndex",
+        coordinate: List[float],
+    ) -> Tuple[List[int], List[int]]:
         """FM refinement of a geometric split.
 
-        The region's nets are those holding one of its cells, found from
-        ``cell_nets`` and visited in netlist order.  Pins outside the
-        region (other cells and pads) are fixed on the side their current
-        position suggests.
+        Both halves arrive sorted by ``coordinate``, so the split line
+        lies midway between the last low cell and the first high one.
+        FM sees the region's cells as local ids in name order and each
+        net holding one of them once.  Pins outside the region (other
+        cells and pads) are fixed on the side their current position
+        suggests.
         """
-        cells = sorted(low_cells + high_cells)
-        cut_coord = _mean_boundary(positions, low_cells, high_cells, vertical_cut)
-        initial: Dict[str, int] = {}
-        for c in low_cells:
-            initial[c] = 0
-        for c in high_cells:
-            initial[c] = 1
+        cells = sorted(low_cells + high_cells, key=index.rank.__getitem__)
+        cut_coord = (coordinate[low_cells[-1]]
+                     + coordinate[high_cells[0]]) / 2.0
+        local = index.local
+        for i, cell in enumerate(cells):
+            local[cell] = i
+        side = [0] * len(cells)
+        for cell in high_cells:
+            side[local[cell]] = 1
 
-        net_ids = set()
-        for c in cells:
-            net_ids.update(cell_nets[c])
-        nets = netlist.nets
-        relevant_nets: List[List[str]] = []
-        for net_id in sorted(net_ids):
-            net = nets[net_id]
-            relevant_nets.append(net)
-            for pin in net:
-                if pin in initial:
+        index.refinements += 1
+        stamp = index.refinements
+        seen = index.net_seen
+        net_pins = index.nets
+        cell_nets = index.cell_nets
+        nets: List[List[int]] = []
+        count0: List[int] = []
+        count1: List[int] = []
+        for cell in cells:
+            for net in cell_nets[cell]:
+                if seen[net] == stamp:
                     continue
-                p = netlist.fixed.get(pin) or positions.get(pin)
-                if p is None:
-                    continue
-                value = p.x if vertical_cut else p.y
-                initial[pin] = 0 if value <= cut_coord else 1
-        if OBS.enabled:
-            OBS.metrics.counter("place.fm_refinements").inc()
-            OBS.metrics.counter("place.fm_nets").inc(len(relevant_nets))
-            OBS.metrics.counter("place.fm_cells").inc(len(cells))
-
-        refined = fm_bipartition(
-            cells,
-            relevant_nets,
-            initial,
-            sizes=netlist.sizes,
-            balance_tolerance=0.1,
-            max_passes=2,
+                seen[net] = stamp
+                pins: List[int] = []
+                low = high = 0
+                for pin in net_pins[net]:
+                    i = local[pin]
+                    if i >= 0:
+                        pins.append(i)
+                    elif coordinate[pin] <= cut_coord:
+                        low += 1
+                    else:
+                        high += 1
+                nets.append(pins)
+                count0.append(low)
+                count1.append(high)
+        size = index.size
+        moves, updates = fm_refine(
+            side, [size[c] for c in cells], nets, count0, count1,
+            balance_tolerance=0.1, max_passes=2,
         )
-        new_low = [c for c in cells if refined[c] == 0]
-        new_high = [c for c in cells if refined[c] == 1]
+        for cell in cells:
+            local[cell] = -1
+        if OBS.enabled:
+            metrics = OBS.metrics
+            metrics.counter("place.fm_refinements").inc()
+            metrics.counter("place.fm_nets").inc(len(nets))
+            metrics.counter("place.fm_cells").inc(len(cells))
+            metrics.counter("place.fm_moves").inc(moves)
+            metrics.counter("place.fm_gain_updates").inc(updates)
+        new_low = [c for c, s in zip(cells, side) if s == 0]
+        new_high = [c for c, s in zip(cells, side) if s == 1]
         return new_low, new_high
 
 
-def _cell_net_ids(netlist: PlacementNetlist) -> Dict[str, List[int]]:
-    """Movable cell -> ids of the nets it is a pin of, ascending."""
-    cell_nets: Dict[str, List[int]] = {c: [] for c in netlist.movables}
-    for net_id, net in enumerate(netlist.nets):
-        for pin in net:
-            ids = cell_nets.get(pin)
-            if ids is not None and (not ids or ids[-1] != net_id):
-                ids.append(net_id)
-    return cell_nets
+class _NetlistIndex:
+    """Integer view of a placement netlist, built once per placement.
+
+    Movables are ids ``0..n-1`` in ``netlist.movables`` order; fixed
+    terminals follow in ``netlist.fixed`` order.
+
+    Attributes:
+        rank: per movable, its position in name order, so sorting by
+            rank is sorting by name.
+        size: per movable, its area (``sizes.get(name, 1.0)``).
+        nets: each net as a list of pin ids, repeats kept.
+        cell_nets: per movable, the ids of the nets it is a pin of,
+            ascending, each once.
+        local: FM scratch, movable id -> id within the region being
+            refined; -1 outside it (always for fixed terminals).
+        net_seen: FM scratch, net -> the number of the last refinement
+            that took it (``refinements`` counts them).
+    """
+
+    def __init__(self, netlist: PlacementNetlist) -> None:
+        movables = netlist.movables
+        n = len(movables)
+        ids = {name: i for i, name in enumerate(movables)}
+        for name in netlist.fixed:
+            ids[name] = len(ids)
+        self.rank = [0] * n
+        for r, cell in enumerate(sorted(range(n), key=movables.__getitem__)):
+            self.rank[cell] = r
+        sizes = netlist.sizes
+        self.size = [sizes.get(name, 1.0) for name in movables]
+        self.nets = [[ids[pin] for pin in net] for net in netlist.nets]
+        self.cell_nets: List[List[int]] = [[] for _ in range(n)]
+        for net_id, pins in enumerate(self.nets):
+            for pin in pins:
+                if pin < n:
+                    nets_of_cell = self.cell_nets[pin]
+                    if not nets_of_cell or nets_of_cell[-1] != net_id:
+                        nets_of_cell.append(net_id)
+        fixed = netlist.fixed.values()
+        self._fixed_x = [p.x for p in fixed]
+        self._fixed_y = [p.y for p in fixed]
+        self.local = [-1] * len(ids)
+        self.net_seen = [0] * len(self.nets)
+        self.refinements = 0
+
+    def axes(self, xs: np.ndarray, ys: np.ndarray, region: Rect):
+        """Per axis, ``(coordinate, order)`` for one partitioning level.
+
+        ``coordinate`` holds every pin's coordinate: the solution clipped
+        into the region for movables, then the fixed terminals.
+        ``order`` is each movable's position when all are sorted by
+        (coordinate, name), so sorting a region's cells by it sorts them
+        by (coordinate, name).
+        """
+        out = []
+        for values, lo, hi, fixed in (
+            (xs, region.lx, region.ux, self._fixed_x),
+            (ys, region.ly, region.uy, self._fixed_y),
+        ):
+            clipped = np.minimum(np.maximum(values, lo), hi)
+            order = np.empty(len(clipped), dtype=np.int64)
+            order[np.lexsort((self.rank, clipped))] = np.arange(len(clipped))
+            out.append((clipped.tolist() + fixed, order.tolist()))
+        return out
 
 
-def _mean_boundary(positions, low_cells, high_cells, vertical_cut) -> float:
-    """Coordinate of the split line between the two cell groups."""
-    def value(cell: str) -> float:
-        p = positions[cell]
-        return p.x if vertical_cut else p.y
-
-    low_max = max(value(c) for c in low_cells)
-    high_min = min(value(c) for c in high_cells)
-    return (low_max + high_min) / 2.0
+def _region_centers(
+    partitions: List[Tuple[Rect, List[int]]], n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per movable, the centre of its region: the level's anchor points."""
+    centers = [rect.center for rect, _cells in partitions]
+    counts = [len(cells) for _rect, cells in partitions]
+    cells = list(chain.from_iterable(cells for _rect, cells in partitions))
+    anchor_x = np.empty(n)
+    anchor_y = np.empty(n)
+    anchor_x[cells] = np.repeat([p.x for p in centers], counts)
+    anchor_y[cells] = np.repeat([p.y for p in centers], counts)
+    return anchor_x, anchor_y

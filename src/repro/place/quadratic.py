@@ -127,24 +127,93 @@ class QuadraticSystem:
         anchors: Optional[Dict[str, Tuple[Point, float]]] = None,
         initial: Optional[Dict[str, Point]] = None,
     ) -> Dict[str, Point]:
-        """Solve for all movable cells; see :func:`solve_quadratic`."""
+        """Solve for all movable cells; see :func:`solve_quadratic`.
+
+        The name-keyed front of :meth:`solve_arrays`: anchors become
+        index and value arrays, and the solution is clipped into the
+        region cell by cell.
+        """
         n = self.n
         if n == 0:
             return {}
         region = self.region
-        center = self._center
         index = self.index
 
+        anchored = weights = anchor_x = anchor_y = None
+        if anchors:
+            anchored, weights, anchor_x, anchor_y = [], [], [], []
+            for name, (point, weight) in anchors.items():
+                i = index.get(name)
+                if i is None:
+                    continue
+                anchored.append(i)
+                weights.append(weight)
+                anchor_x.append(point.x)
+                anchor_y.append(point.y)
+        x0 = y0 = None
+        if initial is not None:
+            center = self._center
+            x0 = np.full(n, center.x)
+            y0 = np.full(n, center.y)
+            for name, i in index.items():
+                p = initial.get(name)
+                if p is not None:
+                    x0[i] = p.x
+                    y0[i] = p.y
+
+        xs, ys = self.solve_arrays(weights, anchor_x, anchor_y,
+                                   anchored=anchored, x0=x0, y0=y0)
+        xs = xs.tolist()
+        ys = ys.tolist()
+        out: Dict[str, Point] = {}
+        for name, i in index.items():
+            x = min(max(xs[i], region.lx), region.ux)
+            y = min(max(ys[i], region.ly), region.uy)
+            out[name] = Point(float(x), float(y))
+        return out
+
+    def solve_arrays(
+        self,
+        weight=None,
+        anchor_x=None,
+        anchor_y=None,
+        anchored=None,
+        x0: Optional[np.ndarray] = None,
+        y0: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Unclipped ``(x, y)`` solution arrays in ``netlist.movables`` order.
+
+        Args:
+            weight: anchor spring weight, a scalar or one per anchor;
+                ``None`` solves without anchors.
+            anchor_x, anchor_y: the anchor points' coordinates.
+            anchored: cell indices of the anchors, each at most once;
+                ``None`` anchors every cell, in index order.
+            x0, y0: optional CG starting point (see :func:`solve_quadratic`).
+
+        Each anchor adds ``weight`` to its cell's diagonal and
+        ``weight * anchor`` to its right-hand sides, the same IEEE
+        operations as one scalar update per cell.
+        """
+        n = self.n
+        if n == 0:
+            return np.empty(0), np.empty(0)
         diag = self._diag.copy()
         bx = self._bx.copy()
         by = self._by.copy()
-        for name, (point, weight) in (anchors or {}).items():
-            i = index.get(name)
-            if i is None:
-                continue
-            diag[i] += weight
-            bx[i] += weight * point.x
-            by[i] += weight * point.y
+        if weight is not None:
+            weight = np.asarray(weight, dtype=np.float64)
+            anchor_x = np.asarray(anchor_x, dtype=np.float64)
+            anchor_y = np.asarray(anchor_y, dtype=np.float64)
+            if anchored is None:
+                diag += weight
+                bx += weight * anchor_x
+                by += weight * anchor_y
+            else:
+                anchored = np.asarray(anchored, dtype=np.int64)
+                diag[anchored] += weight
+                bx[anchored] += weight * anchor_x
+                by[anchored] += weight * anchor_y
 
         # Off-diagonal stream first, then the (anchored) diagonal: the
         # COO->CSR duplicate summation runs in naive entry order, so the
@@ -155,25 +224,9 @@ class QuadraticSystem:
         vals = np.concatenate([self._vals, diag])
         laplacian = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
-        x0 = y0 = None
-        if initial is not None:
-            x0 = np.full(n, center.x)
-            y0 = np.full(n, center.y)
-            for name, i in index.items():
-                p = initial.get(name)
-                if p is not None:
-                    x0[i] = p.x
-                    y0[i] = p.y
-
-        xs = _solve_spd(laplacian, bx, center.x, x0=x0)
-        ys = _solve_spd(laplacian, by, center.y, x0=y0)
-
-        out: Dict[str, Point] = {}
-        for name, i in index.items():
-            x = min(max(xs[i], region.lx), region.ux)
-            y = min(max(ys[i], region.ly), region.uy)
-            out[name] = Point(float(x), float(y))
-        return out
+        center = self._center
+        return (_solve_spd(laplacian, bx, center.x, x0=x0),
+                _solve_spd(laplacian, by, center.y, x0=y0))
 
 
 def solve_quadratic(

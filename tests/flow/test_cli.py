@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -38,6 +40,36 @@ class TestCli:
     def test_verify_rejects_unknown_circuit(self):
         with pytest.raises(SystemExit, match=r"unknown circuit\(s\): nope"):
             main(["verify", "nope"])
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "synth:5"],
+        ["table1", "synth:5"],
+        ["table2", "synth:1:0"],
+        ["report", "synth:x:5", "--no-verify"],
+        ["table1", "misex1", "synth:5", "--no-verify", "--server"],
+    ])
+    def test_malformed_synth_spec_is_a_command_error(self, argv):
+        with pytest.raises(SystemExit,
+                           match=r"^malformed circuit spec 'synth:[^;]*$"):
+            main(argv)
+
+    def test_table_rejects_unknown_circuit(self):
+        with pytest.raises(SystemExit, match=r"unknown circuit\(s\): nope"):
+            main(["table1", "nope", "misex1", "--no-verify"])
+
+    def test_bad_circuit_exits_without_traceback(self):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.flow", "verify", "synth:5", "nope"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode != 0
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert done.stderr.strip().count("\n") == 0
+        assert "malformed circuit spec 'synth:5'" in done.stderr
+        assert "unknown circuit(s): nope" in done.stderr
 
     def test_report_requires_circuit(self):
         with pytest.raises(SystemExit):

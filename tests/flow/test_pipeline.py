@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
+import repro.flow.pipeline as pipeline
 from repro.circuits.suite import build_circuit
 from repro.core.lily import LilyOptions
 from repro.flow.pipeline import lily_flow, mis_flow, pads_from_order
 from repro.geometry import Rect
 from repro.library.standard import big_library
+from repro.map.base import BaseMapper
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +121,36 @@ class TestSharedBackend:
         k = lily_ring.index(mis_ring[0])
         rotated = lily_ring[k:] + lily_ring[:k]
         assert rotated == mis_ring
+
+
+class TestMapperReleased:
+    """The back end runs without the mapper: nothing after the cover
+    reads it, so its tables and per-run state are freed first."""
+
+    @pytest.mark.parametrize("flow,mode", [
+        ("mis", "area"), ("mis", "timing"),
+        ("lily", "area"), ("lily", "timing"),
+    ])
+    def test_mapper_dead_when_backend_starts(self, monkeypatch, misex1, lib,
+                                             flow, mode):
+        mappers = []
+        real_map = BaseMapper.map
+
+        def tracked_map(self, subject):
+            mappers.append(weakref.ref(self))
+            return real_map(self, subject)
+
+        alive = []
+        real_backend = pipeline.place_and_route
+
+        def checked_backend(*args, **kwargs):
+            alive.extend(ref() is not None for ref in mappers)
+            return real_backend(*args, **kwargs)
+
+        monkeypatch.setattr(BaseMapper, "map", tracked_map)
+        monkeypatch.setattr(pipeline, "place_and_route", checked_backend)
+        run = mis_flow if flow == "mis" else lily_flow
+        result = run(misex1, lib, mode=mode, verify=False)
+        assert len(mappers) == 1
+        assert alive == [False]
+        assert result.map_result.num_gates > 0

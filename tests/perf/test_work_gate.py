@@ -1,4 +1,4 @@
-"""Exact work gate for matching and covering.
+"""Exact work gate for matching, covering and global placement.
 
 The matcher and the covering DPs count their work in ``repro.obs``:
 ``match.table_entries`` (subtree results the table matcher stored),
@@ -6,21 +6,27 @@ The matcher and the covering DPs count their work in ``repro.obs``:
 Lily DP solves); ``cut.functions_computed`` (cut truth tables),
 ``cut.nodes_visited`` (cut DP solves) and ``cut.states_expanded``
 ((cut, binding) candidates priced); ``lily.position_evals`` (Lily
-matches priced at a tentative mapPosition).  At a fixed circuit the
-counts are deterministic, so a committed table of them gates work on
-any host, without timing noise: a change that makes any count grow fails
-here.  Counts that shrink pass; re-record them with::
+matches priced at a tentative mapPosition).  The global placer's FM
+refinement counts ``place.fm_cells`` and ``place.fm_nets`` (cells and
+nets handed to FM), ``place.fm_moves`` (tentative moves) and
+``place.fm_gain_updates`` (gain deltas applied to free cells).  At a
+fixed circuit the counts are deterministic, so a committed table of
+them gates work on any host, without timing noise: a change that makes
+any count grow fails here.  Counts that shrink pass; re-record them
+with::
 
     PYTHONPATH=src python tests/perf/test_work_gate.py
 
 Cases: the five ``paper_tables`` circuits and ``synth:19910611:1000``,
 each mapped in area mode by the MIS mapper in cone and in tree mode and
-by the cut mapper; and the five ``paper_tables`` circuits mapped by Lily
+by the cut mapper; the five ``paper_tables`` circuits mapped by Lily
 in area mode and in timing mode (CM-of-Merged, as ``lily_flow`` maps
-it).  Lily's costs read a global placement whose solves run through
-BLAS, and on a 4k-gate subject graph its counts move with the BLAS
-thread count, so the synth circuit has no Lily rows; the paper circuits'
-rows repeat at one and two threads.
+it); and Lily's initial placement of the same five (``place``).  Lily's
+costs and the FM counts read a global placement whose solves run
+through BLAS, and on a 4k-gate subject graph Lily's counts move with
+the BLAS thread count, so the synth circuit has no Lily or placement
+rows; the paper circuits' rows repeat at one and two threads (CI runs
+this file at one BLAS thread as well as at the runner's default).
 """
 
 from __future__ import annotations
@@ -46,33 +52,40 @@ TREE_COUNTERS = ("match.table_entries", "match.found", "dp.nodes_visited")
 CUT_COUNTERS = ("cut.functions_computed", "cut.nodes_visited",
                 "cut.states_expanded")
 LILY_COUNTERS = ("dp.nodes_visited", "lily.position_evals")
-#: mode -> (mapper factory over a library, gated counters, circuits).
+PLACE_COUNTERS = ("place.fm_cells", "place.fm_nets", "place.fm_moves",
+                  "place.fm_gain_updates")
+#: mode -> (library -> the measured step over a subject graph, gated
+#: counters, circuits).
 MODES = {
-    "cone": (MisAreaMapper, TREE_COUNTERS, CIRCUITS),
-    "tree": (lambda lib: MisAreaMapper(lib, tree_mode=True), TREE_COUNTERS,
-             CIRCUITS),
-    "cuts": (CutMapper, CUT_COUNTERS, CIRCUITS),
-    "lily-area": (LilyAreaMapper, LILY_COUNTERS, PAPER_CIRCUITS),
+    "cone": (lambda lib: MisAreaMapper(lib).map, TREE_COUNTERS, CIRCUITS),
+    "tree": (lambda lib: MisAreaMapper(lib, tree_mode=True).map,
+             TREE_COUNTERS, CIRCUITS),
+    "cuts": (lambda lib: CutMapper(lib).map, CUT_COUNTERS, CIRCUITS),
+    "lily-area": (lambda lib: LilyAreaMapper(lib).map, LILY_COUNTERS,
+                  PAPER_CIRCUITS),
     "lily-timing": (
         lambda lib: LilyDelayMapper(
-            lib, options=LilyOptions(position_update="cm_of_merged")),
+            lib, options=LilyOptions(position_update="cm_of_merged")).map,
         LILY_COUNTERS, PAPER_CIRCUITS),
+    # Lily's first step alone: ``on_begin`` places the subject graph.
+    "place": (lambda lib: LilyAreaMapper(lib).on_begin, PLACE_COUNTERS,
+              PAPER_CIRCUITS),
 }
 CASES = [(circuit, mode) for mode, (_, _, circuits) in MODES.items()
          for circuit in circuits]
 
 
 def measure(circuit: str, mode: str) -> dict:
-    """The gated counters of one mapping."""
+    """The gated counters of one mapping (or placement)."""
     make, counters, _ = MODES[mode]
     subject = decompose_to_subject(build_circuit(circuit))
-    mapper = make(big_library())
+    step = make(big_library())
     was_enabled = OBS.enabled
     if not was_enabled:
         OBS.enable()
     try:
         before = OBS.metrics.snapshot_counters()
-        mapper.map(subject)
+        step(subject)
         after = OBS.metrics.snapshot_counters()
     finally:
         if not was_enabled:

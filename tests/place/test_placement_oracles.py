@@ -1,12 +1,14 @@
 """Global placement and pad ordering against the code they replaced.
 
-``GlobalPlacer._refine_split`` takes a region's nets from a per-cell
-incidence built once per placement.  :class:`ScanPlacer` keeps the scan
-it replaced: every net of the netlist, tested for a pin in the region.
-Both hand FM the same nets in the same order, so placements must be
-identical: positions, assignment and leaf regions.  The work-bound test
-pins the point of the incidence: one placement iterates
-``netlist.nets`` a constant number of times, not once per FM region.
+``GlobalPlacer`` indexes the netlist once and runs on integer ids: FM on
+local cell ids with delta gain updates, positions in coordinate arrays
+between levels.  :class:`oracles.place.ReferencePlacer` is the
+string-keyed placer it replaced, with each FM region's nets found by a
+scan of every net and every gain recomputed after each move.  The two
+must give identical placements: positions, assignment and leaf regions.
+The work-bound test pins the point of the per-cell incidence: one
+placement iterates ``netlist.nets`` a constant number of times, not once
+per FM region.
 
 ``io_affinity_order`` computes terminal affinities as the Gram product of
 a cone-incidence matrix and decomposes the Laplacian in place with LAPACK
@@ -23,6 +25,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pytest
 
+from oracles.place import ReferencePlacer
 from repro.circuits.suite import TABLE1_CIRCUITS, TABLE2_CIRCUITS, build_circuit
 from repro.core.lily import LilyOptions
 from repro.flow.pipeline import (
@@ -40,11 +43,11 @@ from repro.map.netlist import MappedNetwork
 from repro.network.decompose import decompose_to_subject
 from repro.network.network import Network
 from repro.obs import observed
-from repro.place.fm import fm_bipartition
-from repro.place.global_place import GlobalPlacer, _mean_boundary
+from repro.place.global_place import GlobalPlacer
 from repro.place.hypergraph import (
     PlacementNetlist,
     mapped_netlist,
+    network_netlist,
     subject_netlist,
 )
 from repro.place.pads import _eigh_in_place, io_affinity_order
@@ -56,52 +59,6 @@ LAYOUT_CIRCUIT = "synth:19910611:1500"
 PAD_CIRCUITS = sorted(set(TABLE1_CIRCUITS) | set(TABLE2_CIRCUITS)) + [
     "synth:19910611:1000", LAYOUT_CIRCUIT, "synth:19910611:4000",
 ]
-
-
-class ScanPlacer(GlobalPlacer):
-    """Oracle: each FM region's nets come from a scan of every net.
-
-    ``relevant_nets`` and ``relevant_cells`` sum the nets and cells
-    handed to FM over all refinements.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.relevant_nets = 0
-        self.relevant_cells = 0
-
-    def _refine_split(self, low_cells, high_cells, netlist, cell_nets,
-                      positions, vertical_cut):
-        local = set(low_cells) | set(high_cells)
-        cut_coord = _mean_boundary(positions, low_cells, high_cells,
-                                   vertical_cut)
-        initial: Dict[str, int] = {}
-        for c in low_cells:
-            initial[c] = 0
-        for c in high_cells:
-            initial[c] = 1
-        relevant_nets: List[List[str]] = []
-        for net in netlist.nets:
-            if not any(pin in local for pin in net):
-                continue
-            relevant_nets.append(net)
-            for pin in net:
-                if pin in initial:
-                    continue
-                p = netlist.fixed.get(pin) or positions.get(pin)
-                if p is None:
-                    continue
-                value = p.x if vertical_cut else p.y
-                initial[pin] = 0 if value <= cut_coord else 1
-        self.relevant_nets += len(relevant_nets)
-        self.relevant_cells += len(local)
-        refined = fm_bipartition(
-            sorted(local), relevant_nets, initial, sizes=netlist.sizes,
-            balance_tolerance=0.1, max_passes=2,
-        )
-        new_low = [c for c in sorted(local) if refined[c] == 0]
-        new_high = [c for c in sorted(local) if refined[c] == 1]
-        return new_low, new_high
 
 
 def pair_loop_order(network) -> List[str]:
@@ -208,14 +165,29 @@ def random_netlist(rng, cells: int) -> Tuple[PlacementNetlist, Rect]:
     return netlist, region
 
 
+def source_netlist(name: str) -> Tuple[PlacementNetlist, Rect]:
+    """The source-network netlist layout-driven decomposition places:
+    SOP nodes sized by literal count, so sizes are not all one."""
+    net = build_circuit(name)
+    region = subject_image(max(net.num_literals(), 1))
+    pads = pads_from_order(io_affinity_order(net), region)
+    return network_netlist(net, pads), region
+
+
 def assert_same_placement(netlist, region, min_cells_per_region=8):
-    """The placer and the oracle give the same placement."""
-    oracle = ScanPlacer(min_cells_per_region=min_cells_per_region)
+    """The placer and the reference placer give the same placement.
+
+    Points compare by ``repr`` as well, so a coordinate that changed
+    type or the sign of a zero fails too; the dicts keep their
+    insertion order.
+    """
+    oracle = ReferencePlacer(min_cells_per_region=min_cells_per_region)
     want = oracle.place(netlist, region)
     got = GlobalPlacer(min_cells_per_region=min_cells_per_region).place(
         netlist, region)
-    assert got.positions == want.positions
-    assert got.assignment == want.assignment
+    assert list(got.positions.items()) == list(want.positions.items())
+    assert repr(got.positions) == repr(want.positions)
+    assert list(got.assignment.items()) == list(want.assignment.items())
     assert got.leaf_regions == want.leaf_regions
     assert oracle.relevant_nets > 0
 
@@ -227,7 +199,10 @@ def layout_netlist():
 
 
 class TestScanOracle:
-    @pytest.mark.parametrize("name", ["C880", "apex7"])
+    """Against the reference placer, which scans every net per region."""
+
+    @pytest.mark.parametrize("name", ["C880", "apex7", "C1908", "duke2",
+                                      "e64"])
     def test_lily_subject_netlists(self, name):
         netlist, region = lily_subject_netlist(name)
         assert_same_placement(netlist, region,
@@ -241,6 +216,11 @@ class TestScanOracle:
 
     def test_layout_netlist(self, layout_netlist):
         assert_same_placement(*layout_netlist)
+
+    def test_source_network_netlist(self):
+        netlist, region = source_netlist("C1908")
+        assert len(set(netlist.sizes.values())) > 1
+        assert_same_placement(netlist, region)
 
     @pytest.mark.parametrize("case", range(12))
     def test_random_netlists(self, seeded_rng, case):
@@ -284,7 +264,7 @@ class TestPlacementSpans:
         assert fm.count == report.counters["place.fm_refinements"]
         assert report.phase("pads/place.pad_order").count == 1
 
-        oracle = ScanPlacer()
+        oracle = ReferencePlacer()
         oracle.place(*backend_netlist(net, result.map_result.mapped))
         assert report.counters["place.fm_nets"] == oracle.relevant_nets
         assert report.counters["place.fm_cells"] == oracle.relevant_cells

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from oracles.place import reference_solve
 from repro.geometry import Point, Rect
 from repro.place.hypergraph import PlacementNetlist
 from repro.place.quadratic import (
@@ -148,6 +149,29 @@ class TestQuadraticSystem:
             warm = system.solve(anchors)
             cold = solve_quadratic(netlist, REGION, anchors=anchors)
             assert warm == cold  # Point equality is exact
+
+    @pytest.mark.parametrize("cells", [40, 450])
+    def test_anchor_arrays_match_per_cell_updates(self, seeded_rng, cells):
+        """Anchors applied as arrays equal one scalar update per cell,
+        on the direct path and on the CG path."""
+        rng = seeded_rng("quadratic", "anchors", cells)
+        names = [f"m{i}" for i in range(cells)]
+        pads = {f"p{i}": Point(rng.choice([0, 100]), rng.uniform(0, 100))
+                for i in range(6)}
+        pool = names + list(pads)
+        nets = [[rng.choice(pool) for _ in range(rng.randint(2, 5))]
+                for _ in range(2 * cells)]
+        netlist = PlacementNetlist(movables=names, nets=nets, fixed=pads)
+        system = QuadraticSystem(netlist, REGION)
+        picked = rng.sample(names, cells // 3) + ["not-a-cell"]
+        anchors = {name: (Point(rng.uniform(-20, 120), rng.uniform(0, 100)),
+                          rng.choice([0.05, 1, 3.5]))
+                   for name in picked}
+        for given in (None, anchors):
+            got = system.solve(given)
+            want = reference_solve(system, given)
+            assert list(got.items()) == list(want.items())
+            assert repr(got) == repr(want)
 
     def test_repeated_solves_identical(self):
         system = QuadraticSystem(self._netlist(), REGION)
