@@ -6,8 +6,8 @@ Every kernel here has one production path, with no switch:
   per-net true-fanout lists and pin points are cached across cones and
   invalidated by delta on commit instead of recomputed per candidate;
 * **incremental placement bookkeeping** (:mod:`repro.perf.incremental`) —
-  per-net bounding-box caches giving the annealer and the detailed swap
-  pass O(pins-of-moved-cell) cost deltas instead of full-net re-folds;
+  one per-net bounding-box cache giving the annealer and the detailed
+  swap pass cost deltas over the moved cells' nets only;
 * **struct-of-arrays kernels** (:mod:`repro.perf.vec`) — flat pin tables
   and array folds for quadratic assembly, net boxes, wirelength and STA;
 * **incremental timing** (:mod:`repro.timing.incremental`) — dirty-node
@@ -34,7 +34,6 @@ __all__ = [
     "PerfOptions",
     "NetCache",
     "NetBoxCache",
-    "StampedNetBoxCache",
 ]
 
 # The heavier members live in submodules that import from repro.map /
@@ -45,7 +44,6 @@ __all__ = [
 _LAZY = {
     "NetCache": "repro.perf.netcache",
     "NetBoxCache": "repro.perf.incremental",
-    "StampedNetBoxCache": "repro.perf.incremental",
 }
 
 

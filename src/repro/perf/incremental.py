@@ -2,17 +2,17 @@
 
 The annealer and the detailed-placement swap pass both score a move by
 the half-perimeter bounding boxes of the nets it touches.  Re-folding a
-box from scratch is O(pins-of-net) per net per probe; these caches keep
-one live bounding box per net instead:
+box from scratch is O(pins-of-net) per net per probe; :class:`NetBoxCache`
+keeps one live bounding box per net instead, plus a per-net dirty flag:
 
-* :class:`NetBoxCache` (detailed placement) holds the boxes and a
-  per-net dirty flag.  The swap pass delta-updates the boxes of a probed
+* the detailed-placement swap pass delta-updates the boxes of a probed
   swap itself (an O(1) coordinate update for pins moving inside the box
   or outward from a boundary, a re-fold when a pin leaves a boundary
   inward), commits them on accept, and dirty-marks the nets of an undone
   swap, which re-fold on the next read;
-* :class:`StampedNetBoxCache` (annealer) re-folds a net on read exactly
-  when one of its cells moved since the last fold.
+* the annealer re-folds every net it scores, since each one holds a
+  just-swapped cell; it uses only ``_box``, ``_fold``, ``cell_nets``
+  and ``refolds``.
 
 Bit-identity: a bounding box is the min/max over a finite set of floats —
 an exact, order-independent reduction — so a box maintained by expansion
@@ -27,19 +27,31 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.geometry import Point
 
-__all__ = ["NetBoxCache", "StampedNetBoxCache"]
+__all__ = ["NetBoxCache"]
 
 #: A bounding box as ``(lx, ly, ux, uy)``.
 Box = Tuple[float, float, float, float]
 
 
-class _BoxCacheBase:
-    """Shared net classification + exact folding for the box caches.
+class NetBoxCache:
+    """Per-net live bounding boxes with lazy dirty-flag re-folds.
 
-    The initial per-net boxes bulk-build through the struct-of-arrays
-    kernels (:func:`repro.perf.vec.fold_box_arrays`); min/max folds are
-    exact, so every built box equals the per-net :meth:`_fold` bitwise
-    (the ``invariant.perf.vec`` audit checks exactly that).
+    Args:
+        nets: the hypergraph nets (lists of pin names).
+        positions: the *live* movable-cell position dict — the cache reads
+            it on every re-fold, so mutate it in place.
+        fixed: immovable terminal positions (pads); folded once into a
+            static per-net partial box.
+
+    The placement engines own the updates: they read and write ``_box``
+    (and the swap pass ``_dirty``) directly and re-fold with ``_fold``;
+    the swap pass plans each swap with :meth:`swap_plan`.  Pins present
+    in neither dict are ignored, and a net with fewer than two located
+    pins has zero HPWL forever — both exactly as the naive fold behaves.
+    The initial boxes bulk-build through
+    :func:`repro.perf.vec.fold_box_arrays`; min/max folds are exact, so
+    every built box equals the per-net ``_fold`` bitwise (the
+    ``invariant.perf.vec`` audit checks exactly that).
     """
 
     def __init__(
@@ -56,6 +68,9 @@ class _BoxCacheBase:
         self._located: List[int] = []
         self._box: List[Optional[Box]] = [None] * n
         self.refolds = 0
+        self._dirty: List[bool] = [False] * n
+        self._pair_memo: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
+        self.fast_updates = 0
 
         fold_ids: List[int] = []
         seen: Dict[str, Set[int]] = {}
@@ -149,35 +164,6 @@ class _BoxCacheBase:
                 uy = y
         return (lx, ly, ux, uy)
 
-
-class NetBoxCache(_BoxCacheBase):
-    """Per-net live bounding boxes with lazy dirty-flag re-folds.
-
-    Args:
-        nets: the hypergraph nets (lists of pin names).
-        positions: the *live* movable-cell position dict — the cache reads
-            it on every re-fold, so mutate it in place.
-        fixed: immovable terminal positions (pads); folded once into a
-            static per-net partial box.
-
-    The detailed-placement swap pass owns the updates: it reads and
-    writes ``_box`` and ``_dirty`` directly, plans each swap with
-    :meth:`swap_plan` and re-folds with ``_fold``.  Pins present in
-    neither dict are ignored, and a net with fewer than two located pins
-    has zero HPWL forever — both exactly as the naive fold behaves.
-    """
-
-    def __init__(
-        self,
-        nets: Sequence[Sequence[str]],
-        positions: Dict[str, Point],
-        fixed: Dict[str, Point],
-    ) -> None:
-        super().__init__(nets, positions, fixed)
-        self._dirty: List[bool] = [False] * len(nets)
-        self._pair_memo: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
-        self.fast_updates = 0
-
     def swap_plan(self, a: str, b: str) -> List[Tuple[int, int]]:
         """``(net_id, membership)`` rows for a two-cell move (memoized).
 
@@ -210,76 +196,4 @@ class NetBoxCache(_BoxCacheBase):
         box = self._box[net_id]
         if box is None:
             return 0.0
-        return (box[2] - box[0]) + (box[3] - box[1])
-
-
-class StampedNetBoxCache(_BoxCacheBase):
-    """Per-net boxes validated by per-cell move stamps (read-side lazy).
-
-    Built for the annealer, where a single swap shifts whole row suffixes
-    as a side effect: eagerly touching every net of every shifted cell
-    costs more than the folds it saves.  Here a move only bumps an integer
-    stamp per *actually moved* cell (:meth:`touch`), and a read re-folds a
-    net exactly when some member cell moved after the box was last folded.
-    Boxes are therefore always live-accurate on read, rejection needs no
-    rollback (the undoing swap just bumps stamps again), and every value
-    returned equals the naive full fold bitwise.
-
-    Call :meth:`tick` before each batch of touches: reads between two
-    batches validate against the batch's clock, so a later batch must
-    carry a newer one.
-    """
-
-    def __init__(
-        self,
-        nets: Sequence[Sequence[str]],
-        positions: Dict[str, Point],
-        fixed: Dict[str, Point],
-    ) -> None:
-        super().__init__(nets, positions, fixed)
-        self.clock = 0
-        self.cell_stamp: Dict[str, int] = {
-            pin: 0 for pin in self.cell_nets
-        }
-        self._net_stamp: List[int] = [0] * len(nets)
-        self.hits = 0
-
-    def tick(self) -> None:
-        """Open a new move batch (subsequent touches outdate prior reads)."""
-        self.clock += 1
-
-    def touch(self, cell: str) -> None:
-        """Record that a cell moved in the current batch."""
-        self.cell_stamp[cell] = self.clock
-
-    def hpwl(self, net_id: int) -> float:
-        """HPWL of one net, re-folded iff a member moved since last fold."""
-        box = self._box[net_id]
-        if box is None:
-            return 0.0
-        stamp = self._net_stamp[net_id]
-        stamps = self.cell_stamp
-        for pin in self._movable[net_id]:
-            if stamps[pin] > stamp:
-                box = self._box[net_id] = self._fold(net_id)
-                self._net_stamp[net_id] = self.clock
-                self.refolds += 1
-                break
-        else:
-            self.hits += 1
-        return (box[2] - box[0]) + (box[3] - box[1])
-
-    def refresh_hpwl(self, net_id: int) -> float:
-        """HPWL with an unconditional re-fold.
-
-        For callers that already know a member cell moved (the annealer's
-        scored nets always contain a swapped cell), skipping the stamp
-        scan.  Identical value to :meth:`hpwl`.
-        """
-        box = self._box[net_id]
-        if box is None:
-            return 0.0
-        box = self._box[net_id] = self._fold(net_id)
-        self._net_stamp[net_id] = self.clock
-        self.refolds += 1
         return (box[2] - box[0]) + (box[3] - box[1])

@@ -1,9 +1,9 @@
 """Struct-of-arrays numpy kernels for the placement/STA hot paths.
 
 Naive placement and timing code walks Python objects per net and per
-node; at the 1k–50k-gate scale of ``benchmarks/scaling.py`` those loops
-become the wall.  This module holds the shared vectorized kernels, the
-only production path of each layout kernel:
+node; on netlists of 1k–100k gates those loops become the wall.  This
+module holds the shared vectorized kernels, the only production path of
+each layout kernel:
 
 * :class:`PinTable` — a flat pin table over a placement hypergraph
   (``net -> slot indices`` into one coordinate array pair) answering
@@ -140,41 +140,35 @@ def segment_sum_ordered(values, offsets) -> np.ndarray:
 class PinTable:
     """Flat struct-of-arrays pin table of a placement hypergraph.
 
-    Movable cells get coordinate slots refreshed from the live position
-    dict (:meth:`refresh` / :meth:`update_cell`); fixed terminals are
-    baked into the tail of the same arrays once.  Pins present in
-    neither dict are dropped and nets with fewer than two located pins
-    report zero HPWL — exactly the naive fold semantics of
-    ``repro.place`` and :class:`repro.perf.incremental.NetBoxCache`.
+    A one-shot snapshot: movable cells take the first coordinate slots,
+    in position-dict order, and fixed terminals follow in first-use
+    order; build a new table after cells move.  Pins present in neither
+    dict are dropped and nets with fewer than two located pins report
+    zero HPWL — exactly the naive fold semantics of ``repro.place`` and
+    :class:`repro.perf.incremental.NetBoxCache`.
     """
 
     def __init__(self, nets: Sequence[Sequence[str]], positions, fixed) -> None:
         slot: Dict[str, int] = {}
-        for name in positions:
-            slot[name] = len(slot)
-        self.cell_slot = slot
-        n_mov = len(slot)
-        self.num_movable = n_mov
-        fixed_slot: Dict[str, int] = {}
-        fxs: List[float] = []
-        fys: List[float] = []
+        xs: List[float] = []
+        ys: List[float] = []
+        for name, p in positions.items():
+            slot[name] = len(xs)
+            xs.append(p.x)
+            ys.append(p.y)
         pin_slots: List[int] = []
         offsets: List[int] = [0]
         for net in nets:
             for pin in net:
                 s = slot.get(pin)
                 if s is None:
-                    fs = fixed_slot.get(pin)
-                    if fs is None:
-                        p = fixed.get(pin)
-                        if p is None:
-                            continue
-                        fs = fixed_slot[pin] = len(fixed_slot)
-                        fxs.append(p.x)
-                        fys.append(p.y)
-                    pin_slots.append(n_mov + fs)
-                else:
-                    pin_slots.append(s)
+                    p = fixed.get(pin)
+                    if p is None:
+                        continue
+                    s = slot[pin] = len(xs)
+                    xs.append(p.x)
+                    ys.append(p.y)
+                pin_slots.append(s)
             offsets.append(len(pin_slots))
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.pin_slots = np.asarray(pin_slots, dtype=np.int64)
@@ -182,45 +176,8 @@ class PinTable:
         #: Nets with >= 2 located pins (the only ones with nonzero HPWL).
         self.valid = self.counts >= 2
         self.num_nets = len(self.counts)
-        self.x = np.zeros(n_mov + len(fixed_slot), dtype=np.float64)
-        self.y = np.zeros(n_mov + len(fixed_slot), dtype=np.float64)
-        if fixed_slot:
-            self.x[n_mov:] = fxs
-            self.y[n_mov:] = fys
-        # Python-list mirrors of the coordinate arrays and the pin table:
-        # small per-move batches fold faster through plain list indexing
-        # than through numpy call overhead, with identical bits either way.
-        self._xl: List[float] = self.x.tolist()
-        self._yl: List[float] = self.y.tolist()
-        self._flat: List[int] = self.pin_slots.tolist()
-        self._offs: List[int] = self.offsets.tolist()
-        self.refresh(positions)
-        self._subset_memo: Dict[
-            Tuple[int, ...],
-            Tuple[np.ndarray, np.ndarray, List[bool], int],
-        ] = {}
-
-    def refresh(self, positions) -> None:
-        """Pull every movable cell's coordinates from a position dict."""
-        x = self.x
-        y = self.y
-        xl = self._xl
-        yl = self._yl
-        get = self.cell_slot.get
-        for name, p in positions.items():
-            i = get(name)
-            if i is not None:
-                x[i] = xl[i] = p.x
-                y[i] = yl[i] = p.y
-
-    def update_cell(self, name: str, x: float, y: float) -> None:
-        """O(1) coordinate update for one movable cell (unknown = no-op)."""
-        i = self.cell_slot.get(name)
-        if i is not None:
-            self.x[i] = x
-            self.y[i] = y
-            self._xl[i] = x
-            self._yl[i] = y
+        self.x = np.asarray(xs, dtype=np.float64)
+        self.y = np.asarray(ys, dtype=np.float64)
 
     def boxes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-net bounding boxes ``(lx, ly, ux, uy)``.
@@ -251,99 +208,18 @@ class PinTable:
         """Sum of all net HPWLs, accumulated in naive net order (bitwise)."""
         return ordered_sum(self.hpwl())
 
-    #: Batches with fewer pins than this fold through the list mirrors
-    #: (numpy per-call overhead dominates below it; same bits either way).
-    SMALL_BATCH_PINS = 48
-
-    def hpwl_of(self, net_ids: Sequence[int]) -> List[float]:
-        """HPWL of selected nets as one batched fold (memoized per tuple).
-
-        The concatenated index plan is cached keyed on the net-id tuple,
-        so callers probing the same net set repeatedly (e.g. apply/undo
-        pairs) fold through a prebuilt plan.  Small batches fold through
-        the Python-list mirrors instead of numpy — bitwise the same
-        result (min/max folds are exact in any representation).  Note
-        the annealer deliberately does *not* score moves through this
-        (measured slower than dict reads at 2–6-net batches; see
-        ``docs/SCALING.md``).
-        """
-        key = tuple(net_ids)
-        plan = self._subset_memo.get(key)
-        if plan is None:
-            parts = []
-            offs = [0]
-            valid: List[bool] = []
-            offsets = self._offs
-            pin_slots = self.pin_slots
-            for i in key:
-                s = offsets[i]
-                e = offsets[i + 1]
-                parts.append(pin_slots[s:e])
-                offs.append(offs[-1] + (e - s))
-                valid.append(bool(self.valid[i]))
-            idx = (np.concatenate(parts) if parts
-                   else np.empty(0, dtype=np.int64))
-            plan = (idx, np.asarray(offs, dtype=np.int64), valid, offs[-1])
-            self._subset_memo[key] = plan
-        idx, offs, valid, total_pins = plan
-        if total_pins < self.SMALL_BATCH_PINS:
-            return self._hpwl_of_small(key, valid)
-        px = self.x[idx]
-        py = self.y[idx]
-        lx = segment_min(px, offs).tolist()
-        ux = segment_max(px, offs).tolist()
-        ly = segment_min(py, offs).tolist()
-        uy = segment_max(py, offs).tolist()
-        return [
-            (ux[j] - lx[j]) + (uy[j] - ly[j]) if ok else 0.0
-            for j, ok in enumerate(valid)
-        ]
-
-    def _hpwl_of_small(
-        self, net_ids: Tuple[int, ...], valid: List[bool]
-    ) -> List[float]:
-        """Per-net fold over the list mirrors (exact, low fixed cost)."""
-        xl = self._xl
-        yl = self._yl
-        flat = self._flat
-        offsets = self._offs
-        out: List[float] = []
-        for j, i in enumerate(net_ids):
-            if not valid[j]:
-                out.append(0.0)
-                continue
-            s = offsets[i]
-            e = offsets[i + 1]
-            slot = flat[s]
-            lx = ux = xl[slot]
-            ly = uy = yl[slot]
-            for p in range(s + 1, e):
-                slot = flat[p]
-                px = xl[slot]
-                py = yl[slot]
-                if px < lx:
-                    lx = px
-                elif px > ux:
-                    ux = px
-                if py < ly:
-                    ly = py
-                elif py > uy:
-                    uy = py
-            out.append((ux - lx) + (uy - ly))
-        return out
-
 
 def fold_box_arrays(
     movable_nets: Sequence[Sequence[str]],
     fixed_boxes: Sequence[Optional[Tuple[float, float, float, float]]],
     positions,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Bulk-fold per-net boxes for the incremental box caches.
+    """Bulk-fold per-net boxes for the incremental box cache.
 
     ``movable_nets`` holds each net's movable member cells and
     ``fixed_boxes`` the per-net static partial box over its fixed pins
     (``None`` when a net has no fixed pins), exactly the classification
-    :class:`repro.perf.incremental._BoxCacheBase` produces.  Returns
+    :class:`repro.perf.incremental.NetBoxCache` produces.  Returns
     ``(lx, ly, ux, uy)`` arrays; entries for nets with neither movable
     members nor a fixed box are infinities and must be masked by the
     caller.  Min/max folds are exact, so every returned bound is
@@ -528,11 +404,11 @@ def assemble_quadratic(
 
 
 def kernel_backend_info() -> Dict[str, object]:
-    """Machine-readable kernel-backend metadata for bench artifacts.
+    """Machine-readable kernel-backend metadata for benchmark runs.
 
     Records which array libraries (and versions) the struct-of-arrays
-    kernels ran on, so any two ``BENCH_*.json`` files state the backends
-    they compare.
+    kernels ran on; ``perfbench`` stores the dict in each run's
+    environment record, so two runs state the backends they compare.
     """
     import scipy
 
@@ -540,11 +416,12 @@ def kernel_backend_info() -> Dict[str, object]:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         # The placement, STA and routing kernels no longer have a naive
-        # switch, so these are always True.  The keys stay because
-        # recorded benchmark environments carry them and runs whose
-        # records differ do not compare.
+        # switch, and the batched subset fold that read a small-batch
+        # threshold is gone, so these are constants.  The keys stay
+        # because recorded benchmark environments carry them and runs
+        # whose records differ do not compare.
         "vec_place_default": True,
         "vec_sta_default": True,
         "vec_route_default": True,
-        "small_batch_pins": PinTable.SMALL_BATCH_PINS,
+        "small_batch_pins": 48,
     }

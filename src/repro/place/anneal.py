@@ -41,14 +41,14 @@ class AnnealStats:
 
 
 class _AnnealState:
-    """Stamp-validated bounding-box HPWL bookkeeping over a mutable placement.
+    """Bounding-box HPWL bookkeeping over a mutable placement.
 
     Per-net HPWL lives in :attr:`net_hpwl` (summed into :attr:`total`);
-    :meth:`refresh` re-folds the scored nets against the stamped box
-    cache of :class:`repro.perf.incremental.StampedNetBoxCache`, swaps
-    repack only the row suffix that actually shifts, rejected moves need
-    no restore work beyond the undoing swap's own stamps, and row widths
-    are maintained instead of re-derived per capacity check.  ``net_hpwl``
+    :meth:`refresh` re-folds the scored nets into the boxes of
+    :class:`repro.perf.incremental.NetBoxCache`, swaps repack only the
+    row suffix that actually shifts, rejected moves need no restore work
+    beyond the undoing swap and its re-fold, and row widths are
+    maintained instead of re-derived per capacity check.  ``net_hpwl``
     is deliberately stale for nets that row repacking shifts without
     them being scored, exactly as a full-recompute engine that refreshes
     only the scored nets would leave it.  Every delta is bitwise-equal to
@@ -60,11 +60,11 @@ class _AnnealState:
     def __init__(
         self, placement: DetailedPlacement, netlist: PlacementNetlist
     ) -> None:
-        from repro.perf.incremental import StampedNetBoxCache
+        from repro.perf.incremental import NetBoxCache
 
         self.placement = placement
         self.netlist = netlist
-        self.cache = StampedNetBoxCache(
+        self.cache = NetBoxCache(
             netlist.nets, placement.positions, netlist.fixed)
         # The freshly built boxes are exact folds, so their HPWLs equal a
         # per-net full fold (0.0 for nets under two located pins).
@@ -99,12 +99,10 @@ class _AnnealState:
 
     def refresh(self, net_ids: List[int]) -> float:
         """Re-fold the given nets; returns the delta applied to total."""
-        # Scored nets always contain a just-swapped cell, so skip the
-        # stamp scan and re-fold outright (same value, fewer checks).
+        # Scored nets always contain a just-swapped cell, so each one is
+        # re-folded outright.
         cache = self.cache
         boxes = cache._box
-        stamps = cache._net_stamp
-        clock = cache.clock
         fold = cache._fold
         hpwl = self.net_hpwl
         delta = 0.0
@@ -115,7 +113,6 @@ class _AnnealState:
                 new = 0.0
             else:
                 box = boxes[net_id] = fold(net_id)
-                stamps[net_id] = clock
                 folded += 1
                 new = (box[2] - box[0]) + (box[3] - box[1])
             delta += new - hpwl[net_id]
@@ -141,7 +138,6 @@ class _AnnealState:
         row_a.x_spans[b] = (span_a[0], span_a[0] + wb)
         row_b.x_spans[a] = (span_b[0], span_b[0] + wa)
         self.row_of[a], self.row_of[b] = row_b, row_a
-        self.cache.tick()
         if row_b is row_a:
             self._repack_suffix(row_a, min(ia, ib), max(ia, ib))
         else:
@@ -149,7 +145,7 @@ class _AnnealState:
             self._repack_suffix(row_b, ib, ib)
 
     def _repack_suffix(self, row: Row, start: int, last_swapped: int) -> None:
-        """Repack a row from ``start``, stamping every cell that moves.
+        """Repack a row from ``start``, moving every cell whose slot shifts.
 
         Bit-identical to a full left-to-right repack of the row: spans
         before ``start`` already hold the exact running-sum values a full
@@ -161,8 +157,6 @@ class _AnnealState:
         positions = self.placement.positions
         spans = row.x_spans
         cells = row.cells
-        stamps = self.cache.cell_stamp
-        clock = self.cache.clock
         x = spans[cells[start]][0]
         y = row.y_center
         n = len(cells)
@@ -177,7 +171,6 @@ class _AnnealState:
             old = positions[cell]
             if old.x != nx or old.y != y:
                 positions[cell] = Point(nx, y)
-                stamps[cell] = clock
             x += width
         # Past it: stop at the first cell whose stored span matches the
         # running sum — everything after is provably unchanged.
@@ -189,7 +182,6 @@ class _AnnealState:
             width = hi - lo
             spans[cell] = (x, x + width)
             positions[cell] = Point(x + width / 2.0, y)
-            stamps[cell] = clock
             x += width
         self._row_width[row.index] = x
 

@@ -36,6 +36,13 @@ from repro.place.quadratic import QuadraticSystem
 
 __all__ = ["GlobalPlacement", "GlobalPlacer"]
 
+#: Spring weight pulling cells to their region centres at the first
+#: partitioning level; it doubles every level so regions consolidate.
+ANCHOR_BASE = 0.05
+
+#: Hard bound on partitioning depth.
+MAX_LEVELS = 10
+
 
 @dataclass
 class GlobalPlacement:
@@ -59,23 +66,15 @@ class GlobalPlacer:
 
     Args:
         min_cells_per_region: stop splitting below this occupancy.
-        use_fm: refine each geometric split with an FM min-cut pass.
-        anchor_base: spring weight pulling cells to region centres; doubled
-            every partitioning level so regions consolidate.
-        max_levels: hard bound on partitioning depth.
+
+    Each geometric split of a region of eight or more cells is refined
+    by an FM min-cut pass.  Splitting stops after :data:`MAX_LEVELS`
+    levels even if a region still holds more than
+    ``min_cells_per_region`` cells.
     """
 
-    def __init__(
-        self,
-        min_cells_per_region: int = 8,
-        use_fm: bool = True,
-        anchor_base: float = 0.05,
-        max_levels: int = 10,
-    ) -> None:
+    def __init__(self, min_cells_per_region: int = 8) -> None:
         self.min_cells_per_region = min_cells_per_region
-        self.use_fm = use_fm
-        self.anchor_base = anchor_base
-        self.max_levels = max_levels
 
     def place(self, netlist: PlacementNetlist, region: Rect) -> GlobalPlacement:
         """Produce a balanced point placement of all movable cells."""
@@ -94,7 +93,7 @@ class GlobalPlacer:
             OBS.metrics.counter("place.quadratic_solves").inc()
         partitions: List[Tuple[Rect, List[int]]] = [(region, list(range(n)))]
         levels_run = 0
-        for level in range(self.max_levels):
+        for level in range(MAX_LEVELS):
             if all(
                 len(cells) <= self.min_cells_per_region
                 for _rect, cells in partitions
@@ -103,7 +102,7 @@ class GlobalPlacer:
             partitions = self._split_level(partitions, index,
                                            index.axes(xs, ys, region))
             levels_run = level + 1
-            anchor_weight = self.anchor_base * (2.0 ** level)
+            anchor_weight = ANCHOR_BASE * (2.0 ** level)
             anchor_x, anchor_y = _region_centers(partitions, n)
             with OBS.span("place.quadratic", level=level,
                           partitions=len(partitions)):
@@ -180,7 +179,7 @@ class GlobalPlacer:
         low_cells = ordered[:split_at]
         high_cells = ordered[split_at:]
 
-        if self.use_fm and len(cells) >= 8:
+        if len(cells) >= 8:
             with OBS.span("place.fm", cells=len(cells)):
                 low_cells, high_cells = self._refine_split(
                     low_cells, high_cells, index, coordinate)

@@ -141,7 +141,6 @@ def netlist_wirelength(
     positions: Dict[str, Point],
     fixed: Dict[str, Point],
     model: str = "steiner",
-    table=None,
 ) -> float:
     """Total estimated wirelength over a hypergraph (vectorized).
 
@@ -153,19 +152,13 @@ def netlist_wirelength(
     (``spanning``) — with the per-net terms summed in naive net order
     (:func:`repro.perf.vec.ordered_sum`), bitwise-equal to
     :func:`netlist_wirelength_naive`.
-
-    Callers folding the same hypergraph repeatedly may pass a prebuilt
-    ``table`` (a :class:`~repro.perf.vec.PinTable` over ``nets``) to
-    amortise the flattening; its coordinates must already reflect
-    ``positions`` (see :meth:`~repro.perf.vec.PinTable.refresh`).
     """
     import numpy as np
 
     from repro.obs import OBS
     from repro.perf.vec import PinTable, ordered_sum
 
-    if table is None:
-        table = PinTable(nets, positions, fixed)
+    table = PinTable(nets, positions, fixed)
     if model == "hpwl":
         lengths = table.hpwl()
     elif model == "steiner":

@@ -1,8 +1,8 @@
 """Levelized struct-of-arrays static timing analysis.
 
 :func:`repro.timing.sta.analyze` recurses per node over Python objects;
-at the scales of ``benchmarks/scaling.py`` the interpreter loop is the
-wall.  :class:`ArraySTA` flattens the mapped netlist once into numpy
+on netlists of 1k gates and up the interpreter loop is the wall.
+:class:`ArraySTA` flattens the mapped netlist once into numpy
 tables — per-gate pin timing rows, static sink-capacitance streams,
 wire-net pin id lists and backward required-time entries — and then
 answers full forward (:meth:`analyze`) and backward

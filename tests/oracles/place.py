@@ -30,7 +30,7 @@ from repro.place.detailed import (
     _swap_in_row,
     detailed_place,
 )
-from repro.place.global_place import GlobalPlacement
+from repro.place.global_place import ANCHOR_BASE, MAX_LEVELS, GlobalPlacement
 from repro.place.hypergraph import PlacementNetlist
 from repro.place.quadratic import QuadraticSystem, _solve_spd
 
@@ -438,22 +438,14 @@ def _mean_boundary(positions, low_cells, high_cells, vertical_cut) -> float:
 class ReferencePlacer:
     """Quadratic placement + recursive bi-partitioning, by name.
 
-    Takes the arguments of ``repro.place.global_place.GlobalPlacer``.
-    ``relevant_nets`` and ``relevant_cells`` sum the nets and cells
-    handed to FM over all refinements.
+    Takes the argument of ``repro.place.global_place.GlobalPlacer`` and
+    reads its ``ANCHOR_BASE`` and ``MAX_LEVELS``.  ``relevant_nets`` and
+    ``relevant_cells`` sum the nets and cells handed to FM over all
+    refinements.
     """
 
-    def __init__(
-        self,
-        min_cells_per_region: int = 8,
-        use_fm: bool = True,
-        anchor_base: float = 0.05,
-        max_levels: int = 10,
-    ) -> None:
+    def __init__(self, min_cells_per_region: int = 8) -> None:
         self.min_cells_per_region = min_cells_per_region
-        self.use_fm = use_fm
-        self.anchor_base = anchor_base
-        self.max_levels = max_levels
         self.relevant_nets = 0
         self.relevant_cells = 0
 
@@ -467,14 +459,14 @@ class ReferencePlacer:
         partitions: List[Tuple[Rect, List[str]]] = [
             (region, list(netlist.movables))
         ]
-        for level in range(self.max_levels):
+        for level in range(MAX_LEVELS):
             if all(
                 len(cells) <= self.min_cells_per_region
                 for _rect, cells in partitions
             ):
                 break
             partitions = self._split_level(partitions, netlist, positions)
-            anchor_weight = self.anchor_base * (2.0 ** level)
+            anchor_weight = ANCHOR_BASE * (2.0 ** level)
             anchors = {}
             for rect, cells in partitions:
                 center = rect.center
@@ -526,7 +518,7 @@ class ReferencePlacer:
         low_cells = ordered[:split_at]
         high_cells = ordered[split_at:]
 
-        if self.use_fm and len(cells) >= 8:
+        if len(cells) >= 8:
             low_cells, high_cells = self._refine_split(
                 low_cells, high_cells, netlist, positions, vertical_cut)
             if not low_cells or not high_cells:

@@ -4,7 +4,7 @@ The exactness policy (``docs/SCALING.md``) promises that every vectorized
 kernel reproduces its naive twin *bitwise* wherever the naive arithmetic
 is order-reproducible: min/max folds always, float sums where the kernel
 accumulates in naive operation order.  The twins are the flag-free
-references in ``src`` (``netlist_hpwl_naive``, the box caches' per-net
+references in ``src`` (``netlist_hpwl_naive``, the box cache's per-net
 ``_fold``) and the per-edge quadratic assembly below.  These tests hold
 the kernels to that promise with ``==`` on floats — any drift is a bug,
 not noise.
@@ -164,50 +164,18 @@ class TestPinTable:
         assert netlist_hpwl(nets, positions, fixed) == \
             netlist_hpwl_naive(nets, positions, fixed)
 
-    def test_refresh_tracks_live_moves(self, seeded_rng):
-        rng = seeded_rng("vec", "refresh")
-        nets, positions, fixed = _random_hypergraph(rng)
-        table = PinTable(nets, positions, fixed)
-        for _ in range(10):
-            name = rng.choice(sorted(positions))
-            positions[name] = Point(rng.uniform(0, 200),
-                                    rng.uniform(0, 200))
-            table.refresh(positions)
-            assert table.total_hpwl() == netlist_hpwl_naive(
-                nets, positions, fixed)
-
-    def test_update_cell_matches_refresh(self, seeded_rng):
-        rng = seeded_rng("vec", "update")
-        nets, positions, fixed = _random_hypergraph(rng)
-        table = PinTable(nets, positions, fixed)
-        name = sorted(positions)[0]
-        p = Point(12.5, 99.0)
-        positions[name] = p
-        table.update_cell(name, p.x, p.y)
-        table.update_cell("not-a-cell", 1.0, 2.0)  # unknown = no-op
-        assert table.total_hpwl() == netlist_hpwl_naive(
-            nets, positions, fixed)
-
     @pytest.mark.parametrize("case", range(4))
-    def test_hpwl_of_subset_matches_per_net(self, case, seeded_rng):
+    def test_per_net_hpwl_matches_naive(self, case, seeded_rng):
         rng = seeded_rng("vec", "subset", case)
         nets, positions, fixed = _random_hypergraph(rng)
         table = PinTable(nets, positions, fixed)
-        per_net = [netlist_hpwl_naive([net], positions, fixed)
-                   for net in nets]
-        # Both sides of the SMALL_BATCH_PINS split must agree with the
-        # naive fold; draw small and large subsets.
-        for size in (1, 3, len(nets) // 2, len(nets)):
-            ids = rng.sample(range(len(nets)), size)
-            got = table.hpwl_of(ids)
-            assert got == [per_net[i] for i in ids]
-            # Second fold hits the subset memo: still exact.
-            assert table.hpwl_of(ids) == got
+        assert table.hpwl().tolist() == [
+            netlist_hpwl_naive([net], positions, fixed) for net in nets]
 
     def test_empty_netlist(self):
         table = PinTable([], {}, {})
         assert table.total_hpwl() == 0.0
-        assert table.hpwl_of([]) == []
+        assert table.hpwl().tolist() == []
 
 
 class TestFoldBoxArrays:
@@ -327,4 +295,4 @@ class TestBackendInfo:
         assert info["vec_place_default"] is True
         assert info["vec_sta_default"] is True
         assert info["vec_route_default"] is True
-        assert info["small_batch_pins"] == PinTable.SMALL_BATCH_PINS
+        assert info["small_batch_pins"] == 48

@@ -1,6 +1,6 @@
-"""Incremental bounding-box caches and the engines built on them.
+"""The incremental bounding-box cache and the engines built on it.
 
-Everything here is an exactness test: the caches must agree with a
+Everything here is an exactness test: the cache must agree with a
 from-scratch fold *bitwise* (``==`` on floats, no tolerance), and the
 incremental annealing / detailed-improvement engines must reproduce the
 full-recompute oracles' placements exactly (``oracles.place``).
@@ -15,7 +15,7 @@ from repro.circuits.random_logic import random_network
 from repro.flow.pipeline import mis_flow
 from repro.geometry import Point
 from repro.library.standard import big_library
-from repro.perf.incremental import NetBoxCache, StampedNetBoxCache
+from repro.perf.incremental import NetBoxCache
 from repro.place.anneal import simulated_annealing
 from repro.place.detailed import detailed_place
 from repro.place.hypergraph import mapped_netlist
@@ -92,37 +92,6 @@ class TestNetBoxCache:
         # Net 4 is single-pin (HPWL forever 0.0) and must be filtered.
         assert plan == [(0, 3), (1, 1), (2, 2), (3, 3)]
         assert cache.swap_plan("a", "b") is plan  # memoized
-
-
-class TestStampedNetBoxCache:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_refresh_matches_reference(self, seed, seeded_rng):
-        nets, positions, fixed, rng = _random_case(
-            seeded_rng("stamped", seed))
-        cache = StampedNetBoxCache(nets, positions, fixed)
-        movable = sorted(positions)
-        for _ in range(100):
-            name = movable[rng.randrange(len(movable))]
-            positions[name] = Point(rng.uniform(0, 100), rng.uniform(0, 100))
-            cache.tick()
-            cache.touch(name)
-            want = _hpwl_reference(nets, positions, fixed)
-            got = [cache.hpwl(i) for i in range(len(nets))]
-            assert got == want
-
-    def test_unmoved_nets_hit_cache(self):
-        nets = [["a", "b"], ["c", "d"]]
-        positions = {
-            "a": Point(0.0, 0.0), "b": Point(1.0, 0.0),
-            "c": Point(5.0, 5.0), "d": Point(9.0, 9.0),
-        }
-        cache = StampedNetBoxCache(nets, positions, {})
-        cache.hpwl(0), cache.hpwl(1)
-        cache.tick()
-        cache.touch("a")
-        hits = cache.hits
-        cache.hpwl(1)  # net of c/d: no touched cell, stamp scan passes
-        assert cache.hits == hits + 1
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 """Annealing/detailed-placement engines vs their full-recompute oracles.
 
-``simulated_annealing`` scores moves against a stamped per-net box cache
-whose boxes bulk-build through the struct-of-arrays kernels; it promises
+``simulated_annealing`` scores moves against a per-net box cache
+(:class:`repro.perf.incremental.NetBoxCache`) whose boxes bulk-build through the struct-of-arrays kernels; it promises
 deltas bitwise identical to re-folding every scored net — and therefore
 an identical accept/reject sequence and an identical final placement to
 the full-recompute oracle of ``oracles.place``.  Every comparison here

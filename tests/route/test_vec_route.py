@@ -67,18 +67,6 @@ class TestNetlistWirelengthBitwise:
                                               "b": Point(1, 1)}, {},
                                model="bogus")
 
-    def test_prebuilt_table_matches(self):
-        from repro.perf.vec import PinTable
-
-        rng = random.Random(TEST_SEED + 99)
-        nets, positions, fixed = _random_hypergraph(rng, 25)
-        table = PinTable(nets, positions, fixed)
-        for model in ("hpwl", "steiner", "spanning"):
-            with_table = netlist_wirelength(nets, positions, fixed,
-                                            model=model, table=table)
-            fresh = netlist_wirelength(nets, positions, fixed, model=model)
-            assert with_table == fresh
-
 
 class TestBatchedMst:
     @pytest.mark.parametrize("round_", range(4))

@@ -2,8 +2,8 @@
 
 Two layers: (a) the gates pass on the repository as committed — broken
 doc links or undocumented ``repro.verify`` / flow API fail the tier-1
-suite, not just the CI docs job; (b) the gate tools themselves detect
-seeded violations, so a silently broken checker is caught too.
+suite; (b) the gate tools themselves detect seeded violations, so a
+silently broken checker is caught too.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[2]
 TOOLS_DIR = REPO_ROOT / "tools"
 
-#: The scope of the docstring-coverage gate: the verification subsystem
-#: and the public flow API (keep in sync with the CI docs job).
+#: The scope of the docstring-coverage gate: the verification subsystem,
+#: the public flow API and the mapping, placement, routing and timing
+#: packages.
 DOCSTRING_SCOPE = [
     "src/repro/verify",
     "src/repro/serve",

@@ -34,7 +34,7 @@ Run from the repo root::
 workloads (``repro.circuits.synth``) into the job pool next to the
 suite circuits, so the soak also exercises serving of generator-scale
 netlists.  ``--json OUT`` additionally writes the measured
-rates/latencies for ``benchmarks/perf_snapshot.py``.
+rates/latencies as a JSON summary.
 """
 
 from __future__ import annotations
