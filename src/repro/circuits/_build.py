@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.network.logic import Cube, SopCover
 
 __all__ = ["sop_and", "sop_or", "sop_xor", "sop_xnor", "sop_maj3", "sop_nand",

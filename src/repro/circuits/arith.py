@@ -11,7 +11,6 @@ from typing import List
 from repro.circuits._build import (
     sop_and,
     sop_maj3,
-    sop_or,
     sop_xnor,
     sop_xor,
 )

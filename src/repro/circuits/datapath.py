@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.circuits._build import sop_and, sop_maj3, sop_or, sop_xor
-from repro.network.logic import Cube, SopCover, TruthTable
+from repro.network.logic import TruthTable
 from repro.network.network import Network, Node
 
 __all__ = ["carry_lookahead_adder", "array_multiplier", "alu"]

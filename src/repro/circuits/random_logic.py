@@ -11,7 +11,7 @@ which these preserve.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from repro.network.logic import SopCover, TruthTable
 from repro.network.network import Network, Node

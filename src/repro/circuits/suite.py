@@ -16,7 +16,7 @@ on slower machines; the benchmark harness records the scale used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.circuits.random_logic import random_network
 from repro.circuits.symmetric import nine_symml

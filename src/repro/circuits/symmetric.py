@@ -10,7 +10,7 @@ on-set counts.  This matches the multi-level structure of the MCNC
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Set
 
 from repro.circuits._build import sop_maj3, sop_xor
 from repro.network.logic import Cube, SopCover, TruthTable

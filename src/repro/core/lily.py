@@ -27,7 +27,7 @@ wire capacitance and the LI/LD block-arrival split (Section 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.area.estimate import subject_image

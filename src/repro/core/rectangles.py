@@ -13,7 +13,7 @@ prescribes.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Set
 
 from repro.geometry import Point, Rect, bounding_rect
 from repro.core.state import PlacementState

@@ -8,7 +8,7 @@ tentative constructive position stored with a DP solution).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.geometry import Point, Rect
 from repro.network.subject import SubjectGraph, SubjectNode

@@ -11,9 +11,9 @@ net with a rectilinear spanning tree instead.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.geometry import Point, Rect
+from repro.geometry import Point
 from repro.core.rectangles import fanin_rectangle, true_fanouts
 from repro.core.state import PlacementState
 from repro.map.lifecycle import LifecycleTracker, NodeState

@@ -14,7 +14,7 @@ difference in the reported metrics comes from the mapping itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Union
 
@@ -117,11 +117,6 @@ def pads_from_order(order: List[str], region: Rect) -> Dict[str, Point]:
     """Place an already-ordered pad list on a region's perimeter."""
     slots = perimeter_slots(region, len(order))
     return {name: slot for name, slot in zip(order, slots)}
-
-
-def _po_name_map(net: Network) -> Dict[str, str]:
-    """Source PO name -> same name (POs keep their names through mapping)."""
-    return {po.name: po.name for po in net.primary_outputs}
 
 
 def place_and_route(

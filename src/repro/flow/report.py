@@ -10,8 +10,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.flow.pipeline import FlowResult
+from repro.timing.array_sta import ArraySTA
 from repro.timing.model import WireCapModel
-from repro.timing.sta import analyze, critical_path, slacks
+from repro.timing.sta import critical_path
 
 __all__ = ["circuit_report", "comparison_report"]
 
@@ -53,11 +54,15 @@ def circuit_report(
     )
 
     wire_model = wire_model or WireCapModel()
-    report = analyze(mapped, wire_model=wire_model)
+    sta = ArraySTA(mapped, wire_model=wire_model)
+    report = sta.analyze()
     lines.append("timing:")
     lines.append(f"  critical delay   : {report.critical_delay:9.2f} ns "
                  f"(at {report.critical_po})")
-    slack = slacks(mapped, report)
+    slack = {
+        name: required - report.arrivals[name].worst
+        for name, required in sta.required(report).items()
+    }
     worst = sorted(slack.items(), key=lambda kv: kv[1])[:3]
     lines.append(
         "  tightest slacks  : "

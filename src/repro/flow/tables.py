@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.circuits.suite import TABLE1_CIRCUITS, TABLE2_CIRCUITS, build_circuit
 from repro.core.lily import LilyOptions
-from repro.flow.pipeline import FlowResult, lily_flow, mis_flow
+from repro.flow.pipeline import lily_flow, mis_flow
 from repro.library.cell import Library
 from repro.library.standard import big_library, scale_library
 from repro.obs import OBS, ObsReport
@@ -254,10 +254,6 @@ def run_table2(
         for name in circuits or TABLE2_CIRCUITS
     ]
     return _run_suite(_table2_circuit, args, procs, obs_out)
-
-
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
 
 
 def geometric_mean_ratios(ratios: Sequence[float]) -> float:

@@ -8,7 +8,7 @@ linear function ``I_i + R_i * C_L`` of the output load ``C_L``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.network.expr import Expr, parse_expression

@@ -11,7 +11,7 @@ column — is implemented verbatim.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from repro.network.subject import SubjectGraph, SubjectNode
 

@@ -18,7 +18,7 @@ needs the dove's signal restarts it as an egg, and it may then become a hawk
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.network.subject import SubjectNode
 from repro.obs import OBS

@@ -17,7 +17,7 @@ from typing import Dict, Optional, Sequence
 from repro.library.cell import Library
 from repro.map.base import BaseMapper, Solution
 from repro.match.treematch import Match
-from repro.network.subject import SubjectGraph, SubjectNode
+from repro.network.subject import SubjectNode
 from repro.obs import OBS
 
 __all__ = ["MisAreaMapper", "MisDelayMapper", "inchoate_fanout_count",

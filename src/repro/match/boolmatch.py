@@ -16,7 +16,7 @@ with structural :class:`~repro.match.treematch.Match` objects.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.library.cell import Cell, Library
 from repro.library.patterns import CellPattern, pattern_set_for

@@ -11,9 +11,9 @@ pad placer concrete objects to position on the chip boundary.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.network.logic import Cube, SopCover, TruthTable
+from repro.network.logic import SopCover, TruthTable
 
 __all__ = ["NodeKind", "Node", "Network"]
 

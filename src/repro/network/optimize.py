@@ -10,9 +10,9 @@ to a fixpoint.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.network.logic import SopCover, TruthTable
+from repro.network.logic import TruthTable
 from repro.network.network import Network, Node
 
 __all__ = ["clean_network", "CleanupStats"]

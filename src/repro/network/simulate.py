@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import functools
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.network.logic import SopCover, TruthTable
+from repro.network.logic import TruthTable
 
 __all__ = ["simulate", "evaluate_words", "networks_equivalent"]
 

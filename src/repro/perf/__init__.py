@@ -9,9 +9,11 @@ Every kernel here has one production path, with no switch:
   one per-net bounding-box cache giving the annealer and the detailed
   swap pass cost deltas over the moved cells' nets only;
 * **struct-of-arrays kernels** (:mod:`repro.perf.vec`) — flat pin tables
-  and array folds for quadratic assembly, net boxes, wirelength and STA;
-* **incremental timing** (:mod:`repro.timing.incremental`) — dirty-node
-  frontier propagation so a gate move re-times only its fanout cone.
+  and array folds for quadratic assembly, net boxes, wirelength and the
+  full STA passes of :class:`repro.timing.array_sta.ArraySTA`;
+* **incremental timing** (:mod:`repro.timing.incremental`) — per-node
+  dirty-frontier propagation so a gate move re-times only its fanout
+  cone (a move dirties too few nodes per level for array folds to pay).
 
 Structural matching has its fast path built in: the bottom-up table
 matcher (:mod:`repro.match.treematch`) matches each pattern subtree once

@@ -38,35 +38,11 @@ __all__ = [
     "segment_min",
     "segment_max",
     "segment_sum_ordered",
-    "concat_ranges",
     "PinTable",
     "fold_box_arrays",
     "assemble_quadratic",
     "kernel_backend_info",
 ]
-
-
-def concat_ranges(starts, ends):
-    """Concatenate integer index ranges ``[starts[k], ends[k])``.
-
-    Returns ``(indices, offsets)``: ``indices`` lists every range's
-    members back to back and ``offsets`` the per-range ``[start, end)``
-    bounds into it (one more entry than there are ranges).  Zero-length
-    ranges are fine and contribute nothing.  This is the gather plan the
-    frontier kernels use to fold a *subset* of a flattened table's
-    segments (e.g. the dirty gates' pin rows) in one numpy pass.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
-    counts = ends - starts
-    cum = np.cumsum(counts)
-    offsets = np.concatenate([np.zeros(1, dtype=np.int64), cum])
-    total = int(offsets[-1])
-    if total == 0:
-        return np.empty(0, dtype=np.int64), offsets
-    reps = np.repeat(starts, counts)
-    intra = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-    return reps + intra, offsets
 
 
 def ordered_sum(values) -> float:

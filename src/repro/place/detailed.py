@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.geometry import Point, Rect
+from repro.geometry import Point
 from repro.place.hypergraph import PlacementNetlist
 
 __all__ = ["Row", "DetailedPlacement", "detailed_place"]

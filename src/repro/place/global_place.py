@@ -113,6 +113,11 @@ class GlobalPlacer:
         if OBS.enabled:
             OBS.metrics.counter("place.partitions").inc(len(partitions))
             OBS.metrics.gauge("place.levels").set(levels_run)
+            # One sample per leaf: a leaf over min_cells_per_region
+            # means MAX_LEVELS stopped the splitting, not occupancy.
+            leaf_cells = OBS.metrics.histogram("place.leaf_cells")
+            for _rect, cells in partitions:
+                leaf_cells.observe(len(cells))
 
         # The result outlives the index and the system: free them first,
         # so its objects can fill their memory (a second placement in the

@@ -9,7 +9,7 @@ and multi-pin nets over both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 from repro.geometry import Point
 

@@ -14,7 +14,7 @@ the degraded pad assignments for the Section 5 sensitivity study.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.geometry import Point
-from repro.map.netlist import MappedNetwork, Net
+from repro.map.netlist import MappedNetwork
 from repro.obs import OBS
 from repro.place.detailed import DetailedPlacement
 from repro.route.channel import ChannelResult, left_edge_route

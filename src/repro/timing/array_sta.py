@@ -16,10 +16,11 @@ added last, arrival candidates evaluate as ``(t + block) + res * load``,
 and the per-node max/min folds are order-independent — so the resulting
 :class:`~repro.timing.sta.TimingReport` and required-time maps are
 bitwise-equal to :func:`~repro.timing.sta.analyze` and
-:func:`~repro.timing.sta.required_times`.  :class:`IncrementalTiming`
-uses these sweeps for its full recomputes and batches its dirty
-frontiers level by level over the same pin/entry tables (falling back
-to the shared per-node helpers only for tiny buckets).
+:func:`~repro.timing.sta.required_times`.  Every full pass in
+production runs here: the flow back end, ``circuit_report``, fanout
+optimization, and :class:`~repro.timing.incremental.IncrementalTiming`'s
+construction and deadline changes (its dirty frontiers walk node by
+node).
 """
 
 from __future__ import annotations

@@ -10,14 +10,14 @@ recursively until every net is within the fanout bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.geometry import Point, center_of_mass
 from repro.library.cell import Cell, Library
 from repro.map.netlist import MappedNetwork, MappedNode
+from repro.timing.array_sta import ArraySTA, analyze_array
 from repro.timing.model import WireCapModel
-from repro.timing.sta import analyze
 
 __all__ = ["FanoutResult", "optimize_fanout", "buffer_cell"]
 
@@ -30,7 +30,6 @@ class FanoutResult:
     nets_buffered: int = 0
     delay_before: float = 0.0
     delay_after: float = 0.0
-    reverted: bool = False
 
     @property
     def improved(self) -> bool:
@@ -147,14 +146,15 @@ def optimize_fanout(
     it pays off depends on the library's buffer delay versus the load
     relief — the result reports both delays so callers can decide.
     """
-    from repro.timing.sta import slacks
-
     result = FanoutResult()
-    before_report = analyze(
-        mapped, wire_model=wire_model, input_arrivals=input_arrivals
-    )
+    sta = ArraySTA(mapped, wire_model=wire_model,
+                   input_arrivals=input_arrivals)
+    before_report = sta.analyze()
     result.delay_before = before_report.critical_delay
-    sink_slack = slacks(mapped, before_report)
+    sink_slack = {
+        name: required - before_report.arrivals[name].worst
+        for name, required in sta.required(before_report).items()
+    }
 
     buffer = buffer_cell(library)
     counter = [0]
@@ -169,7 +169,7 @@ def optimize_fanout(
             result.buffers_added += added
 
     mapped.check()
-    result.delay_after = analyze(
+    result.delay_after = analyze_array(
         mapped, wire_model=wire_model, input_arrivals=input_arrivals
     ).critical_delay
     return result

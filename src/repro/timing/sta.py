@@ -13,7 +13,7 @@ positions the wire term falls back to zero or a per-fanout constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.geometry import Point
 from repro.map.netlist import MappedNetwork, MappedNode
@@ -25,6 +25,7 @@ __all__ = [
     "TimingReport",
     "analyze",
     "critical_path",
+    "report_mismatches",
     "required_times",
     "slacks",
 ]
@@ -268,3 +269,62 @@ def critical_path(
         )
     path.reverse()
     return path
+
+
+def report_mismatches(
+    report: TimingReport,
+    required: Dict[str, float],
+    reference: TimingReport,
+    reference_required: Dict[str, float],
+) -> List[str]:
+    """Bitwise differences between a timing result and a reference pass.
+
+    Compares arrivals (rise and fall), loads, the critical output and
+    delay, and the two required-time maps with ``==`` on every float.
+    Returns one description per arrival or load mismatch, per critical
+    field and one for the whole required-time map; empty means exact.
+    ``repro.verify`` compares :class:`~repro.timing.array_sta.ArraySTA`
+    with :func:`analyze` through it, and
+    :meth:`~repro.timing.incremental.IncrementalTiming.check_against_full`
+    the live incremental report.
+    """
+    problems: List[str] = []
+    for name, want in reference.arrivals.items():
+        got = report.arrivals.get(name)
+        if got is None or got.rise != want.rise or got.fall != want.fall:
+            problems.append(
+                f"arrival mismatch at {name}: got={got} reference={want}"
+            )
+    for name in report.arrivals:
+        if name not in reference.arrivals:
+            problems.append(f"stale arrival entry {name}")
+    for name, want in reference.loads.items():
+        got = report.loads.get(name)
+        if got != want:
+            problems.append(
+                f"load mismatch at {name}: got={got} reference={want}"
+            )
+    for name in report.loads:
+        if name not in reference.loads:
+            problems.append(f"stale load entry {name}")
+    if report.critical_po != reference.critical_po:
+        problems.append(
+            f"critical PO mismatch: got={report.critical_po} "
+            f"reference={reference.critical_po}"
+        )
+    if report.critical_delay != reference.critical_delay:
+        problems.append(
+            f"critical delay mismatch: got={report.critical_delay!r} "
+            f"reference={reference.critical_delay!r}"
+        )
+    if required != reference_required:
+        bad = sorted(
+            name for name in set(reference_required) | set(required)
+            if required.get(name) != reference_required.get(name)
+        )
+        problems.append(
+            f"required-time mismatch at {len(bad)} nodes "
+            f"(e.g. {bad[0]}: got={required.get(bad[0])!r} "
+            f"reference={reference_required.get(bad[0])!r})"
+        )
+    return problems

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.network.logic import TruthTable
 from repro.network.simulate import _eval_tt_words

@@ -36,7 +36,7 @@ from repro.network.network import Network
 from repro.network.subject import SubjectGraph, SubjectNode, SubjectNodeType
 from repro.place.detailed import DetailedPlacement
 from repro.timing.model import WireCapModel, net_wire_capacitance
-from repro.timing.sta import TimingReport, required_times
+from repro.timing.sta import TimingReport, required_times, slacks
 from repro.verify.result import CheckResult
 
 __all__ = [
@@ -707,7 +707,7 @@ def check_vec_kernels(
             netlist_wirelength_naive,
         )
         from repro.timing.array_sta import ArraySTA
-        from repro.timing.sta import analyze
+        from repro.timing.sta import analyze, report_mismatches
 
         nets = [
             [net.driver.name] + [node.name for node, _pin in net.sinks]
@@ -735,36 +735,13 @@ def check_vec_kernels(
                             f"their per-net folds")
 
         full = analyze(mapped, wire_model=wire_model)
-        vec = ArraySTA(mapped, wire_model=wire_model).analyze()
-        for name, want in full.arrivals.items():
-            got = vec.arrivals.get(name)
-            if got is None or got.rise != want.rise or got.fall != want.fall:
-                problems.append(
-                    f"array-STA arrival mismatch at {name}: "
-                    f"vec={got} full={want}"
-                )
-        if vec.loads != full.loads:
-            bad = [n for n, v in full.loads.items()
-                   if vec.loads.get(n) != v]
-            problems.append(
-                f"array-STA load mismatch at {len(bad)} gates "
-                f"(e.g. {bad[0] if bad else '?'})"
-            )
-        if (vec.critical_po, vec.critical_delay) != (
-                full.critical_po, full.critical_delay):
-            problems.append(
-                f"array-STA critical mismatch: vec=({vec.critical_po}, "
-                f"{vec.critical_delay!r}) full=({full.critical_po}, "
-                f"{full.critical_delay!r})"
-            )
-        want_req = required_times(mapped, full)
-        got_req = ArraySTA(mapped, wire_model=wire_model).required(vec)
-        if want_req != got_req:
-            bad = [n for n, v in want_req.items() if got_req.get(n) != v]
-            problems.append(
-                f"array-STA required-time mismatch at {len(bad)} nodes "
-                f"(e.g. {bad[0] if bad else '?'})"
-            )
+        sta = ArraySTA(mapped, wire_model=wire_model)
+        vec = sta.analyze()
+        problems.extend(
+            f"array-STA {problem}"
+            for problem in report_mismatches(
+                vec, sta.required(vec), full, required_times(mapped, full))
+        )
 
         for model in ("hpwl", "steiner", "spanning"):
             v = netlist_wirelength(nets, positions, {}, model=model)
@@ -782,11 +759,6 @@ def _safe_slacks(mapped: MappedNetwork,
                  report: TimingReport) -> Dict[str, float]:
     """Per-node slack at the default deadline; empty on missing data."""
     try:
-        required = required_times(mapped, report)
+        return slacks(mapped, report)
     except Exception:  # corrupt artifacts must not kill the audit
         return {}
-    return {
-        name: required[name] - report.arrivals[name].worst
-        for name in required
-        if name in report.arrivals
-    }

@@ -9,7 +9,7 @@ report every violated invariant at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = ["CheckResult", "VerifyReport"]
 

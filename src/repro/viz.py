@@ -8,7 +8,7 @@ boundary and optional net traces.  Used by the report CLI and the examples.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from repro.geometry import Point, Rect
 

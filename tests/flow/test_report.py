@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.circuits.random_logic import random_network
 from repro.circuits.suite import build_circuit
 from repro.flow.pipeline import lily_flow, mis_flow
 from repro.flow.report import circuit_report, comparison_report
 from repro.library.standard import big_library
+from repro.obs import OBS, observed
+from repro.timing.model import WireCapModel
+from repro.timing.sta import analyze, critical_path, slacks
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +45,54 @@ class TestReports:
         mis = mis_flow(net, lib, mode="timing", verify=False)
         lily = lily_flow(net, lib, mode="timing", verify=False)
         assert "delay ns" in comparison_report(mis, lily)
+
+
+def _reference_timing_lines(mapped, wire_model, max_path_rows=12):
+    """The report's timing block as the reference engine gives it."""
+    report = analyze(mapped, wire_model=wire_model)
+    worst = sorted(slacks(mapped, report).items(), key=lambda kv: kv[1])[:3]
+    path = critical_path(mapped, report)
+    lines = [
+        "timing:",
+        f"  critical delay   : {report.critical_delay:9.2f} ns "
+        f"(at {report.critical_po})",
+        "  tightest slacks  : "
+        + ", ".join(f"{name}={value:.2f}" for name, value in worst),
+        "  critical path:",
+    ]
+    if len(path) > max_path_rows:
+        lines.append(f"    ... {len(path) - max_path_rows} earlier stages ...")
+    for node in path[-max_path_rows:]:
+        cell = node.cell.name if node.is_gate else node.kind.value
+        arrival = report.arrivals[node.name].worst
+        lines.append(f"    {node.name:<18} {cell:<8} t={arrival:8.2f}")
+    return lines
+
+
+class TestTimingOnArraySTA:
+    """``circuit_report`` times the netlist with ``ArraySTA``; its timing
+    block must read exactly as the reference ``sta`` engine's."""
+
+    @pytest.fixture(scope="class", params=["C880", "random"])
+    def result(self, request):
+        if request.param == "C880":
+            net = build_circuit("C880")
+        else:
+            net = random_network("report", 8, 4, 60, seed=3)
+        return mis_flow(net, big_library(), verify=False)
+
+    def test_timing_lines_match_reference(self, result):
+        lines = circuit_report(result).splitlines()
+        timing = lines[lines.index("timing:"):]
+        assert timing == _reference_timing_lines(result.mapped,
+                                                 WireCapModel())
+
+    def test_traced_run_uses_array_sta(self, result):
+        with observed():
+            circuit_report(result)
+        names = {span.name for span in OBS.tracer.all_spans()}
+        assert "sta.analyze_array" in names
+        assert "sta.analyze" not in names
 
 
 class TestLayoutDrivenDecomposition:

@@ -7,6 +7,8 @@ import pytest
 from repro.circuits.random_logic import random_network
 from repro.geometry import Rect
 from repro.network.decompose import decompose_to_subject
+from repro.obs import OBS
+from repro.place import global_place
 from repro.place.global_place import GlobalPlacer
 from repro.place.hypergraph import subject_netlist
 from repro.place.pads import assign_pads
@@ -83,6 +85,41 @@ class TestGlobalPlacement:
                 count += 1
         avg = total / count
         assert avg < 200  # clearly below the ~400 expectation of random
+
+    def test_leaf_cells_histogram(self, placed):
+        """With OBS on, ``place.leaf_cells`` holds one sample per leaf, its
+        cell count, and the placement is the one made with OBS off."""
+        _subject, netlist, placement = placed
+        OBS.enable()
+        try:
+            traced = GlobalPlacer(min_cells_per_region=6).place(
+                netlist, REGION)
+            hist = OBS.metrics.histograms["place.leaf_cells"]
+        finally:
+            OBS.disable()
+        assert hist.count == len(traced.leaf_regions)
+        assert hist.total == len(netlist.movables)
+        assert hist.max <= 6  # every leaf stopped by occupancy
+        assert list(traced.positions.items()) == list(
+            placement.positions.items())
+        assert traced.assignment == placement.assignment
+        assert traced.leaf_regions == placement.leaf_regions
+
+    def test_leaf_cells_show_a_depth_cut(self, placed, monkeypatch):
+        """When the depth cap stops a run early, some leaf holds more
+        cells than the limit, and the histogram shows it."""
+        _subject, netlist, _placement = placed
+        monkeypatch.setattr(global_place, "MAX_LEVELS", 2)
+        OBS.enable()
+        try:
+            GlobalPlacer(min_cells_per_region=6).place(netlist, REGION)
+            hist = OBS.metrics.histograms["place.leaf_cells"]
+            levels = OBS.metrics.gauges["place.levels"].value
+        finally:
+            OBS.disable()
+        assert (levels, hist.count) == (2, 4)
+        assert hist.total == len(netlist.movables)
+        assert hist.max > 6
 
     def test_empty_netlist(self):
         from repro.place.hypergraph import PlacementNetlist

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from oracles.timing import PerNodeIncrementalTiming
 from repro.circuits.random_logic import random_network
 from repro.geometry import Point
 from repro.library.standard import big_library
@@ -168,6 +167,7 @@ class TestIncrementalIntegration:
         mapped = _identity_mapped(rng, nodes=18)
         _place_all(mapped, rng)
         vec = IncrementalTiming(mapped, wire_model=WIRE)
-        naive = PerNodeIncrementalTiming(mapped, wire_model=WIRE)
-        assert vec.required() == naive.required()
-        assert vec.required(deadline=42.0) == naive.required(deadline=42.0)
+        full = analyze(mapped, wire_model=WIRE)
+        assert vec.required() == required_times(mapped, full)
+        assert vec.required(deadline=42.0) == required_times(
+            mapped, full, 42.0)

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.circuits.random_logic import random_network
+from repro.circuits.suite import build_circuit
 from repro.library.standard import big_library, scale_library
 from repro.map.mis import MisDelayMapper
 from repro.map.netlist import MappedNetwork
 from repro.network.decompose import decompose_to_subject
 from repro.network.simulate import networks_equivalent
 from repro.geometry import Point
-from repro.timing.fanout import buffer_cell, optimize_fanout
+from repro.obs import OBS, observed
+from repro.timing.fanout import _buffer_net, buffer_cell, optimize_fanout
 from repro.timing.model import WireCapModel
+from repro.timing.sta import analyze, slacks
 
 
 def high_fanout_netlist(big_lib, n_sinks=9):
@@ -116,3 +121,71 @@ class TestOptimizeFanout:
         optimize_fanout(m, big_lib, max_fanout=4)
         direct_gates = [s for s in driver.fanouts if not s.cell.is_buffer]
         assert direct_gates, "at least one sink must stay direct"
+
+
+def _placed_mapped(circuit, library):
+    """A delay-mode MIS cover of ``circuit`` at seeded random positions."""
+    if circuit == "C880":
+        net = build_circuit("C880")
+    else:
+        net = random_network("fo-ref", 8, 4, 60, seed=5)
+    mapped = MisDelayMapper(library).map(decompose_to_subject(net)).mapped
+    rng = random.Random(19910611)
+    for node in mapped.topological_order():
+        node.position = Point(rng.uniform(0, 400), rng.uniform(0, 400))
+    return mapped
+
+
+def _netlist_key(mapped):
+    """Everything the pass can change, node by node in insertion order."""
+    return [
+        (node.name, node.kind, node.cell.name if node.cell else None,
+         [f.name for f in node.fanins], [s.name for s in node.fanouts],
+         node.position)
+        for node in mapped.nodes
+    ]
+
+
+def _reference_fanout(mapped, library, max_fanout, wire_model):
+    """``optimize_fanout``'s steps on the reference engine: critical
+    delays before and after, and buffers added."""
+    before = analyze(mapped, wire_model=wire_model)
+    sink_slack = slacks(mapped, before)
+    buffer = buffer_cell(library)
+    counter = [0]
+    added = 0
+    for node in list(mapped.nodes):
+        if node.is_gate or node.is_pi:
+            added += _buffer_net(mapped, node, buffer, max_fanout, counter,
+                                 sink_slack)
+    after = analyze(mapped, wire_model=wire_model)
+    return before.critical_delay, after.critical_delay, added
+
+
+class TestReferenceAgreement:
+    """``optimize_fanout`` times with ``ArraySTA``; its delays, slack order
+    and so its buffer trees must be the reference ``sta`` engine's."""
+
+    LIBRARY = scale_library(big_library(), 1.0 / 3.0, name="big_1u")
+    WIRE = WireCapModel(4.0e-4, 3.0e-4)  # Table 2's wire model
+
+    @pytest.mark.parametrize("circuit", ["C880", "random"])
+    def test_matches_reference_sta(self, circuit):
+        got = _placed_mapped(circuit, self.LIBRARY)
+        want = _placed_mapped(circuit, self.LIBRARY)
+        result = optimize_fanout(got, self.LIBRARY, max_fanout=4,
+                                 wire_model=self.WIRE)
+        before, after, added = _reference_fanout(want, self.LIBRARY, 4,
+                                                 self.WIRE)
+        assert result.buffers_added == added > 0
+        assert (result.delay_before, result.delay_after) == (before, after)
+        assert _netlist_key(got) == _netlist_key(want)
+
+    def test_traced_run_uses_array_sta(self):
+        mapped = _placed_mapped("random", self.LIBRARY)
+        with observed():
+            optimize_fanout(mapped, self.LIBRARY, max_fanout=4,
+                            wire_model=self.WIRE)
+        names = {span.name for span in OBS.tracer.all_spans()}
+        assert "sta.analyze_array" in names
+        assert "sta.analyze" not in names

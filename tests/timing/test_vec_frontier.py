@@ -1,13 +1,12 @@
-"""Level-batched STA frontier vs the per-node heap walk.
+"""Incremental STA frontiers vs a fresh full pass, move by move.
 
-``IncrementalTiming`` batches dirty frontiers level by level over the
-ArraySTA pin tables; ``oracles.timing.PerNodeIncrementalTiming`` is the
-per-node reference.  These fleets drive both engines through identical
-random move sequences on a mapped Rent's-rule circuit
+These fleets drive ``IncrementalTiming`` through random move sequences
+on a mapped Rent's-rule circuit
 (:func:`repro.circuits.synth.synth_network` — wide levels, heavy-tailed
-fanout) and require bitwise agreement: arrivals, loads, critical PO,
-required times and the recompute counters, under both wire models and
-with the batch threshold forced to 1 (everything through numpy).
+fanout) and, after every step, require bitwise agreement with a fresh
+:func:`repro.timing.sta.analyze` and
+:func:`repro.timing.sta.required_times` through ``check_against_full``:
+arrivals, loads, critical PO and required times, under both wire models.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ from repro.geometry import Point
 from repro.library.standard import big_library
 from repro.map.mis import MisAreaMapper
 from repro.network.decompose import decompose_to_subject
-
-import repro.timing.incremental as inc
-from oracles.timing import PerNodeIncrementalTiming
 from repro.timing import IncrementalTiming
 from repro.timing.model import WireCapModel
 
@@ -55,27 +51,18 @@ def restore_positions(synth_mapped):
         synth_mapped[name].position = p
 
 
-def _same_report(vec_report, naive_report):
-    assert vec_report.critical_delay == naive_report.critical_delay
-    assert vec_report.critical_po == naive_report.critical_po
-    assert set(vec_report.arrivals) == set(naive_report.arrivals)
-    for name, want in naive_report.arrivals.items():
-        got = vec_report.arrivals[name]
-        assert got.rise == want.rise and got.fall == want.fall, name
-    assert vec_report.loads == naive_report.loads
-
-
 @pytest.mark.parametrize("wire", [True, False])
-@pytest.mark.parametrize("threshold", [1, None])
-def test_random_move_fleet_bitwise(restore_positions, wire, threshold,
-                                   monkeypatch):
-    """25 rounds of mixed gate moves + PI arrival edits, both engines."""
+def test_random_move_fleet_bitwise(restore_positions, wire):
+    """25 rounds of mixed gate moves + PI arrival edits.
+
+    Required times are compared at the initial critical delay, so every
+    step after the first reads the backward frontier; the last check
+    uses the live critical delay.
+    """
     mapped = restore_positions
-    if threshold is not None:
-        monkeypatch.setattr(inc, "SMALL_FRONTIER_NODES", threshold)
     model = WireCapModel() if wire else None
-    ev = IncrementalTiming(mapped, wire_model=model)
-    en = PerNodeIncrementalTiming(mapped, wire_model=model)
+    engine = IncrementalTiming(mapped, wire_model=model)
+    deadline = engine.report.critical_delay
     rng = random.Random(TEST_SEED ^ (0x9A70 + int(wire)))
     gates = sorted(g.name for g in mapped.gates)
     pis = sorted(n.name for n in mapped.primary_inputs)
@@ -83,23 +70,13 @@ def test_random_move_fleet_bitwise(restore_positions, wire, threshold,
         for _ in range(rng.randrange(1, 4)):
             name = gates[rng.randrange(len(gates))]
             p = mapped[name].position
-            moved = Point(p.x + rng.uniform(-9, 9),
-                          p.y + rng.uniform(-9, 9))
-            ev.set_position(name, moved)
-            en.set_position(name, moved)
+            engine.set_position(name, Point(p.x + rng.uniform(-9, 9),
+                                            p.y + rng.uniform(-9, 9)))
         if step % 7 == 3:
             name = pis[rng.randrange(len(pis))]
-            t = rng.uniform(0.0, 2.0)
-            ev.set_input_arrival(name, t)
-            en.set_input_arrival(name, t)
-        _same_report(ev.update(), en.update())
-        if step % 5 == 2:
-            assert ev.required() == en.required(), step
-    # Same frontiers walked: the batched engine recomputes exactly the
-    # nodes the reference heap walk touches, batching changes nothing.
-    assert ev.nodes_recomputed == en.nodes_recomputed
-    assert ev.check_against_full() == []
-    assert en.check_against_full() == []
+            engine.set_input_arrival(name, rng.uniform(0.0, 2.0))
+        assert engine.check_against_full(deadline) == [], step
+    assert engine.check_against_full() == []
 
 
 def test_frontier_stays_partial(restore_positions):
@@ -116,17 +93,17 @@ def test_frontier_stays_partial(restore_positions):
 
 def test_invalidate_then_update_matches(restore_positions):
     mapped = restore_positions
-    ev = IncrementalTiming(mapped, wire_model=WireCapModel())
-    en = PerNodeIncrementalTiming(mapped, wire_model=WireCapModel())
+    engine = IncrementalTiming(mapped, wire_model=WireCapModel())
+    deadline = engine.report.critical_delay
+    engine.required(deadline)
     name = sorted(g.name for g in mapped.gates)[3]
     node = mapped[name]
     p = node.position
     node.position = Point(p.x + 4.0, p.y)
     # A raw position mutation needs the node *and* its fanin drivers
     # invalidated (their wire loads changed) — same set set_position marks.
-    for engine in (ev, en):
-        engine.invalidate(name)
-        for fanin in node.fanins:
-            engine.invalidate(fanin.name)
-    _same_report(ev.update(), en.update())
-    assert ev.check_against_full() == []
+    engine.invalidate(name)
+    for fanin in node.fanins:
+        engine.invalidate(fanin.name)
+    assert engine.check_against_full(deadline) == []
+    assert engine.check_against_full() == []

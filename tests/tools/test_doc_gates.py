@@ -1,9 +1,9 @@
-"""The documentation gates, run as tests.
+"""The documentation and source gates, run as tests.
 
 Two layers: (a) the gates pass on the repository as committed — broken
-doc links or undocumented ``repro.verify`` / flow API fail the tier-1
-suite; (b) the gate tools themselves detect seeded violations, so a
-silently broken checker is caught too.
+doc links, undocumented ``repro.verify`` / flow API or an unused import
+in ``src/repro`` fail the tier-1 suite; (b) the gate tools themselves
+detect seeded violations, so a silently broken checker is caught too.
 """
 
 from __future__ import annotations
@@ -61,6 +61,11 @@ def check_links():
     return _load_tool("check_links")
 
 
+@pytest.fixture(scope="module")
+def check_imports():
+    return _load_tool("check_imports")
+
+
 class TestRepositoryPasses:
     def test_docstring_coverage(self, check_docstrings, capsys):
         paths = [str(REPO_ROOT / p) for p in DOCSTRING_SCOPE]
@@ -79,6 +84,10 @@ class TestRepositoryPasses:
     def test_readme_and_docs_links(self, check_links, capsys):
         files = [str(REPO_ROOT / f) for f in DOC_FILES]
         code = check_links.main(files + ["--root", str(REPO_ROOT)])
+        assert code == 0, capsys.readouterr().out
+
+    def test_no_unused_imports(self, check_imports, capsys):
+        code = check_imports.main([str(REPO_ROOT / "src" / "repro")])
         assert code == 0, capsys.readouterr().out
 
 
@@ -123,3 +132,39 @@ class TestGatesDetect:
         md = tmp_path / "page.md"
         md.write_text("[x](https://example.com/nope) [y](#anchor)\n")
         assert check_links.main([str(md), "--root", str(tmp_path)]) == 0
+
+
+class TestImportGate:
+    def _package(self, root, files):
+        pkg = root / "pkg"
+        pkg.mkdir()
+        for name, text in files.items():
+            (pkg / name).write_text(text)
+        return pkg
+
+    def test_seeded_unused_import_detected(self, check_imports, tmp_path,
+                                           capsys):
+        pkg = self._package(tmp_path, {
+            "__init__.py": "",
+            "mod.py": "from typing import Dict, List\n\n"
+                      "def f() -> List[int]:\n    return []\n",
+        })
+        assert check_imports.main([str(pkg)]) == 1
+        out = capsys.readouterr().out
+        assert "mod.py:1: unused import: Dict" in out
+        assert "List" not in out.splitlines()[0]
+
+    def test_uses_that_keep_an_import(self, check_imports, tmp_path):
+        pkg = self._package(tmp_path, {
+            # Package re-exports are exempt.
+            "__init__.py": "from typing import Dict\n",
+            "a.py": "import os\nimport os.path as osp\n"
+                    "from pkg.b import Rect, Point, Shape\n"
+                    "__all__ = ['Rect']\n"
+                    "def f(p: 'Point') -> int:\n"
+                    "    return len(os.sep + osp.sep)\n",
+            # ``Shape`` is unused in a.py but imported from there here.
+            "b.py": "Rect = Point = Shape = object\n",
+            "c.py": "from pkg.a import Shape\nprint(Shape)\n",
+        })
+        assert check_imports.main([str(pkg)]) == 0
