@@ -36,7 +36,7 @@ from repro.place.hypergraph import mapped_netlist
 from repro.place.pads import io_affinity_order, perimeter_slots
 from repro.route.global_route import RoutedDesign, route_design
 from repro.timing.model import WireCapModel
-from repro.timing.sta import TimingReport
+from repro.timing.sta import TimingReport, analyze
 from repro.verify.result import VerifyReport
 
 __all__ = ["BackendResult", "FlowResult", "mis_flow", "lily_flow",
@@ -141,8 +141,9 @@ def place_and_route(
         anneal_seed: RNG seed of the annealing pass.
 
     Every kernel beneath runs its one production path: the cached
-    bounding-box engines in the detailed pass and the annealer, and the
-    struct-of-arrays placement, routing and STA kernels (see
+    bounding-box engines in the detailed pass and the annealer, the
+    array-assembled quadratic placement, per-net routed-length folds and
+    one per-node STA pass, :func:`repro.timing.sta.analyze` (see
     ``docs/SCALING.md``).
     """
     wire_model = wire_model or WireCapModel()
@@ -177,9 +178,7 @@ def place_and_route(
     for name, p in pads.items():
         if name in mapped:
             mapped[name].position = p
-    from repro.timing.array_sta import analyze_array
-
-    timing = analyze_array(mapped, wire_model=wire_model)
+    timing = analyze(mapped, wire_model=wire_model)
     return BackendResult(detailed, routed, chip, timing, pads)
 
 

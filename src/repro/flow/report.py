@@ -10,9 +10,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.flow.pipeline import FlowResult
-from repro.timing.array_sta import ArraySTA
 from repro.timing.model import WireCapModel
-from repro.timing.sta import critical_path
+from repro.timing.sta import analyze, critical_path, slacks
 
 __all__ = ["circuit_report", "comparison_report"]
 
@@ -54,16 +53,11 @@ def circuit_report(
     )
 
     wire_model = wire_model or WireCapModel()
-    sta = ArraySTA(mapped, wire_model=wire_model)
-    report = sta.analyze()
+    report = analyze(mapped, wire_model=wire_model)
     lines.append("timing:")
     lines.append(f"  critical delay   : {report.critical_delay:9.2f} ns "
                  f"(at {report.critical_po})")
-    slack = {
-        name: required - report.arrivals[name].worst
-        for name, required in sta.required(report).items()
-    }
-    worst = sorted(slack.items(), key=lambda kv: kv[1])[:3]
+    worst = sorted(slacks(mapped, report).items(), key=lambda kv: kv[1])[:3]
     lines.append(
         "  tightest slacks  : "
         + ", ".join(f"{name}={value:.2f}" for name, value in worst)

@@ -8,21 +8,19 @@ Every kernel here has one production path, with no switch:
 * **incremental placement bookkeeping** (:mod:`repro.perf.incremental`) —
   one per-net bounding-box cache giving the annealer and the detailed
   swap pass cost deltas over the moved cells' nets only;
-* **struct-of-arrays kernels** (:mod:`repro.perf.vec`) — flat pin tables
-  and array folds for quadratic assembly, net boxes, wirelength and the
-  full STA passes of :class:`repro.timing.array_sta.ArraySTA`;
+* **the struct-of-arrays quadratic assembly** (:mod:`repro.perf.vec`) —
+  the placement system built as vectorized index/value streams;
 * **incremental timing** (:mod:`repro.timing.incremental`) — per-node
   dirty-frontier propagation so a gate move re-times only its fanout
-  cone (a move dirties too few nodes per level for array folds to pay).
+  cone; full passes run on :func:`repro.timing.sta.analyze`.
 
 Structural matching has its fast path built in: the bottom-up table
 matcher (:mod:`repro.match.treematch`) matches each pattern subtree once
 per subject gate.  The naive twins survive only as test oracles under
-``tests/`` (the recursive matcher is ``tests/oracles/match.py``) or as
-the flag-free references ``repro.verify`` audits against
-(:func:`repro.timing.sta.analyze`,
-:func:`repro.route.wirelength.netlist_hpwl_naive`, ...), so every
-result stays bit-identical to the naive arithmetic.  Cache hit/miss
+``tests/`` (the recursive matcher is ``tests/oracles/match.py``), and
+``repro.verify`` audits the incremental STA against a fresh
+:func:`repro.timing.sta.analyze`, so every result stays bit-identical
+to the naive arithmetic.  Cache hit/miss
 counters report through ``repro.obs`` (visible in ``report --profile``).
 :class:`PerfOptions` keeps the one remaining choice: how many worker
 processes a suite run uses.

@@ -48,10 +48,7 @@ class NetBoxCache:
     the swap pass plans each swap with :meth:`swap_plan`.  Pins present
     in neither dict are ignored, and a net with fewer than two located
     pins has zero HPWL forever — both exactly as the naive fold behaves.
-    The initial boxes bulk-build through
-    :func:`repro.perf.vec.fold_box_arrays`; min/max folds are exact, so
-    every built box equals the per-net ``_fold`` bitwise (the
-    ``invariant.perf.vec`` audit checks exactly that).
+    The constructor builds each foldable net's initial box with ``_fold``.
     """
 
     def __init__(
@@ -72,7 +69,6 @@ class NetBoxCache:
         self._pair_memo: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
         self.fast_updates = 0
 
-        fold_ids: List[int] = []
         seen: Dict[str, Set[int]] = {}
         for net_id, net in enumerate(nets):
             movable: List[str] = []
@@ -109,34 +105,10 @@ class NetBoxCache:
             self._fixed_box.append(fb)
             self._located.append(located)
             if located >= 2:
-                fold_ids.append(net_id)
-        if fold_ids:
-            self._bulk_fold(fold_ids)
+                self._box[net_id] = self._fold(net_id)
         self.cell_nets = {
             pin: tuple(sorted(ids)) for pin, ids in seen.items()
         }
-
-    def _bulk_fold(self, fold_ids: List[int]) -> None:
-        """Initial boxes for all foldable nets in one array reduction."""
-        from repro.obs import OBS
-        from repro.perf.vec import fold_box_arrays
-
-        movable = self._movable
-        fixed_box = self._fixed_box
-        lx, ly, ux, uy = fold_box_arrays(
-            [movable[i] for i in fold_ids],
-            [fixed_box[i] for i in fold_ids],
-            self.positions,
-        )
-        lxl = lx.tolist()
-        lyl = ly.tolist()
-        uxl = ux.tolist()
-        uyl = uy.tolist()
-        box = self._box
-        for j, net_id in enumerate(fold_ids):
-            box[net_id] = (lxl[j], lyl[j], uxl[j], uyl[j])
-        if OBS.enabled:
-            OBS.metrics.counter("perf.vec.box_folds").inc(len(fold_ids))
 
     def _fold(self, net_id: int) -> Box:
         """Full bounding box of a net from live positions (exact)."""

@@ -1,8 +1,8 @@
 """Routing substrate: wire-length estimation (half-perimeter with the
-Chung–Hwang Steiner correction, rectilinear spanning trees, iterated
-1-Steiner), a left-edge channel router, and the row-based global router
-that turns a detailed placement into channel assignments, track counts,
-routed net lengths and the final chip area."""
+Chung–Hwang Steiner correction, rectilinear spanning trees), a left-edge
+channel router, and the row-based global router that turns a detailed
+placement into channel assignments, track counts, routed net lengths and
+the final chip area."""
 
 from repro.route.wirelength import (
     chung_hwang_factor,
@@ -11,7 +11,6 @@ from repro.route.wirelength import (
     steiner_estimate,
 )
 from repro.route.spanning import rectilinear_mst_length, rectilinear_mst_edges
-from repro.route.steiner import rsmt_length
 from repro.route.channel import ChannelResult, left_edge_route, channel_density
 from repro.route.global_route import RoutedDesign, route_design
 
@@ -22,7 +21,6 @@ __all__ = [
     "steiner_estimate",
     "rectilinear_mst_length",
     "rectilinear_mst_edges",
-    "rsmt_length",
     "ChannelResult",
     "left_edge_route",
     "channel_density",

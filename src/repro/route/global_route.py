@@ -208,17 +208,10 @@ def _recompute_lengths(
 ) -> Dict[str, float]:
     """Routed length per net: trunk span plus one vertical branch per pin.
 
-    Each net's stream is ``[trunk span, |y - trunk_y| per located pin]``
-    and the ordered segment sum accumulates it left to right, so every
-    length is bitwise-equal to a per-net ``+=`` loop over the same terms.
+    Each length starts at the trunk span and adds ``|y - trunk_y|`` for
+    every located pin: the net's source first, then its sinks in order.
     """
-    import numpy as np
-
-    from repro.perf.vec import segment_sum_ordered
-
-    names: List[str] = []
-    vals: List[float] = []
-    offs: List[int] = [0]
+    lengths: Dict[str, float] = {}
     get_gate = placement.positions.get
     get_pad = pad_positions.get
     for net in mapped.nets():
@@ -227,16 +220,11 @@ def _recompute_lengths(
             continue
         trunk_y = channel_y[trunk_channel[name]]
         lo, hi = trunk_interval[name]
-        vals.append(hi - lo)
+        total = hi - lo
         for node in [net.driver] + [sink for sink, _pin in net.sinks]:
             p = get_gate(node.name) if node.is_gate else get_pad(node.name)
             if p is None:
                 continue
-            vals.append(abs(p.y - trunk_y))
-        offs.append(len(vals))
-        names.append(name)
-    sums = segment_sum_ordered(
-        np.asarray(vals, dtype=np.float64),
-        np.asarray(offs, dtype=np.int64),
-    ).tolist()
-    return dict(zip(names, sums))
+            total += abs(p.y - trunk_y)
+        lengths[name] = total
+    return lengths

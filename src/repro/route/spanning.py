@@ -1,27 +1,18 @@
 """Rectilinear minimum spanning trees (Lily's alternative wiring model).
 
 Prim's algorithm under the Manhattan metric; O(n^2), which is ample for
-net pin counts.  :func:`mst_lengths_batched` runs the same algorithm
-vectorized *across* nets (grouped by pin count, one numpy row per net):
-selection uses ``np.argmin``'s first-occurrence rule — exactly the
-naive scan's strict ``<`` first-minimum tie-break — and each net's
-length accumulates edge by edge in selection order, so every batched
-length is bitwise-equal to :func:`rectilinear_mst_length` on the same
-pin sequence (the ``repro.perf.vec`` exactness discipline).
+net pin counts.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from repro.geometry import Point, manhattan
 
 __all__ = [
     "rectilinear_mst_edges",
     "rectilinear_mst_length",
-    "mst_lengths_batched",
 ]
 
 
@@ -61,57 +52,3 @@ def rectilinear_mst_length(points: Sequence[Point]) -> float:
         manhattan(points[a], points[b])
         for a, b in rectilinear_mst_edges(points)
     )
-
-
-def _prim_lengths_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Per-row MST lengths of ``(B, k)`` coordinate matrices.
-
-    One Prim iteration per edge, vectorized across the batch dimension.
-    ``np.argmin`` picks the first occurrence of the row minimum, which
-    is the index the naive scan's strict ``<`` selection finds, and the
-    per-row accumulator adds edge lengths in the same selection order —
-    so each row's result is bitwise-equal to the scalar algorithm.
-    """
-    nrows, k = xs.shape
-    in_tree = np.zeros((nrows, k), dtype=bool)
-    in_tree[:, 0] = True
-    best = np.abs(xs - xs[:, :1]) + np.abs(ys - ys[:, :1])
-    rows = np.arange(nrows)
-    acc = np.zeros(nrows, dtype=np.float64)
-    for _step in range(k - 1):
-        d = np.where(in_tree, np.inf, best)
-        pick = np.argmin(d, axis=1)
-        acc = acc + d[rows, pick]
-        in_tree[rows, pick] = True
-        nd = (np.abs(xs - xs[rows, pick][:, None])
-              + np.abs(ys - ys[rows, pick][:, None]))
-        better = (~in_tree) & (nd < best)
-        best = np.where(better, nd, best)
-    return acc
-
-
-def mst_lengths_batched(xs, ys, offsets) -> np.ndarray:
-    """Rectilinear MST length per net over flat pin-coordinate streams.
-
-    ``xs``/``ys`` hold every net's pin coordinates back to back (in net
-    pin order) and ``offsets`` the per-net ``[start, end)`` bounds, as a
-    :class:`repro.perf.vec.PinTable` lays them out.  Nets are grouped by
-    pin count and each group folds as one ``(B, k)`` Prim run; nets with
-    fewer than two pins report 0.0.  Bitwise-equal per net to
-    :func:`rectilinear_mst_length` on the same pin sequence.
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    counts = np.diff(offsets)
-    out = np.zeros(len(counts), dtype=np.float64)
-    if len(counts) == 0:
-        return out
-    starts = offsets[:-1]
-    for k in np.unique(counts):
-        if k < 2:
-            continue
-        sel = np.nonzero(counts == k)[0]
-        idx = starts[sel][:, None] + np.arange(int(k))
-        out[sel] = _prim_lengths_matrix(xs[idx], ys[idx])
-    return out

@@ -11,13 +11,10 @@ from repro.timing.sta import (
     required_times,
     slacks,
 )
-from repro.timing.array_sta import ArraySTA, analyze_array
 from repro.timing.fanout import FanoutResult, optimize_fanout
 from repro.timing.incremental import IncrementalTiming
 
 __all__ = [
-    "ArraySTA",
-    "analyze_array",
     "IncrementalTiming",
     "WireCapModel",
     "net_wire_capacitance",

@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.geometry import Point, center_of_mass
 from repro.library.cell import Cell, Library
 from repro.map.netlist import MappedNetwork, MappedNode
-from repro.timing.array_sta import ArraySTA, analyze_array
 from repro.timing.model import WireCapModel
+from repro.timing.sta import analyze, slacks
 
 __all__ = ["FanoutResult", "optimize_fanout", "buffer_cell"]
 
@@ -147,14 +147,10 @@ def optimize_fanout(
     relief — the result reports both delays so callers can decide.
     """
     result = FanoutResult()
-    sta = ArraySTA(mapped, wire_model=wire_model,
-                   input_arrivals=input_arrivals)
-    before_report = sta.analyze()
+    before_report = analyze(mapped, wire_model=wire_model,
+                            input_arrivals=input_arrivals)
     result.delay_before = before_report.critical_delay
-    sink_slack = {
-        name: required - before_report.arrivals[name].worst
-        for name, required in sta.required(before_report).items()
-    }
+    sink_slack = slacks(mapped, before_report)
 
     buffer = buffer_cell(library)
     counter = [0]
@@ -169,7 +165,7 @@ def optimize_fanout(
             result.buffers_added += added
 
     mapped.check()
-    result.delay_after = analyze_array(
+    result.delay_after = analyze(
         mapped, wire_model=wire_model, input_arrivals=input_arrivals
     ).critical_delay
     return result

@@ -16,10 +16,11 @@ only the dirty frontier:
   the backward pass re-runs only for the fanin cone of load-changed gates
   (or fully when the effective deadline changed).
 
-Full passes (construction, a new deadline) run on
-:class:`~repro.timing.array_sta.ArraySTA`.  The frontiers walk one node
+Full passes (construction, a new deadline) run on the reference
+engine itself: :func:`~repro.timing.sta.analyze` and
+:func:`~repro.timing.sta.required_times`.  The frontiers walk one node
 at a time, forward in topological order and backward in reverse
-topological order, through the per-node helpers of the reference engine
+topological order, through the same per-node helpers
 (:func:`~repro.timing.sta._node_load`,
 :func:`~repro.timing.sta._node_arrival`,
 :func:`~repro.timing.sta._node_required`).  A node pops only after every
@@ -40,7 +41,6 @@ from typing import Dict, List, Optional, Set
 from repro.geometry import Point
 from repro.map.netlist import MappedNetwork, MappedNode
 from repro.obs import OBS
-from repro.timing.array_sta import ArraySTA
 from repro.timing.model import WireCapModel
 from repro.timing.sta import (
     ArrivalTimes,
@@ -70,8 +70,8 @@ class IncrementalTiming:
             there is one engine, so anything but ``True`` raises
             :class:`ValueError`.
 
-    The constructor runs one full pass through the levelized
-    :class:`~repro.timing.array_sta.ArraySTA` tables; afterwards
+    The constructor runs one full :func:`~repro.timing.sta.analyze`
+    pass; afterwards
     :meth:`set_position` / :meth:`set_input_arrival` record changes and
     :meth:`update` refreshes :attr:`report` by frontier propagation.
     Positions must change through :meth:`set_position` (or
@@ -98,15 +98,14 @@ class IncrementalTiming:
         self.input_arrivals = dict(input_arrivals or {})
         self.pad_cap = pad_cap
         self.wire_cap_per_fanout = wire_cap_per_fanout
-        self._array = ArraySTA(
+        self.report = analyze(
             mapped,
             wire_model=wire_model,
             input_arrivals=self.input_arrivals,
             pad_cap=pad_cap,
             wire_cap_per_fanout=wire_cap_per_fanout,
         )
-        self.report = self._array.analyze()
-        self._order = self._array._order
+        self._order = mapped.topological_order()
         self._topo = {node.name: i for i, node in enumerate(self._order)}
         self._node = {node.name: node for node in self._order}
         self._dirty: Set[str] = set()
@@ -205,8 +204,9 @@ class IncrementalTiming:
     def required(self, deadline: Optional[float] = None) -> Dict[str, float]:
         """Required times under ``deadline`` (default: critical delay).
 
-        Recomputes the full backward pass (:class:`ArraySTA`) when the
-        effective deadline changed (a new deadline touches every PO);
+        Recomputes the full backward pass
+        (:func:`~repro.timing.sta.required_times`) when the effective
+        deadline changed (a new deadline touches every PO);
         otherwise refreshes only the fanin cones of the gates whose load
         changed since the last call.
         """
@@ -217,7 +217,7 @@ class IncrementalTiming:
         )
         required = self._required
         if required is None or effective != self._required_deadline:
-            required = self._array.required_from(report.loads, effective)
+            required = required_times(self.mapped, report, effective)
             self._required = required
             self._required_deadline = effective
             self._required_stale.clear()

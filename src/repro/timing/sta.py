@@ -283,10 +283,9 @@ def report_mismatches(
     delay, and the two required-time maps with ``==`` on every float.
     Returns one description per arrival or load mismatch, per critical
     field and one for the whole required-time map; empty means exact.
-    ``repro.verify`` compares :class:`~repro.timing.array_sta.ArraySTA`
-    with :func:`analyze` through it, and
     :meth:`~repro.timing.incremental.IncrementalTiming.check_against_full`
-    the live incremental report.
+    compares the live incremental report with a fresh :func:`analyze`
+    through it, and ``repro.verify`` audits that comparison.
     """
     problems: List[str] = []
     for name, want in reference.arrivals.items():

@@ -42,7 +42,6 @@ from repro.verify.invariants import (
     check_placement,
     check_subject,
     check_timing,
-    check_vec_kernels,
 )
 from repro.verify.result import CheckResult, VerifyReport
 
@@ -144,10 +143,6 @@ def audit(artifacts: FlowArtifacts, level: str = "fast") -> VerifyReport:
             report.extend(check_incremental_sta(
                 a.mapped, wire_model=a.wire_model,
                 trials=1 if level == "fast" else 3))
-            # The struct-of-arrays kernels must reproduce the naive
-            # engines bitwise on the audited artifacts themselves.
-            report.extend(check_vec_kernels(
-                a.mapped, wire_model=a.wire_model))
 
         # Functional equivalence across the phases that must preserve it.
         if a.net is not None and a.mapped is not None:

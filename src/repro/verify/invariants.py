@@ -36,7 +36,7 @@ from repro.network.network import Network
 from repro.network.subject import SubjectGraph, SubjectNode, SubjectNodeType
 from repro.place.detailed import DetailedPlacement
 from repro.timing.model import WireCapModel, net_wire_capacitance
-from repro.timing.sta import TimingReport, required_times, slacks
+from repro.timing.sta import TimingReport, slacks
 from repro.verify.result import CheckResult
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "check_placement",
     "check_timing",
     "check_incremental_sta",
-    "check_vec_kernels",
 ]
 
 #: Absolute tolerance for floating-point geometric/timing comparisons.
@@ -666,93 +665,6 @@ def check_incremental_sta(
         except Exception:
             pass
     return [_result("invariant.timing.incremental", target, problems, t0)]
-
-
-def check_vec_kernels(
-    mapped: MappedNetwork,
-    wire_model: Optional[WireCapModel] = None,
-) -> List[CheckResult]:
-    """Audit the struct-of-arrays kernels against flag-free references.
-
-    Rebuilds the flow's own artifacts on the audited netlist with each
-    production kernel and with its reference, and demands **bitwise**
-    agreement, per the exactness policy of ``docs/SCALING.md``:
-
-    * total HPWL of the mapped netlist's nets
-      (:class:`repro.perf.vec.PinTable`) vs
-      :func:`repro.route.wirelength.netlist_hpwl_naive`;
-    * the bulk-built per-net boxes of
-      :class:`~repro.perf.incremental.NetBoxCache` vs the cache's own
-      per-net :meth:`~repro.perf.incremental.NetBoxCache._fold`;
-    * a full array-form STA (:class:`repro.timing.array_sta.ArraySTA`)
-      vs :func:`repro.timing.sta.analyze` — arrivals, loads, critical
-      output/delay — and the backward required times at the default
-      deadline vs :func:`repro.timing.sta.required_times`;
-    * :func:`repro.route.wirelength.netlist_wirelength` under every wire
-      model (including the batched Prim spanning kernel) vs
-      :func:`repro.route.wirelength.netlist_wirelength_naive`.
-
-    The incremental-STA frontier is audited separately, against a fresh
-    full pass, by :func:`check_incremental_sta`.
-    """
-    t0 = time.perf_counter()
-    target = mapped.name
-    problems: List[str] = []
-    try:
-        from repro.perf.incremental import NetBoxCache
-        from repro.perf.vec import PinTable
-        from repro.route.wirelength import (
-            netlist_hpwl_naive,
-            netlist_wirelength,
-            netlist_wirelength_naive,
-        )
-        from repro.timing.array_sta import ArraySTA
-        from repro.timing.sta import analyze, report_mismatches
-
-        nets = [
-            [net.driver.name] + [node.name for node, _pin in net.sinks]
-            for net in mapped.nets()
-        ]
-        positions = {
-            node.name: node.position
-            for node in mapped.nodes
-            if node.position is not None
-        }
-        table = PinTable(nets, positions, {})
-        vec_total = table.total_hpwl()
-        naive_total = netlist_hpwl_naive(nets, positions, {})
-        if vec_total != naive_total:
-            problems.append(
-                f"vec HPWL {vec_total!r} != naive {naive_total!r}"
-            )
-        cache = NetBoxCache(nets, positions, {})
-        bad = sum(
-            1 for net_id, box in enumerate(cache._box)
-            if box is not None and box != cache._fold(net_id)
-        )
-        if bad:
-            problems.append(f"{bad} bulk-built net boxes differ from "
-                            f"their per-net folds")
-
-        full = analyze(mapped, wire_model=wire_model)
-        sta = ArraySTA(mapped, wire_model=wire_model)
-        vec = sta.analyze()
-        problems.extend(
-            f"array-STA {problem}"
-            for problem in report_mismatches(
-                vec, sta.required(vec), full, required_times(mapped, full))
-        )
-
-        for model in ("hpwl", "steiner", "spanning"):
-            v = netlist_wirelength(nets, positions, {}, model=model)
-            w = netlist_wirelength_naive(nets, positions, {}, model=model)
-            if v != w:
-                problems.append(
-                    f"vec {model} wirelength {v!r} != naive {w!r}"
-                )
-    except Exception as exc:  # kernel crash must not kill the audit
-        problems.append(f"vec kernel audit aborted: {exc}")
-    return [_result("invariant.perf.vec", target, problems, t0)]
 
 
 def _safe_slacks(mapped: MappedNetwork,

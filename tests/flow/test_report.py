@@ -69,9 +69,9 @@ def _reference_timing_lines(mapped, wire_model, max_path_rows=12):
     return lines
 
 
-class TestTimingOnArraySTA:
-    """``circuit_report`` times the netlist with ``ArraySTA``; its timing
-    block must read exactly as the reference ``sta`` engine's."""
+class TestTimingOnReferenceSTA:
+    """``circuit_report`` times the netlist with ``sta.analyze``; its
+    timing block must read exactly as the reference engine gives it."""
 
     @pytest.fixture(scope="class", params=["C880", "random"])
     def result(self, request):
@@ -87,12 +87,12 @@ class TestTimingOnArraySTA:
         assert timing == _reference_timing_lines(result.mapped,
                                                  WireCapModel())
 
-    def test_traced_run_uses_array_sta(self, result):
+    def test_traced_run_uses_reference_sta(self, result):
         with observed():
             circuit_report(result)
         names = {span.name for span in OBS.tracer.all_spans()}
-        assert "sta.analyze_array" in names
-        assert "sta.analyze" not in names
+        assert "sta.analyze" in names
+        assert "sta.analyze_array" not in names
 
 
 class TestLayoutDrivenDecomposition:

@@ -1,10 +1,10 @@
-"""End-to-end checks of the struct-of-arrays kernel backend in whole flows.
+"""End-to-end checks of the layout kernels in whole flows.
 
 The placement, routing and STA kernels have one production path each;
 their bitwise oracles live in the kernel tests (``tests/perf``,
 ``tests/place``, ``tests/route``, ``tests/timing``).  Here a whole flow
-must report the kernels' counters, and the removed ``--naive-kernels``
-switch must be refused rather than silently ignored.
+must report the array quadratic assembly's counters, and the removed
+``--naive-kernels`` switch must be refused rather than silently ignored.
 """
 
 from __future__ import annotations

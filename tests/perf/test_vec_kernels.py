@@ -1,13 +1,10 @@
-"""Struct-of-arrays kernels vs naive oracles (bitwise).
+"""The struct-of-arrays quadratic assembly vs its per-edge oracle (bitwise).
 
-The exactness policy (``docs/SCALING.md``) promises that every vectorized
-kernel reproduces its naive twin *bitwise* wherever the naive arithmetic
-is order-reproducible: min/max folds always, float sums where the kernel
-accumulates in naive operation order.  The twins are the flag-free
-references in ``src`` (``netlist_hpwl_naive``, the box cache's per-net
-``_fold``) and the per-edge quadratic assembly below.  These tests hold
-the kernels to that promise with ``==`` on floats — any drift is a bug,
-not noise.
+The exactness policy (``docs/SCALING.md``) promises that
+:func:`repro.perf.vec.assemble_quadratic` reproduces the naive per-edge
+assembly below *bitwise*: every diagonal and right-hand-side float lands
+through the same sequence of IEEE additions.  These tests hold it to
+that promise with ``==`` on floats — any drift is a bug, not noise.
 """
 
 from __future__ import annotations
@@ -16,19 +13,9 @@ import numpy as np
 import pytest
 
 from repro.geometry import Point, Rect
-from repro.perf.vec import (
-    PinTable,
-    assemble_quadratic,
-    fold_box_arrays,
-    kernel_backend_info,
-    ordered_sum,
-    segment_max,
-    segment_min,
-    segment_sum_ordered,
-)
+from repro.perf.vec import assemble_quadratic, kernel_backend_info
 from repro.place.hypergraph import PlacementNetlist
 from repro.place.quadratic import ANCHOR_EPSILON, QuadraticSystem, clique_edges
-from repro.route.wirelength import netlist_hpwl, netlist_hpwl_naive
 
 REGION = Rect(0, 0, 200, 200)
 
@@ -76,132 +63,6 @@ class _NaiveQuadraticSystem(QuadraticSystem):
         (self._diag, self._bx, self._by,
          self._rows, self._cols, self._vals) = _naive_streams(
             netlist, region, weight_model)
-
-
-def _random_values(rng, n):
-    """Floats with mixed magnitudes: rounding-order differences show."""
-    return [rng.uniform(-1e6, 1e6) * (10.0 ** rng.randrange(-6, 7))
-            for _ in range(n)]
-
-
-def _random_hypergraph(rng, num_cells=40, num_pads=8, num_nets=60):
-    """A netlist with adversarial nets: dangling pins, 0/1-pin nets,
-    duplicate members, pad-only nets."""
-    cells = [f"c{i}" for i in range(num_cells)]
-    pads = [f"p{i}" for i in range(num_pads)]
-    positions = {c: Point(rng.uniform(0, 200), rng.uniform(0, 200))
-                 for c in cells}
-    fixed = {p: Point(rng.choice([0.0, 200.0]), rng.uniform(0, 200))
-             for p in pads}
-    pool = cells + pads + ["dangling0", "dangling1"]
-    nets = []
-    for _ in range(num_nets):
-        k = rng.randrange(0, 7)
-        nets.append([rng.choice(pool) for _ in range(k)])
-    return nets, positions, fixed
-
-
-class TestSegmentReductions:
-    @pytest.mark.parametrize("case", range(6))
-    def test_min_max_match_python_folds(self, case, seeded_rng):
-        rng = seeded_rng("vec", "segments", case)
-        counts = [rng.randrange(0, 9) for _ in range(rng.randrange(1, 30))]
-        offsets = np.cumsum([0] + counts)
-        values = _random_values(rng, int(offsets[-1]))
-        lo = segment_min(values, offsets)
-        hi = segment_max(values, offsets)
-        for i, c in enumerate(counts):
-            seg = values[offsets[i]:offsets[i + 1]]
-            assert lo[i] == (min(seg) if c else np.inf)
-            assert hi[i] == (max(seg) if c else -np.inf)
-
-    def test_empty_segment_positions(self):
-        # Leading, interior, and trailing empties: the reduceat sentinel
-        # and the count mask must each cover its own failure mode.
-        offsets = np.asarray([0, 0, 2, 2, 5, 5])
-        values = [3.0, -1.0, 7.0, 2.0, 5.0]
-        assert segment_min(values, offsets).tolist() == [
-            np.inf, -1.0, np.inf, 2.0, np.inf]
-        assert segment_max(values, offsets).tolist() == [
-            -np.inf, 3.0, -np.inf, 7.0, -np.inf]
-        assert segment_sum_ordered(values, offsets).tolist() == [
-            0.0, 2.0, 0.0, 14.0, 0.0]
-
-    def test_no_segments(self):
-        assert len(segment_min([], np.asarray([0]))) == 0
-        assert len(segment_sum_ordered([], np.asarray([0]))) == 0
-
-    @pytest.mark.parametrize("case", range(6))
-    def test_ordered_sums_bitwise(self, case, seeded_rng):
-        rng = seeded_rng("vec", "sums", case)
-        counts = [rng.randrange(0, 12) for _ in range(rng.randrange(1, 25))]
-        offsets = np.cumsum([0] + counts)
-        values = _random_values(rng, int(offsets[-1]))
-        out = segment_sum_ordered(values, offsets)
-        for i in range(len(counts)):
-            want = 0.0
-            for v in values[offsets[i]:offsets[i + 1]]:
-                want += v
-            assert out[i] == want
-
-    def test_ordered_sum_matches_naive_loop(self, seeded_rng):
-        values = _random_values(seeded_rng("vec", "osum"), 500)
-        want = 0.0
-        for v in values:
-            want += v
-        assert ordered_sum(values) == want
-        assert ordered_sum(np.asarray(values)) == want
-
-
-class TestPinTable:
-    @pytest.mark.parametrize("case", range(5))
-    def test_total_hpwl_bitwise(self, case, seeded_rng):
-        rng = seeded_rng("vec", "hpwl", case)
-        nets, positions, fixed = _random_hypergraph(rng)
-        table = PinTable(nets, positions, fixed)
-        assert table.total_hpwl() == netlist_hpwl_naive(
-            nets, positions, fixed)
-        assert netlist_hpwl(nets, positions, fixed) == \
-            netlist_hpwl_naive(nets, positions, fixed)
-
-    @pytest.mark.parametrize("case", range(4))
-    def test_per_net_hpwl_matches_naive(self, case, seeded_rng):
-        rng = seeded_rng("vec", "subset", case)
-        nets, positions, fixed = _random_hypergraph(rng)
-        table = PinTable(nets, positions, fixed)
-        assert table.hpwl().tolist() == [
-            netlist_hpwl_naive([net], positions, fixed) for net in nets]
-
-    def test_empty_netlist(self):
-        table = PinTable([], {}, {})
-        assert table.total_hpwl() == 0.0
-        assert table.hpwl().tolist() == []
-
-
-class TestFoldBoxArrays:
-    @pytest.mark.parametrize("case", range(4))
-    def test_matches_naive_cache_boxes(self, case, seeded_rng):
-        from repro.perf.incremental import NetBoxCache
-
-        rng = seeded_rng("vec", "boxes", case)
-        nets, positions, fixed = _random_hypergraph(rng)
-        cache = NetBoxCache(nets, positions, fixed)
-        for i, net in enumerate(nets):
-            if cache._box[i] is not None:
-                assert cache._box[i] == cache._fold(i), net
-            assert cache.hpwl(i) == netlist_hpwl_naive(
-                [net], positions, fixed), net
-
-    def test_direct_fold(self):
-        out = fold_box_arrays(
-            [["a", "b"], [], ["a"]],
-            [None, (1.0, 2.0, 3.0, 4.0), None],
-            {"a": Point(5.0, 6.0), "b": Point(1.0, 8.0)},
-        )
-        lx, ly, ux, uy = (arr.tolist() for arr in out)
-        assert (lx[0], ly[0], ux[0], uy[0]) == (1.0, 6.0, 5.0, 8.0)
-        assert (lx[1], ly[1], ux[1], uy[1]) == (1.0, 2.0, 3.0, 4.0)
-        assert (lx[2], ly[2], ux[2], uy[2]) == (5.0, 6.0, 5.0, 6.0)
 
 
 def _random_placement_netlist(rng, num_cells=30, num_pads=6,

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from oracles.place import anneal_reference, detailed_place_reference
+from oracles.place import (
+    _net_hpwl,
+    anneal_reference,
+    detailed_place_reference,
+)
 from repro.circuits.random_logic import random_network
 from repro.flow.pipeline import mis_flow
 from repro.geometry import Point
@@ -60,7 +64,36 @@ def _random_case(rng, cells=12, nets=18, pads=4):
     return netlist, positions, fixed, rng
 
 
+def _adversarial_hypergraph(rng, num_cells=40, num_pads=8, num_nets=60):
+    """Nets with dangling pins, 0/1-pin nets, duplicate members and
+    pad-only nets."""
+    cells = [f"c{i}" for i in range(num_cells)]
+    pads = [f"p{i}" for i in range(num_pads)]
+    positions = {c: Point(rng.uniform(0, 200), rng.uniform(0, 200))
+                 for c in cells}
+    fixed = {p: Point(rng.choice([0.0, 200.0]), rng.uniform(0, 200))
+             for p in pads}
+    pool = cells + pads + ["dangling0", "dangling1"]
+    nets = []
+    for _ in range(num_nets):
+        k = rng.randrange(0, 7)
+        nets.append([rng.choice(pool) for _ in range(k)])
+    return nets, positions, fixed
+
+
 class TestNetBoxCache:
+    @pytest.mark.parametrize("case", range(4))
+    def test_construction_matches_per_net_fold(self, case, seeded_rng):
+        """Every built box is the net's own fold, and every HPWL the
+        oracle's per-net value."""
+        rng = seeded_rng("vec", "boxes", case)
+        nets, positions, fixed = _adversarial_hypergraph(rng)
+        cache = NetBoxCache(nets, positions, fixed)
+        for i, net in enumerate(nets):
+            if cache._box[i] is not None:
+                assert cache._box[i] == cache._fold(i), net
+            assert cache.hpwl(i) == _net_hpwl(net, positions, fixed), net
+
     @pytest.mark.parametrize("seed", range(5))
     def test_random_moves_match_reference(self, seed, seeded_rng):
         """Dirty-marked nets re-fold on read, as the swap pass relies on."""

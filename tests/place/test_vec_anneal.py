@@ -1,7 +1,7 @@
 """Annealing/detailed-placement engines vs their full-recompute oracles.
 
 ``simulated_annealing`` scores moves against a per-net box cache
-(:class:`repro.perf.incremental.NetBoxCache`) whose boxes bulk-build through the struct-of-arrays kernels; it promises
+(:class:`repro.perf.incremental.NetBoxCache`); it promises
 deltas bitwise identical to re-folding every scored net — and therefore
 an identical accept/reject sequence and an identical final placement to
 the full-recompute oracle of ``oracles.place``.  Every comparison here
@@ -66,7 +66,7 @@ class TestEngineEquivalence:
         # The engine must never leave a wrapper over
         # placement.positions (an earlier write-through-mirror variant
         # did): the attribute stays a plain dict (deepcopy-able, no
-        # dangling PinTable reference).
+        # dangling reference to an engine table).
         flow, netlist = placed_case
         work = copy.deepcopy(flow.backend.detailed)
         simulated_annealing(work, netlist, seed=2, moves_per_cell=2)

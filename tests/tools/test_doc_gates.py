@@ -120,6 +120,29 @@ class TestGatesDetect:
         assert check_links.main([str(md), "--root", str(tmp_path)]) == 1
         assert "src/mod.py:99" in capsys.readouterr().out
 
+    def test_pointer_off_its_def_detected(self, check_links, tmp_path,
+                                          capsys):
+        src = tmp_path / "src" / "mod.py"
+        src.parent.mkdir()
+        src.write_text('"""Doc."""\n\n\ndef helper():\n    return 1\n')
+        md = tmp_path / "page.md"
+        md.write_text("`helper` is at src/mod.py:4\n")
+        assert check_links.main([str(md), "--root", str(tmp_path)]) == 0
+        md.write_text("`helper` is at src/mod.py:5\n")
+        assert check_links.main([str(md), "--root", str(tmp_path)]) == 1
+        assert "src/mod.py:5" in capsys.readouterr().out
+
+    def test_pointer_without_named_symbol_detected(self, check_links,
+                                                   tmp_path, capsys):
+        src = tmp_path / "src" / "mod.py"
+        src.parent.mkdir()
+        src.write_text("class Thing:\n    pass\n")
+        md = tmp_path / "page.md"
+        md.write_text("`Thing` is named here.\n\n"
+                      "The class is at src/mod.py:1\n")
+        assert check_links.main([str(md), "--root", str(tmp_path)]) == 1
+        assert "names: none" in capsys.readouterr().out
+
     def test_line_fragment_checked(self, check_links, tmp_path, capsys):
         target = tmp_path / "code.py"
         target.write_text("a = 1\nb = 2\n")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.flow.pipeline import lily_flow, mis_flow
@@ -109,3 +111,26 @@ class TestFlowIntegration:
             failures = OBS.metrics.counter("verify.failures").value
         assert checks > 0
         assert failures == 0
+
+
+class TestFamiliesDocumented:
+    def test_every_emitted_family_is_in_verifying_md(self, big_lib,
+                                                     misex1_net):
+        """Every ``invariant.<family>`` a full MIS audit or a fast audit
+        of a cut cover emits is listed in docs/VERIFYING.md."""
+        doc = (Path(__file__).resolve().parents[2] / "docs"
+               / "VERIFYING.md").read_text()
+        reports = [
+            mis_flow(misex1_net, big_lib, verify="full").verify_report,
+            mis_flow(misex1_net, big_lib, verify="fast",
+                     mapper="cuts").verify_report,
+        ]
+        families = {
+            check.name.split(".")[1]
+            for report in reports for check in report.checks
+            if check.name.startswith("invariant.")
+        }
+        assert "map" in families and "place" in families
+        missing = sorted(f for f in families
+                         if f"`invariant.{f}.*`" not in doc)
+        assert not missing, f"families missing from VERIFYING.md: {missing}"
