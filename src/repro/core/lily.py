@@ -20,6 +20,14 @@ dove) drops the solutions that read a net entry it invalidated and the
 solutions at ``x.fanins``, whose output net it sits on; a re-place drops
 everything.
 
+Pricing a candidate at its mapPosition is the DP's costliest step, so
+each candidate first gets an exact lower bound from its input solutions
+alone (the priced cost without its non-negative placement terms), and
+:meth:`_LilyMixin.best_solution` prices in ascending bound order until a
+bound exceeds the best cost found.  The bounds need every capacitance,
+drive resistance and wire weight to be non-negative; the mappers reject
+anything else at construction.
+
 :class:`LilyAreaMapper` minimises ``area + w * wire`` (Section 3);
 :class:`LilyDelayMapper` minimises arrival times with placement-derived
 wire capacitance and the LI/LD block-arrival split (Section 4).
@@ -28,7 +36,7 @@ wire capacitance and the LI/LD block-arrival split (Section 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.area.estimate import subject_image
 from repro.core.position import cm_of_fans, cm_of_merged
@@ -86,8 +94,31 @@ class LilyOptions:
     min_cells_per_region: int = 8
 
 
+def _require_nonnegative(value: float, what: str) -> None:
+    """The cost bounds leave out terms built from these values by sums
+    and products; a negative one (or NaN) could make a bound too high."""
+    if not value >= 0.0:
+        raise ValueError(
+            f"{what} is {value!r}; Lily's cost bounds need it >= 0")
+
+
+def _check_bound_parameters(library: Library, options: LilyOptions) -> None:
+    """Refuse a library or options under which a cost bound could exceed
+    the priced cost (see :meth:`_LilyMixin.best_solution`)."""
+    for cell in library:
+        for pin in cell.pins:
+            where = f"cell {cell.name!r} pin {pin.name!r}"
+            _require_nonnegative(pin.input_cap, f"{where} input capacitance")
+            _require_nonnegative(pin.timing.rise_resistance,
+                                 f"{where} rise resistance")
+            _require_nonnegative(pin.timing.fall_resistance,
+                                 f"{where} fall resistance")
+    _require_nonnegative(options.wire_weight, "wire_weight")
+
+
 class _LilyMixin:
-    """Placement plumbing shared by the area and delay mappers."""
+    """Placement plumbing and bounded pricing shared by the area and
+    delay mappers."""
 
     def _init_lily(
         self,
@@ -128,7 +159,66 @@ class _LilyMixin:
         self.state.bind(subject)
         self.placement_region = region
         self.pad_positions = pads
-        self._netcache = NetCache(self.state, self.lifecycle)
+        self._netcache = self._make_netcache()
+
+    def _make_netcache(self) -> NetCache:
+        """The run's net cache (area mode: points only, no pin caps)."""
+        return NetCache(self.state, self.lifecycle)
+
+    # -- bounded pricing -------------------------------------------------------
+
+    def cost_bound(self, match: Match, inputs: Sequence[Solution]) -> float:
+        """A lower bound on ``evaluate_match(node, match, inputs).cost``,
+        bit for bit, from the input solutions alone."""
+        raise NotImplementedError
+
+    def best_solution(
+        self, node: SubjectNode
+    ) -> Tuple[Optional[Solution], Iterable[SubjectNode]]:
+        """:meth:`BaseMapper.best_solution`'s choice, pricing fewer matches.
+
+        Matches are priced in ascending ``(cost_bound, match index)``
+        order, and the step stops at the first bound above the best cost
+        found: that match, and every later one, costs more than the best,
+        so it cannot be chosen.  The winner is the minimum of
+        ``(Solution.key(), match index)``, which is the base class's
+        first minimum in scan order.  ``reads`` still lists every match's
+        inputs (the memo's reader index is static per node), and
+        ``dp.states_expanded`` still counts every match.
+
+        A skipped match reads no net entry, so a later change to its nets
+        is not reported against this node; that is exact, because the
+        change cannot move its bound, which depends on the inputs only.
+        """
+        matches = self.matcher.matches_at(node)
+        if OBS.enabled:
+            OBS.metrics.counter("dp.states_expanded").inc(len(matches))
+        # Matches share inputs: answer solution_of once per input.
+        solved: Dict[int, Solution] = {}
+        reads: List[SubjectNode] = []
+        bounded = []
+        cost_bound = self.cost_bound
+        for index, match in enumerate(matches):
+            inputs = []
+            for v in match.inputs:
+                answer = solved.get(v.uid)
+                if answer is None:
+                    answer = solved[v.uid] = self.solution_of(v)
+                    reads.append(v)
+                inputs.append(answer)
+            bounded.append((cost_bound(match, inputs), index, match, inputs))
+        # Indices are unique, so the sort never compares two matches.
+        bounded.sort()
+        best: Optional[Solution] = None
+        best_key: Optional[tuple] = None
+        for bound, index, match, inputs in bounded:
+            if best is not None and bound > best.cost:
+                break
+            solution = self.evaluate_match(node, match, inputs)
+            key = (solution.key(), index)
+            if best_key is None or key < best_key:
+                best, best_key = solution, key
+        return best, reads
 
     # -- incremental updating (Section 3.2) -----------------------------------
 
@@ -265,6 +355,7 @@ class LilyAreaMapper(_LilyMixin, BaseMapper):
         **kwargs,
     ) -> None:
         options = options or LilyOptions()
+        _check_bound_parameters(library, options)
         kwargs.setdefault("use_cone_ordering", options.use_cone_ordering)
         super().__init__(library, **kwargs)
         self._init_lily(options, region, pad_positions)
@@ -280,6 +371,12 @@ class LilyAreaMapper(_LilyMixin, BaseMapper):
         ):
             return self._evaluate_fast(node, match, inputs)
         return self._evaluate_general(node, match, inputs)
+
+    def cost_bound(self, match: Match, inputs: Sequence[Solution]) -> float:
+        """``area + wire_weight * (input wire)``: the priced cost without
+        the wire increment, which is >= 0."""
+        area = match.cell.area + sum(s.area for s in inputs)
+        return area + self.options.wire_weight * sum(s.wire for s in inputs)
 
     def _evaluate_general(
         self, node: SubjectNode, match: Match, inputs: Sequence[Solution]
@@ -334,7 +431,7 @@ class LilyAreaMapper(_LilyMixin, BaseMapper):
         for index, fanin in enumerate(match.inputs):
             if fanin.is_constant:
                 continue
-            _, uids, xs, ys = cache.entry(fanin)
+            _, uids, xs, ys, _ = cache.entry(fanin)
             fp = self._input_position(fanin, inputs[index])
             lx = ux = fp.x
             ly = uy = fp.y
@@ -353,7 +450,7 @@ class LilyAreaMapper(_LilyMixin, BaseMapper):
                     uy = y
             folds.append((lx, ly, ux, uy, remaining))
         # Output-net rectangle over the cached direct-fanout points.
-        out_uids, out_xs, out_ys = cache.out_entry(node)
+        out_uids, out_xs, out_ys, _ = cache.out_entry(node)
         have_out = False
         olx = oly = oux = ouy = 0.0
         for uid, x, y in zip(out_uids, out_xs, out_ys):
@@ -431,7 +528,8 @@ class LilyDelayMapper(_LilyMixin, BaseMapper):
     and position of ``gate(m)``), block arrival times split the linear
     delay into load-independent and load-dependent parts, and the output
     load of the candidate uses the base-function gates at the node's
-    inchoate fanouts plus the placement-derived wire capacitance.
+    inchoate fanouts plus the placement-derived wire capacitance.  Every
+    load reads its pins' caps and points from the net cache.
     """
 
     def __init__(
@@ -446,119 +544,161 @@ class LilyDelayMapper(_LilyMixin, BaseMapper):
         **kwargs,
     ) -> None:
         options = options or LilyOptions()
+        wire_cap = wire_cap or WireCapModel()
+        _check_bound_parameters(library, options)
+        _require_nonnegative(wire_cap.ch_per_um, "wire_cap.ch_per_um")
+        _require_nonnegative(wire_cap.cv_per_um, "wire_cap.cv_per_um")
+        _require_nonnegative(pad_cap, "pad_cap")
         kwargs.setdefault("use_cone_ordering", options.use_cone_ordering)
         super().__init__(library, **kwargs)
         self._init_lily(options, region, pad_positions)
-        self.wire_cap = wire_cap or WireCapModel()
+        self.wire_cap = wire_cap
         self.input_arrivals = dict(input_arrivals or {})
         self.pad_cap = pad_cap
         #: Base-function input capacitance for egg/nestling fanouts.
         self._base_cap = library.nand2().pins[0].input_cap
 
-    # -- Section 4 load and arrival machinery --------------------------------
+    def _make_netcache(self) -> NetCache:
+        # Plain data only: a cache holding the mapper would keep it alive
+        # as long as anything holds the cache.
+        return NetCache(self.state, self.lifecycle, self.instances,
+                        self.pad_cap, self._base_cap)
 
-    def _fanout_cap_and_point(
-        self, consumer: SubjectNode
-    ) -> Tuple[float, Point]:
-        """Capacitance and position a true fanout contributes to a net."""
-        if consumer.is_po:
-            p = self.state.place_position(consumer)
-            return self.pad_cap, p
-        if (
-            consumer.is_gate
-            and self.lifecycle.state(consumer) is NodeState.HAWK
-        ):
-            instance = self.instances.get(consumer.uid)
-            cap = (
-                instance.cell.max_input_cap
-                if instance is not None
-                else self._base_cap
-            )
-            p = self.state.best_position(consumer)
-            return cap, p
-        return self._base_cap, self.state.place_position(consumer)
+    # -- Section 4 load and arrival machinery --------------------------------
 
     def _load_at_input(
         self,
         fanin: SubjectNode,
-        match: Match,
-        pin_index: int,
+        pin_cap: float,
+        covered_uids: AbstractSet[int],
         gate_position: Point,
         fanin_position: Point,
     ) -> float:
-        """Current load at a match input (Section 4.4, step 1)."""
-        covered_set = {n.uid for n in match.covered}
-        cap = match.cell.pins[pin_index].input_cap  # gate(m) itself
-        points: List[Point] = [fanin_position, gate_position]
-        for consumer in self._true_fanouts(fanin):
-            if consumer.uid in covered_set:
+        """Current load at a match input (Section 4.4, step 1).
+
+        gate(m)'s pin cap, then the caps of the fanin's true fanouts that
+        the match does not cover (in uid order), then the wire cap of the
+        box around the fanin, gate(m) and those fanouts.  The box folds
+        with strict comparisons from the fanin's point, as ``min`` and
+        ``max`` do over the points in that order.
+        """
+        _, uids, xs, ys, caps = self._netcache.entry(fanin)
+        cap = pin_cap
+        lx = ux = fanin_position.x
+        ly = uy = fanin_position.y
+        gx, gy = gate_position.x, gate_position.y
+        if gx < lx:
+            lx = gx
+        elif gx > ux:
+            ux = gx
+        if gy < ly:
+            ly = gy
+        elif gy > uy:
+            uy = gy
+        for uid, c, x, y in zip(uids, caps, xs, ys):
+            if uid in covered_uids:
                 continue
-            c, p = self._fanout_cap_and_point(consumer)
             cap += c
-            points.append(p)
-        cap += self._wire_cap(points)
+            if x < lx:
+                lx = x
+            elif x > ux:
+                ux = x
+            if y < ly:
+                ly = y
+            elif y > uy:
+                uy = y
+        cap += self.wire_cap.capacitance(ux - lx, uy - ly)
         return cap
 
-    def _wire_cap(self, points: Sequence[Point]) -> float:
-        if len(points) < 2:
-            return 0.0
-        xs = [p.x for p in points]
-        ys = [p.y for p in points]
-        return self.wire_cap.capacitance(max(xs) - min(xs), max(ys) - min(ys))
-
-    def _recalculated_arrival(
-        self, node: SubjectNode, solution: Solution, load: float
+    def _output_load(
+        self,
+        node: SubjectNode,
+        covered_uids: AbstractSet[int],
+        gate_position: Point,
     ) -> float:
+        """Step 3: output load of gate(m) from the inchoate fanouts.
+
+        The caps of ``node``'s direct fanouts that the match does not
+        cover, in fanout order (a PO pad's cap if there are none), then
+        the wire cap of the box around gate(m) and those fanouts.
+        """
+        uids, xs, ys, caps = self._netcache.out_entry(node)
+        cap = 0.0
+        lx = ux = gate_position.x
+        ly = uy = gate_position.y
+        sinks = 0
+        for uid, c, x, y in zip(uids, caps, xs, ys):
+            if uid in covered_uids:
+                continue
+            sinks += 1
+            cap += c
+            if x < lx:
+                lx = x
+            elif x > ux:
+                ux = x
+            if y < ly:
+                ly = y
+            elif y > uy:
+                uy = y
+        if not sinks:
+            cap += self.pad_cap  # and a one-point net has no wire
+            return cap
+        cap += self.wire_cap.capacitance(ux - lx, uy - ly)
+        return cap
+
+    @staticmethod
+    def _recalculated_arrival(solution: Solution, load: float) -> float:
         """Output arrival of a match input under a known load.
 
         Only the load-dependent ``R_i * C_L`` part is recomputed; the block
         arrival times ``b_i`` are fixed (the LI/LD split of Section 4.3).
         """
-        if solution.block_arrivals is None or solution.match is None:
+        blocks = solution.block_arrivals
+        if blocks is None or solution.match is None:
             return solution.arrival  # PI, constant, or positionless leaf
-        cell = solution.match.cell
-        return max(
-            b + cell.pins[i].timing.worst_resistance * load
-            for i, b in enumerate(solution.block_arrivals)
-        )
-
-    def _output_load(
-        self, node: SubjectNode, match: Match, gate_position: Point
-    ) -> float:
-        """Step 3: output load of gate(m) from the inchoate fanouts."""
-        covered_set = {n.uid for n in match.covered}
-        cap = 0.0
-        points: List[Point] = [gate_position]
-        consumers = [s for s in node.fanouts if s.uid not in covered_set]
-        if not consumers:
-            cap += self.pad_cap
-        for consumer in consumers:
-            c, p = self._fanout_cap_and_point(consumer)
-            cap += c
-            points.append(p)
-        cap += self._wire_cap(points)
-        return cap
+        # The first maximum, as max() keeps it.
+        arrival = None
+        for b, pin in zip(blocks, solution.match.cell.pins):
+            t = b + pin.timing.worst_resistance * load
+            if arrival is None or t > arrival:
+                arrival = t
+        return arrival
 
     # -- DP hooks ---------------------------------------------------------------
+
+    def cost_bound(self, match: Match, inputs: Sequence[Solution]) -> float:
+        """``max_i(t_in_i(pin_cap_i) + I_i)``: the priced arrival with each
+        input's load cut to gate(m)'s own pin cap, and without the
+        ``R_i * C_out`` terms.  Every term left out is >= 0."""
+        bound = float("-inf")
+        recalculated = self._recalculated_arrival
+        for pin, solution in zip(match.cell.pins, inputs):
+            block = (recalculated(solution, pin.input_cap)
+                     + pin.timing.worst_block)
+            if block > bound:
+                bound = block
+        return bound
 
     def evaluate_match(
         self, node: SubjectNode, match: Match, inputs: Sequence[Solution]
     ) -> Solution:
         """Output arrival of ``match`` by the Section 4.4 procedure."""
         position = self._tentative_position(node, match, inputs)
+        covered_uids = {n.uid for n in match.covered}
+        pins = match.cell.pins
         blocks: List[float] = []
         for pin_index, fanin in enumerate(match.inputs):
-            fanin_position = self._input_position(fanin, inputs[pin_index])
+            solution = inputs[pin_index]
+            pin = pins[pin_index]
             load = self._load_at_input(
-                fanin, match, pin_index, position, fanin_position
-            )
-            t_in = self._recalculated_arrival(fanin, inputs[pin_index], load)
-            timing = match.cell.pins[pin_index].timing
-            blocks.append(t_in + timing.worst_block)
-        output_load = self._output_load(node, match, position)
+                fanin, pin.input_cap, covered_uids, position,
+                self._input_position(fanin, solution))
+            t_in = self._recalculated_arrival(solution, load)
+            blocks.append(t_in + pin.timing.worst_block)
+        output_load = self._output_load(node, covered_uids, position)
         arrival = max(
-            b + match.cell.pins[i].timing.worst_resistance * output_load
-            for i, b in enumerate(blocks)
+            b + pin.timing.worst_resistance * output_load
+            for b, pin in zip(blocks, pins)
         )
         area = match.cell.area + sum(s.area for s in inputs)
         return Solution(

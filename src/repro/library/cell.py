@@ -23,6 +23,10 @@ class PinTiming:
 
     ``block`` is the intrinsic (zero-load) delay ``I_i``; ``resistance`` is
     the output resistance ``R_i``, i.e. delay per unit load capacitance.
+    ``worst_block`` and ``worst_resistance`` (the larger of rise and fall)
+    are plain attributes set once here: the delay mappers read them for
+    every candidate they price.  They are not fields, so equality, hash
+    and repr see the four parameters only.
     """
 
     rise_block: float
@@ -30,13 +34,12 @@ class PinTiming:
     fall_block: float
     fall_resistance: float
 
-    @property
-    def worst_block(self) -> float:
-        return max(self.rise_block, self.fall_block)
-
-    @property
-    def worst_resistance(self) -> float:
-        return max(self.rise_resistance, self.fall_resistance)
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "worst_block", max(self.rise_block, self.fall_block))
+        object.__setattr__(
+            self, "worst_resistance",
+            max(self.rise_resistance, self.fall_resistance))
 
     @staticmethod
     def uniform(block: float, resistance: float) -> "PinTiming":
@@ -86,6 +89,9 @@ class Cell:
         if unused:
             raise ValueError(f"cell {name!r}: unused pins {unused}")
         self.truth_table: TruthTable = self.expression.to_truth_table(pin_names)
+        #: The largest pin input capacitance (a hawk's load on its nets).
+        self.max_input_cap: float = max(
+            (p.input_cap for p in self.pins), default=0.0)
 
     @property
     def num_inputs(self) -> int:
@@ -106,10 +112,6 @@ class Cell:
     @property
     def is_nand2(self) -> bool:
         return self.num_inputs == 2 and self.truth_table == TruthTable(2, 0b0111)
-
-    @property
-    def max_input_cap(self) -> float:
-        return max(p.input_cap for p in self.pins)
 
     def pin(self, name: str) -> Pin:
         for p in self.pins:

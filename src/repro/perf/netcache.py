@@ -17,53 +17,108 @@ dropping the entries that visited a committed node leaves every surviving
 entry equal to a fresh recompute.  Placement refreshes move every gate
 and clear the cache outright.  The equivalence tests re-derive each entry
 from scratch and assert equality mid-run.
+
+A delay mapper also reads each pin's load capacitance from the entries:
+``pad_cap`` for a primary output, the committed cell's largest pin cap
+for a hawk, the base (NAND2) pin cap for anything else.  A pin's cap
+changes only when it becomes a hawk, and that commit drops every entry
+whose walk saw it, so the same dependency index keeps the caps fresh.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.state import PlacementState
-from repro.geometry import Point
 from repro.map.lifecycle import LifecycleTracker, NodeState
+from repro.map.netlist import MappedNode
 from repro.network.subject import SubjectNode
 from repro.obs import OBS
 
 __all__ = ["NetCache"]
 
-#: (consumers sorted by uid, their uids, their x coords, their y coords).
-_Entry = Tuple[List[SubjectNode], List[int], List[float], List[float]]
+#: (consumers sorted by uid, their uids, x coords, y coords, load caps).
+_Entry = Tuple[List[SubjectNode], List[int], List[float], List[float],
+               List[float]]
+#: (direct-fanout uids, x coords, y coords, load caps).
+_OutEntry = Tuple[List[int], List[float], List[float], List[float]]
 
 
 class NetCache:
-    """Per-net true-fanout lists and pin points, invalidated by commits."""
+    """Per-net true-fanout lists, pin points and pin caps, invalidated by
+    commits.
 
-    def __init__(self, state: PlacementState, lifecycle: LifecycleTracker) -> None:
+    Args:
+        state: the live placement (place and map positions).
+        lifecycle: the live life-cycle states.
+        instances: node uid -> committed instance, the mapper's own map
+            (a hawk's pin cap is its cell's :attr:`~repro.library.cell.
+            Cell.max_input_cap`).  ``None`` (area mode) leaves the cap
+            lists empty.
+        pad_cap: the cap of a primary-output pin.
+        base_cap: the cap of any other pin that is not a hawk.
+    """
+
+    def __init__(
+        self,
+        state: PlacementState,
+        lifecycle: LifecycleTracker,
+        instances: Optional[Dict[int, MappedNode]] = None,
+        pad_cap: float = 0.0,
+        base_cap: float = 0.0,
+    ) -> None:
         self.state = state
         self.lifecycle = lifecycle
+        self._instances = instances
+        self._pad_cap = pad_cap
+        self._base_cap = base_cap
         self._entries: Dict[int, _Entry] = {}
         #: visited node uid -> entry keys whose walk saw that node.
         self._deps: Dict[int, Set[int]] = {}
-        #: node uid -> (direct-fanout uids, xs, ys) for the output net.
-        self._out_entries: Dict[int, Tuple[List[int], List[float], List[float]]] = {}
+        #: node uid -> the entry of its output net (direct fanouts).
+        self._out_entries: Dict[int, _OutEntry] = {}
         #: sink uid -> out-entry keys listing that sink.
         self._out_deps: Dict[int, Set[int]] = {}
 
-    def _node_point(self, node: SubjectNode) -> Point:
-        """mapPosition for hawks, placePosition (or pad) otherwise —
-        mirrors :func:`repro.core.rectangles._node_point`."""
-        if node.is_gate and self.lifecycle.state(node) is NodeState.HAWK:
-            p = self.state.map_position(node)
-            if p is not None:
-                return p
-        return self.state.place_position(node)
+    def _pins(
+        self, nodes: List[SubjectNode]
+    ) -> Tuple[List[float], List[float], List[float]]:
+        """xs, ys and caps of ``nodes``: mapPosition for hawks,
+        placePosition (or pad) otherwise, as
+        :func:`repro.core.rectangles._node_point` does."""
+        state_of = self.lifecycle.state
+        map_position = self.state.map_position
+        place_position = self.state.place_position
+        instances = self._instances
+        xs: List[float] = []
+        ys: List[float] = []
+        caps: List[float] = []
+        for node in nodes:
+            hawk = node.is_gate and state_of(node) is NodeState.HAWK
+            p = map_position(node) if hawk else None
+            if p is None:
+                p = place_position(node)
+            xs.append(p.x)
+            ys.append(p.y)
+            if instances is None:
+                continue
+            if node.is_po:
+                caps.append(self._pad_cap)
+            elif hawk:
+                instance = instances.get(node.uid)
+                caps.append(self._base_cap if instance is None
+                            else instance.cell.max_input_cap)
+            else:
+                caps.append(self._base_cap)
+        return xs, ys, caps
 
     def entry(self, fanin: SubjectNode) -> _Entry:
-        """Cached ``(consumers, uids, xs, ys)`` for ``fanin``'s output net.
+        """Cached ``(consumers, uids, xs, ys, caps)`` for ``fanin``'s
+        output net.
 
         ``consumers`` is exactly :func:`repro.core.rectangles.true_fanouts`
-        of ``fanin``; the coordinate lists are the consumers' current
-        points, aligned by index.
+        of ``fanin``; the other lists are the consumers' uids, current
+        points and load caps, aligned by index.
         """
         key = fanin.uid
         cached = self._entries.get(key)
@@ -91,13 +146,7 @@ class NetCache:
             else:
                 found.append(branch)
         found.sort(key=lambda n: n.uid)
-        points = [self._node_point(n) for n in found]
-        entry = (
-            found,
-            [n.uid for n in found],
-            [p.x for p in points],
-            [p.y for p in points],
-        )
+        entry = (found, [n.uid for n in found], *self._pins(found))
         self._entries[key] = entry
         deps = self._deps
         for uid in seen:
@@ -109,17 +158,15 @@ class NetCache:
         return entry
 
     def consumers(self, fanin: SubjectNode) -> List[SubjectNode]:
-        """The true-fanout list alone (delay-mapper load model hook)."""
+        """The true-fanout list alone (the general path's rectangles)."""
         return self.entry(fanin)[0]
 
-    def out_entry(
-        self, node: SubjectNode
-    ) -> Tuple[List[int], List[float], List[float]]:
-        """Cached ``(uids, xs, ys)`` of ``node``'s direct fanouts.
+    def out_entry(self, node: SubjectNode) -> _OutEntry:
+        """Cached ``(uids, xs, ys, caps)`` of ``node``'s direct fanouts.
 
         The candidate-output net of Section 3.3 uses the *inchoate*
-        fanouts directly (no dove walk); only the sinks' points can go
-        stale, so the sinks themselves are the dependencies.
+        fanouts directly (no dove walk); only the sinks' points and caps
+        can go stale, so the sinks themselves are the dependencies.
         """
         key = node.uid
         cached = self._out_entries.get(key)
@@ -130,12 +177,7 @@ class NetCache:
         if OBS.enabled:
             OBS.metrics.counter("perf.netcache_misses").inc()
         sinks = node.fanouts
-        points = [self._node_point(s) for s in sinks]
-        entry = (
-            [s.uid for s in sinks],
-            [p.x for p in points],
-            [p.y for p in points],
-        )
+        entry = ([s.uid for s in sinks], *self._pins(sinks))
         self._out_entries[key] = entry
         deps = self._out_deps
         for sink in sinks:

@@ -52,8 +52,10 @@ class TestLoadModels:
             m for m in find_matches(n1, pattern_set_for(mapper.library))
             if m.cell.name == "nand2"
         )
-        near = mapper._output_load(n1, match, mapper.state.place_position(n2))
-        far = mapper._output_load(n1, match, Point(0, 0))
+        covered = {n.uid for n in match.covered}
+        near = mapper._output_load(n1, covered,
+                                   mapper.state.place_position(n2))
+        far = mapper._output_load(n1, covered, Point(0, 0))
         assert far > near  # longer wire to the fanout -> more capacitance
 
     def test_input_load_counts_gate_pin(self, armed_mapper):
@@ -66,7 +68,8 @@ class TestLoadModels:
             if m.cell.name == "inv1"
         )
         load = mapper._load_at_input(
-            n1, match, 0, Point(500, 500), Point(500, 500)
+            n1, match.cell.pins[0].input_cap,
+            {n.uid for n in match.covered}, Point(500, 500), Point(500, 500)
         )
         assert load >= match.cell.pins[0].input_cap
 
@@ -85,7 +88,7 @@ class TestLoadModels:
         r = match.cell.pins[0].timing.worst_resistance
         load = 0.5
         expected = max(2.0 + r * load, 3.0 + r * load)
-        assert mapper._recalculated_arrival(n1, solution, load) == pytest.approx(
+        assert mapper._recalculated_arrival(solution, load) == pytest.approx(
             expected
         )
 
@@ -93,8 +96,8 @@ class TestLoadModels:
         g, mapper, n1, n2 = armed_mapper
         a = g["a"]
         leaf = mapper.leaf_solution(a)
-        assert mapper._recalculated_arrival(a, leaf, 0.0) == \
-            mapper._recalculated_arrival(a, leaf, 10.0)
+        assert mapper._recalculated_arrival(leaf, 0.0) == \
+            mapper._recalculated_arrival(leaf, 10.0)
 
 
 class TestBlockArrivalSplit:
@@ -114,7 +117,8 @@ class TestBlockArrivalSplit:
         assert sol.block_arrivals is not None
         r0 = match.cell.pins[0].timing.worst_resistance
         # Arrival from pin 0 at double load grows by exactly r0 * delta.
-        base_load = mapper._output_load(n1, match, sol.position)
+        base_load = mapper._output_load(
+            n1, {n.uid for n in match.covered}, sol.position)
         t1 = sol.block_arrivals[0] + r0 * base_load
         t2 = sol.block_arrivals[0] + r0 * (base_load + 1.0)
         assert t2 - t1 == pytest.approx(r0)

@@ -174,3 +174,69 @@ class TestLilyCombined:
         result = LilyAreaMapper(big_lib).map(subject)
         assert networks_equivalent(net, result.mapped)
         assert result.lifecycle.reincarnations >= 0
+
+
+def _library_with_pin(big_lib, cell_name, **changes):
+    """``big_lib`` with the first pin of ``cell_name`` changed:
+    ``input_cap`` or a ``PinTiming`` field."""
+    from dataclasses import replace
+
+    from repro.library.cell import Cell, Library
+
+    cells = []
+    for cell in big_lib:
+        if cell.name == cell_name:
+            first = cell.pins[0]
+            cap = changes.pop("input_cap", first.input_cap)
+            pins = [replace(first, input_cap=cap,
+                            timing=replace(first.timing, **changes)),
+                    *cell.pins[1:]]
+            cell = Cell(cell.name, cell.area, cell.expression_text, pins,
+                        output_name=cell.output_name)
+        cells.append(cell)
+    return Library("edited", cells)
+
+
+class TestBoundParameters:
+    """Lily's cost bounds hold only for non-negative caps, resistances,
+    wire coefficients and weights; anything else is refused up front."""
+
+    @pytest.mark.parametrize("mapper", [LilyAreaMapper, LilyDelayMapper])
+    def test_negative_pin_cap_rejected(self, big_lib, mapper):
+        lib = _library_with_pin(big_lib, "nand3", input_cap=-0.01)
+        with pytest.raises(ValueError, match="input capacitance"):
+            mapper(lib)
+
+    @pytest.mark.parametrize("field", ["rise_resistance", "fall_resistance"])
+    @pytest.mark.parametrize("mapper", [LilyAreaMapper, LilyDelayMapper])
+    def test_negative_drive_resistance_rejected(self, big_lib, mapper,
+                                                field):
+        lib = _library_with_pin(big_lib, "nand3", **{field: -1.0})
+        with pytest.raises(ValueError, match=field.replace("_", " ")):
+            mapper(lib)
+
+    @pytest.mark.parametrize("coefficients", [(-1e-4, 1.5e-4),
+                                              (2.0e-4, -1e-4)])
+    def test_negative_wire_cap_coefficient_rejected(self, big_lib,
+                                                    coefficients):
+        from repro.timing.model import WireCapModel
+
+        with pytest.raises(ValueError, match="wire_cap"):
+            LilyDelayMapper(big_lib, wire_cap=WireCapModel(*coefficients))
+
+    def test_negative_pad_cap_rejected(self, big_lib):
+        with pytest.raises(ValueError, match="pad_cap"):
+            LilyDelayMapper(big_lib, pad_cap=-0.25)
+
+    @pytest.mark.parametrize("mapper", [LilyAreaMapper, LilyDelayMapper])
+    def test_negative_wire_weight_rejected(self, big_lib, mapper):
+        with pytest.raises(ValueError, match="wire_weight"):
+            mapper(big_lib, options=LilyOptions(wire_weight=-2.0))
+
+    def test_zero_values_accepted(self, big_lib):
+        from repro.timing.model import WireCapModel
+
+        lib = _library_with_pin(big_lib, "nand3", input_cap=0.0,
+                                rise_resistance=0.0, fall_resistance=0.0)
+        LilyAreaMapper(lib, options=LilyOptions(wire_weight=0.0))
+        LilyDelayMapper(lib, wire_cap=WireCapModel(0.0, 0.0), pad_cap=0.0)

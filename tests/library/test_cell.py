@@ -77,6 +77,29 @@ class TestPinTiming:
         assert t.worst_block == 2.0
         assert t.worst_resistance == 0.5
 
+    def test_worst_values_are_not_fields(self):
+        """Computed once, the worst values stay out of equality, hash,
+        repr and the dataclass fields."""
+        from dataclasses import fields, replace
+
+        t = PinTiming(1.0, 0.5, 2.0, 0.1)
+        assert [f.name for f in fields(t)] == [
+            "rise_block", "rise_resistance", "fall_block", "fall_resistance"]
+        assert repr(t) == ("PinTiming(rise_block=1.0, rise_resistance=0.5, "
+                           "fall_block=2.0, fall_resistance=0.1)")
+        assert t == PinTiming(1.0, 0.5, 2.0, 0.1)
+        assert hash(t) == hash(PinTiming(1.0, 0.5, 2.0, 0.1))
+        assert replace(t, fall_block=0.5).worst_block == 1.0
+        with pytest.raises(AttributeError):
+            t.worst_block = 3.0
+
+
+class TestMaxInputCap:
+    def test_largest_pin_cap(self):
+        cell = Cell("nand2", 1.0, "!(a*b)",
+                    [make_pin("a", cap=0.25), make_pin("b", cap=0.5)])
+        assert cell.max_input_cap == 0.5
+
 
 class TestLibrary:
     def test_requires_inverter(self):

@@ -2,9 +2,10 @@
 
 The goldens map with the recursive oracle matcher (``oracles.match``)
 and, for Lily, with the ``oracles.lily`` mappers, which price every
-match on the general cost path without the cross-cone net cache.  So
-each comparison checks the table matcher plus Lily's net cache and fast
-evaluator against the naive code.  The variants map with a fresh mapper
+match (no bound) without the cross-cone net cache: area mode on the
+general cost path, delay mode with per-consumer loads.  So each
+comparison checks the table matcher plus Lily's net cache, fast
+evaluator, cached loads and bounded pricing against the naive code.  The variants map with a fresh mapper
 and with one that mapped another circuit first, whose matcher must
 rebuild its tables for the new subject graph.
 
@@ -16,12 +17,14 @@ exact solution costs) catch any divergence, not just large ones.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from oracles.lily import NaiveLilyAreaMapper, NaiveLilyDelayMapper
 from oracles.match import OracleMatcher
 from repro.circuits.suite import build_circuit
-from repro.core.lily import LilyAreaMapper, LilyDelayMapper
+from repro.core.lily import LilyAreaMapper, LilyDelayMapper, LilyOptions
 from repro.library.patterns import pattern_set_for
 from repro.map.mis import MisAreaMapper, MisDelayMapper
 from repro.network.decompose import decompose_to_subject
@@ -91,14 +94,23 @@ def test_mis_area_fast_vs_naive(subjects, big_lib, circuit):
 
 
 def test_delay_mappers_fast_vs_naive(subjects, big_lib):
-    subject = subjects["misex1"]
-    for cls, oracle in ((LilyDelayMapper, NaiveLilyDelayMapper),
-                        (MisDelayMapper, MisDelayMapper)):
-        golden = _fingerprint(_oracle(oracle, big_lib).map(subject))
-        for name, variant in VARIANTS.items():
-            mapper = variant(cls, big_lib, subjects["b9"])
-            fp = _fingerprint(mapper.map(subject))
-            assert fp == golden, f"{cls.__name__}/{name} diverged"
+    """Lily delay mode with both position updates (``lily_flow`` maps
+    timing with CM-of-Merged), and the MIS delay mapper."""
+    mappers = [(MisDelayMapper, MisDelayMapper, "mis")]
+    for update in ("cm_of_fans", "cm_of_merged"):
+        options = LilyOptions(position_update=update)
+        mappers.append((partial(LilyDelayMapper, options=options),
+                        partial(NaiveLilyDelayMapper, options=options),
+                        f"lily/{update}"))
+    for index, circuit in enumerate(CIRCUITS):
+        subject = subjects[circuit]
+        other = subjects[CIRCUITS[index - 1]]
+        for cls, oracle, label in mappers:
+            golden = _fingerprint(_oracle(oracle, big_lib).map(subject))
+            for name, variant in VARIANTS.items():
+                mapper = variant(cls, big_lib, other)
+                fp = _fingerprint(mapper.map(subject))
+                assert fp == golden, f"{circuit} {label}/{name} diverged"
 
 
 def _backend_fingerprint(flow):

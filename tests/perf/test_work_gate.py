@@ -6,7 +6,8 @@ The matcher and the covering DPs count their work in ``repro.obs``:
 Lily DP solves); ``cut.functions_computed`` (cut truth tables),
 ``cut.nodes_visited`` (cut DP solves) and ``cut.states_expanded``
 ((cut, binding) candidates priced); ``lily.position_evals`` (Lily
-matches priced at a tentative mapPosition).  The global placer's FM
+matches priced after the bound: those whose exact lower bound did not
+rule them out, each priced at a tentative mapPosition).  The global placer's FM
 refinement counts ``place.fm_cells`` and ``place.fm_nets`` (cells and
 nets handed to FM), ``place.fm_moves`` (tentative moves) and
 ``place.fm_gain_updates`` (gain deltas applied to free cells).  The
