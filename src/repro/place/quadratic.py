@@ -4,7 +4,8 @@ The GORDIAN engine of [21]: minimise the squared-Euclidean wirelength
 ``sum_nets w_net * ((x_i - x_j)^2 + (y_i - y_j)^2)`` over all pin pairs of
 each net (clique model) subject to fixed pad positions.  The objective is
 separable in x and y; each axis reduces to one sparse SPD linear system
-``L x = b`` solved with conjugate gradients.
+``L x = b`` over the same ``L``, solved with conjugate gradients (small
+systems: one sparse LU factorization serves both axes).
 
 Repeated solves over the same netlist (the partitioning levels of the
 global placer, Lily's periodic re-place) share a :class:`QuadraticSystem`:
@@ -34,6 +35,10 @@ __all__ = [
 
 #: Weak spring to the region centre keeping unconnected cells well-defined.
 ANCHOR_EPSILON = 1e-6
+
+#: Systems up to this many cells are solved directly (SuperLU), larger
+#: ones with conjugate gradients.
+DIRECT_SOLVE_LIMIT = 400
 
 #: Pin count above which ``clique`` nets fall back to the star model: the
 #: clique expansion is O(k²) edges, which blows up on high-fanout nets
@@ -225,6 +230,10 @@ class QuadraticSystem:
         laplacian = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
         center = self._center
+        if n <= DIRECT_SOLVE_LIMIT:
+            # Both axes share the matrix: factor it once.
+            lu = spla.splu(laplacian.tocsc())
+            return lu.solve(bx), lu.solve(by)
         return (_solve_spd(laplacian, bx, center.x, x0=x0),
                 _solve_spd(laplacian, by, center.y, x0=y0))
 
@@ -267,7 +276,7 @@ def _solve_spd(
 ) -> np.ndarray:
     """Solve the SPD system with CG; falls back to a direct solve."""
     n = laplacian.shape[0]
-    if n <= 400:
+    if n <= DIRECT_SOLVE_LIMIT:
         return spla.spsolve(laplacian.tocsc(), rhs)
     if x0 is None:
         x0 = np.full(n, start)

@@ -16,14 +16,19 @@ only the dirty frontier:
   the backward pass re-runs only for the fanin cone of load-changed gates
   (or fully when the effective deadline changed).
 
-Full passes (construction, a new deadline) run on the reference
-engine itself: :func:`~repro.timing.sta.analyze` and
-:func:`~repro.timing.sta.required_times`.  The frontiers walk one node
-at a time, forward in topological order and backward in reverse
-topological order, through the same per-node helpers
-(:func:`~repro.timing.sta._node_load`,
-:func:`~repro.timing.sta._node_arrival`,
-:func:`~repro.timing.sta._node_required`).  A node pops only after every
+The constructor's full pass is the reference engine's own
+(:func:`~repro.timing.sta.full_pass`, which :func:`~repro.timing.sta.analyze`
+runs), and the engine keeps the :class:`~repro.timing.sta.TimingTables`
+it compiled: the forward frontier walks integer node ids in topological
+order over the tables' rise, fall, worst-arrival and load arrays,
+through the same per-gate arithmetic
+(:meth:`~repro.timing.sta.TimingTables.gate_load`,
+:func:`~repro.timing.sta.gate_arrival`), and writes ``report.arrivals``,
+``report.loads`` and ``node.arrival`` only where a value changed; the
+critical PO is re-picked only when a PO's arrival changed.  The backward
+frontier walks the same ids in reverse topological order through
+:func:`~repro.timing.sta._node_required`, and a new deadline re-runs
+:func:`~repro.timing.sta.required_times`.  A node pops only after every
 neighbour it reads that could still change, so it is recomputed at most
 once per update, and the report is bit-identical to a fresh ``analyze``
 of the current netlist — :meth:`IncrementalTiming.check_against_full`
@@ -39,17 +44,19 @@ import heapq
 from typing import Dict, List, Optional, Set
 
 from repro.geometry import Point
-from repro.map.netlist import MappedNetwork, MappedNode
+from repro.map.netlist import MappedNetwork
 from repro.obs import OBS
 from repro.timing.model import WireCapModel
 from repro.timing.sta import (
+    GATE,
+    PI,
+    PO,
     ArrivalTimes,
     TimingReport,
-    _node_arrival,
-    _node_load,
     _node_required,
-    _select_critical,
     analyze,
+    full_pass,
+    gate_arrival,
     report_mismatches,
     required_times,
 )
@@ -70,13 +77,14 @@ class IncrementalTiming:
             there is one engine, so anything but ``True`` raises
             :class:`ValueError`.
 
-    The constructor runs one full :func:`~repro.timing.sta.analyze`
-    pass; afterwards
+    The constructor runs one full pass
+    (:func:`~repro.timing.sta.full_pass`) and keeps its tables;
+    afterwards
     :meth:`set_position` / :meth:`set_input_arrival` record changes and
     :meth:`update` refreshes :attr:`report` by frontier propagation.
     Positions must change through :meth:`set_position` (or
     :meth:`invalidate` after a direct mutation) so the engine knows what
-    is dirty.
+    is dirty.  The netlist's structure must not change.
     """
 
     def __init__(
@@ -98,21 +106,19 @@ class IncrementalTiming:
         self.input_arrivals = dict(input_arrivals or {})
         self.pad_cap = pad_cap
         self.wire_cap_per_fanout = wire_cap_per_fanout
-        self.report = analyze(
+        self._tables = full_pass(
             mapped,
             wire_model=wire_model,
             input_arrivals=self.input_arrivals,
             pad_cap=pad_cap,
             wire_cap_per_fanout=wire_cap_per_fanout,
         )
-        self._order = mapped.topological_order()
-        self._topo = {node.name: i for i, node in enumerate(self._order)}
-        self._node = {node.name: node for node in self._order}
-        self._dirty: Set[str] = set()
-        self._load_dirty: Set[str] = set()
+        self.report = self._tables.report
+        self._dirty: Set[int] = set()
+        self._load_dirty: Set[int] = set()
         #: Gates whose load changed since the required times were cached
         #: (drives the backward frontier).
-        self._required_stale: Set[str] = set()
+        self._required_stale: Set[int] = set()
         self._required: Optional[Dict[str, float]] = None
         self._required_deadline: Optional[float] = None
         self.updates = 0
@@ -120,28 +126,30 @@ class IncrementalTiming:
 
     # -- change recording ----------------------------------------------------
 
-    def _mark(self, node: MappedNode, load_too: bool) -> None:
-        self._dirty.add(node.name)
-        if load_too and node.is_gate:
-            self._load_dirty.add(node.name)
-            self._required_stale.add(node.name)
+    def _mark(self, i: int, load_too: bool) -> None:
+        self._dirty.add(i)
+        if load_too and self._tables.kinds[i] == GATE:
+            self._load_dirty.add(i)
+            self._required_stale.add(i)
 
     def set_position(self, name: str, position: Optional[Point]) -> None:
         """Move one node; dirties its own and its fanin-drivers' loads."""
-        node = self._node[name]
+        index = self._tables.index
+        i = index[name]
+        node = self._tables.nodes[i]
         node.position = position
-        self._mark(node, load_too=True)
+        self._mark(i, load_too=True)
         for fanin in node.fanins:
-            self._mark(fanin, load_too=True)
+            self._mark(index[fanin.name], load_too=True)
 
     def set_input_arrival(self, name: str, arrival: float) -> None:
         """Change a primary input's arrival time."""
         self.input_arrivals[name] = arrival
-        self._mark(self._node[name], load_too=False)
+        self._mark(self._tables.index[name], load_too=False)
 
     def invalidate(self, name: str) -> None:
         """Force one node (arrival and load) to recompute on next update."""
-        self._mark(self._node[name], load_too=True)
+        self._mark(self._tables.index[name], load_too=True)
 
     # -- forward frontier ----------------------------------------------------
 
@@ -154,45 +162,62 @@ class IncrementalTiming:
         if not self._dirty:
             return self.report
         self.updates += 1
+        tables = self._tables
+        kinds = tables.kinds
+        pins = tables.pins
+        fanouts = tables.fanouts
+        names = tables.names
+        nodes = tables.nodes
+        rise = tables.rise
+        fall = tables.fall
+        worst = tables.worst
+        gate_loads = tables.loads
         report = self.report
         arrivals = report.arrivals
         loads = report.loads
-        order = self._order
-        topo = self._topo
         load_dirty = self._load_dirty
-        heap = [topo[name] for name in self._dirty]
+        input_arrivals = self.input_arrivals
+        heap = list(self._dirty)
         queued = set(heap)
         heapq.heapify(heap)
+        pop = heapq.heappop
+        push = heapq.heappush
+        po_changed = False
         while heap:
-            node = order[heapq.heappop(heap)]
-            name = node.name
-            if node.is_gate:
-                if name in load_dirty:
-                    loads[name] = _node_load(
-                        node, self.wire_model, self.pad_cap,
-                        self.wire_cap_per_fanout)
-                new = _node_arrival(node, arrivals, loads[name])
-            elif node.is_po:
-                new = arrivals[node.fanins[0].name]
-            elif node.is_pi:
-                new = ArrivalTimes.at(self.input_arrivals.get(name, 0.0))
+            i = pop(heap)
+            kind = kinds[i]
+            if kind == GATE:
+                load = gate_loads[i]
+                if i in load_dirty:
+                    new_load = tables.gate_load(i)
+                    if new_load != load:
+                        gate_loads[i] = load = new_load
+                        loads[names[i]] = new_load
+                r, f = gate_arrival(pins[i], worst, load)
+            elif kind == PO:
+                r = rise[pins[i]]
+                f = fall[pins[i]]
             else:
-                new = ArrivalTimes.at(0.0)
-            old = arrivals[name]
-            if old.rise != new.rise or old.fall != new.fall:
-                arrivals[name] = new
-                node.arrival = new.worst
-                for sink in node.fanouts:
-                    j = topo[sink.name]
+                r = f = (input_arrivals.get(names[i], 0.0) if kind == PI
+                         else 0.0)
+            if r != rise[i] or f != fall[i]:
+                rise[i] = r
+                fall[i] = f
+                worst[i] = nodes[i].arrival = f if f > r else r
+                if kind == PO:
+                    arrivals[names[i]] = arrivals[names[pins[i]]]
+                    po_changed = True
+                else:
+                    arrivals[names[i]] = ArrivalTimes(r, f)
+                for j in fanouts[i]:
                     if j not in queued:
                         queued.add(j)
-                        heapq.heappush(heap, j)
-            elif name in load_dirty:
-                node.arrival = old.worst
+                        push(heap, j)
         self._dirty.clear()
         load_dirty.clear()
         self.nodes_recomputed += len(queued)
-        _select_critical(self.mapped, report)
+        if po_changed:
+            tables.select_critical(report)
         if OBS.enabled:
             OBS.metrics.counter("perf.incremental.sta_updates").inc()
             OBS.metrics.counter(
@@ -236,26 +261,26 @@ class IncrementalTiming:
         queues the node's fanins.  POs never enter: seeds and propagation
         both follow fanin edges.
         """
-        order = self._order
-        topo = self._topo
+        nodes = self._tables.nodes
+        index = self._tables.index
         loads = self.report.loads
         heap: List[int] = []
         queued: Set[int] = set()
-        for name in self._required_stale:
-            for fanin in self._node[name].fanins:
-                j = topo[fanin.name]
+        for i in self._required_stale:
+            for fanin in nodes[i].fanins:
+                j = index[fanin.name]
                 if j not in queued:
                     queued.add(j)
                     heap.append(-j)
         self._required_stale.clear()
         heapq.heapify(heap)
         while heap:
-            node = order[-heapq.heappop(heap)]
+            node = nodes[-heapq.heappop(heap)]
             new = _node_required(node, required, loads, effective)
             if required[node.name] != new:
                 required[node.name] = new
                 for fanin in node.fanins:
-                    j = topo[fanin.name]
+                    j = index[fanin.name]
                     if j not in queued:
                         queued.add(j)
                         heapq.heappush(heap, -j)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.geometry import Point, bounding_rect
+from repro.geometry import Point
 from repro.route.wirelength import chung_hwang_factor
 
 __all__ = ["WireCapModel", "net_wire_capacitance"]
@@ -53,6 +53,8 @@ def net_wire_capacitance(
     model = model or WireCapModel()
     if len(pin_positions) < 2:
         return 0.0
-    box = bounding_rect(pin_positions)
+    xs = [p.x for p in pin_positions]
+    ys = [p.y for p in pin_positions]
     factor = chung_hwang_factor(len(pin_positions)) if use_steiner_factor else 1.0
-    return model.capacitance(box.width * factor, box.height * factor)
+    return model.capacitance((max(xs) - min(xs)) * factor,
+                             (max(ys) - min(ys)) * factor)

@@ -8,21 +8,28 @@ with ``C_L`` the sum of fanout pin capacitances plus the lumped wire
 capacitance of the output net (Section 4.2).  The mapped netlist must be
 placed (gate positions and pad positions known) for the wire term; without
 positions the wire term falls back to zero or a per-fanout constant.
+
+A forward pass compiles the netlist into integer-indexed
+:class:`TimingTables` and evaluates each node as it is compiled;
+:class:`~repro.timing.incremental.IncrementalTiming` keeps the tables of
+its construction pass for its dirty frontier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.geometry import Point
-from repro.map.netlist import MappedNetwork, MappedNode
+from repro.library.cell import Cell
+from repro.map.netlist import MappedNetwork, MappedNode, MappedNodeKind
 from repro.obs import OBS
 from repro.timing.model import WireCapModel, net_wire_capacitance
 
 __all__ = [
     "ArrivalTimes",
     "TimingReport",
+    "TimingTables",
     "analyze",
     "critical_path",
     "report_mismatches",
@@ -130,32 +137,219 @@ def slacks(
     }
 
 
-def _node_load(
-    node: MappedNode,
-    wire_model: Optional[WireCapModel],
-    pad_cap: float,
-    wire_cap_per_fanout: float,
-) -> float:
-    """Output load of a node: fanout pin caps + wire capacitance."""
-    load = 0.0
-    for sink in node.fanouts:
-        if sink.is_po:
-            load += pad_cap
-        elif sink.is_gate:
-            for pin_index, fanin in enumerate(sink.fanins):
-                if fanin is node:
-                    load += sink.cell.pins[pin_index].input_cap
-    if wire_model is not None:
-        positions: List[Point] = []
+#: Node kinds in :class:`TimingTables`.
+PI, CONSTANT, PO, GATE = range(4)
+
+_KINDS = {
+    MappedNodeKind.PRIMARY_INPUT: PI,
+    MappedNodeKind.CONSTANT: CONSTANT,
+    MappedNodeKind.PRIMARY_OUTPUT: PO,
+    MappedNodeKind.GATE: GATE,
+}
+
+
+class TimingTables:
+    """A mapped netlist compiled into integer timing tables.
+
+    Node ``i`` is the ``i``-th node of the topological order;
+    ``nodes``, ``names`` and ``index`` (name -> ``i``) translate.  Per
+    node: ``kinds[i]``; ``pins[i]``, for a gate one ``(fanin, (rise
+    block, rise R, fall block, fall R))`` tuple per pin (the delay
+    coefficients are one tuple per cell pin, shared by every instance),
+    for a PO its driver's index, else ``()``; ``fanouts[i]``, the
+    indices of its fanout entries.  Per gate: ``pin_loads[i]``, the
+    capacitance of its fanout pins (:func:`_pin_load`), plus the
+    per-fanout wire fallback when there is no wire model.  ``outputs``
+    lists the POs' indices in ``mapped.primary_outputs`` order.
+    ``rise``, ``fall``, ``worst`` and ``loads`` hold each node's current
+    values (``loads``: 0.0 for non-gates);
+    :class:`~repro.timing.incremental.IncrementalTiming` keeps them
+    current after construction.
+
+    The tables depend on the netlist's structure and on ``wire_model``,
+    ``pad_cap`` and ``wire_cap_per_fanout``; positions are read live by
+    :meth:`gate_load`.  Construction is the full forward pass: each node
+    is compiled and then evaluated in the same loop (its fanins already
+    are), filling the arrays, :attr:`report`, and every node's
+    ``arrival`` (its worst arrival).  ``index`` and ``fanouts`` serve
+    only the frontier, so they are compiled on first use and a one-shot
+    :func:`analyze` never builds them.
+    """
+
+    def __init__(
+        self,
+        mapped: MappedNetwork,
+        order: Sequence[MappedNode],
+        wire_model: Optional[WireCapModel],
+        input_arrivals: Dict[str, float],
+        pad_cap: float,
+        wire_cap_per_fanout: float,
+    ) -> None:
+        n = len(order)
+        self.wire_model = wire_model
+        self.nodes = order
+        self.names = names = [node.name for node in order]
+        index_of = dict(zip(order, range(n))).__getitem__
+        self.kinds = kinds = [_KINDS[node.kind] for node in order]
+        self.pins: List[object] = []
+        self.pin_loads = pin_loads = [0.0] * n
+        self.rise = rise = [0.0] * n
+        self.fall = fall = [0.0] * n
+        self.worst = worst = [0.0] * n
+        self.loads = gate_loads = [0.0] * n
+        self.report = report = TimingReport()
+        arrivals = report.arrivals
+        loads = report.loads
+        add_pins = self.pins.append
+        gate_load = self.gate_load
+        timing_of: Dict[Cell, Tuple[Tuple[float, ...], ...]] = {}
+        for i, node in enumerate(order):
+            kind = kinds[i]
+            name = names[i]
+            if kind == GATE:
+                cell = node.cell
+                timing = timing_of.get(cell)
+                if timing is None:
+                    timing = timing_of[cell] = tuple(
+                        (pin.timing.rise_block, pin.timing.rise_resistance,
+                         pin.timing.fall_block, pin.timing.fall_resistance)
+                        for pin in cell.pins)
+                pins = tuple([(index_of(fanin), pin_timing)
+                              for fanin, pin_timing
+                              in zip(node.fanins, timing)])
+                add_pins(pins)
+                pin_loads[i] = _pin_load(node, pad_cap)
+                if wire_model is None:
+                    pin_loads[i] += wire_cap_per_fanout * len(node.fanouts)
+                gate_loads[i] = loads[name] = load = gate_load(i)
+                r, f = gate_arrival(pins, worst, load)
+                arrivals[name] = ArrivalTimes(r, f)
+            elif kind == PO:
+                driver = index_of(node.fanins[0])
+                add_pins(driver)
+                r = rise[driver]
+                f = fall[driver]
+                arrivals[name] = arrivals[names[driver]]
+            else:
+                add_pins(())
+                r = f = input_arrivals.get(name, 0.0) if kind == PI else 0.0
+                arrivals[name] = ArrivalTimes(r, f)
+            rise[i] = r
+            fall[i] = f
+            worst[i] = node.arrival = f if f > r else r
+        self.outputs = [index_of(po) for po in mapped.primary_outputs]
+        self.select_critical(report)
+
+    @cached_property
+    def index(self) -> Dict[str, int]:
+        """Node name -> index."""
+        return dict(zip(self.names, range(len(self.names))))
+
+    @cached_property
+    def fanouts(self) -> List[Tuple[int, ...]]:
+        """Per node, the indices of its fanout entries."""
+        index = self.index
+        return [tuple([index[sink.name] for sink in node.fanouts])
+                for node in self.nodes]
+
+    def gate_load(self, i: int) -> float:
+        """Output load of gate ``i``: fanout pin caps + wire capacitance.
+
+        The wire term reads the live positions of the gate and of each
+        fanout entry (a sink on k pins counts k times, as in
+        :meth:`~repro.map.netlist.Net.pin_positions`).
+        """
+        load = self.pin_loads[i]
+        if self.wire_model is None:
+            return load
+        node = self.nodes[i]
+        positions = [sink.position for sink in node.fanouts
+                     if sink.position is not None]
         if node.position is not None:
             positions.append(node.position)
-        for sink in node.fanouts:
-            if sink.position is not None:
-                positions.append(sink.position)
-        load += net_wire_capacitance(positions, wire_model)
-    else:
-        load += wire_cap_per_fanout * len(node.fanouts)
+        return load + net_wire_capacitance(positions, self.wire_model)
+
+    def select_critical(self, report: TimingReport) -> None:
+        """(Re-)pick the critical PO: the last output whose worst arrival
+        is ``>=`` every earlier one, in ``mapped.primary_outputs`` order."""
+        worst = self.worst
+        delay = 0.0
+        critical = None
+        for i in self.outputs:
+            if worst[i] >= delay:
+                delay = worst[i]
+                critical = i
+        report.critical_delay = delay
+        report.critical_po = None if critical is None else self.names[critical]
+
+
+def _pin_load(node: MappedNode, pad_cap: float) -> float:
+    """Capacitance of ``node``'s fanout pins, each ``(sink, pin)`` once.
+
+    A sink reading ``node`` on k pins is listed k times in
+    ``node.fanouts``; its pins are summed at its first entry.  Output
+    pads present ``pad_cap``.  Summed in fanout order.
+    """
+    load = 0.0
+    fanouts = node.fanouts
+    for entry, sink in enumerate(fanouts):
+        if sink.kind is MappedNodeKind.GATE:
+            fanins = sink.fanins
+            if fanins.count(node) == 1:
+                load += sink.cell.pins[fanins.index(node)].input_cap
+            elif fanouts.index(sink) == entry:
+                for pin_index, fanin in enumerate(fanins):
+                    if fanin is node:
+                        load += sink.cell.pins[pin_index].input_cap
+        elif sink.kind is MappedNodeKind.PRIMARY_OUTPUT:
+            load += pad_cap
     return load
+
+
+def gate_arrival(
+    pins: Sequence[Tuple[int, Tuple[float, float, float, float]]],
+    worst: Sequence[float],
+    load: float,
+) -> Tuple[float, float]:
+    """Gate output ``(rise, fall)`` from its fanins' worst arrivals.
+
+    ``t_y = max_i(t_i + I_i + R_i * C_L)``, rise and fall apart.
+    Inverting-style worst case: the output rise is driven by the input
+    fall and vice versa; using the conservative max(rise, fall) of the
+    input keeps the model simple and monotone, as MIS 2.1 does for
+    UNKNOWN-phase pins.
+    """
+    rise = 0.0
+    fall = 0.0
+    for fanin, (rise_block, rise_r, fall_block, fall_r) in pins:
+        t = worst[fanin]
+        r = t + rise_block + rise_r * load
+        if r > rise:
+            rise = r
+        f = t + fall_block + fall_r * load
+        if f > fall:
+            fall = f
+    return rise, fall
+
+
+def full_pass(
+    mapped: MappedNetwork,
+    wire_model: Optional[WireCapModel] = None,
+    input_arrivals: Optional[Dict[str, float]] = None,
+    pad_cap: float = 0.25,
+    wire_cap_per_fanout: float = 0.0,
+) -> TimingTables:
+    """Compile ``mapped`` into tables and run the full forward pass.
+
+    Arguments as for :func:`analyze`; the returned tables hold the
+    pass's arrays and its :attr:`TimingTables.report`.
+    """
+    order = mapped.topological_order()
+    if OBS.enabled:
+        OBS.metrics.counter("sta.node_visits").inc(len(order))
+    with OBS.span("sta.analyze", nodes=len(order)):
+        return TimingTables(mapped, order, wire_model, input_arrivals or {},
+                            pad_cap, wire_cap_per_fanout)
 
 
 def analyze(
@@ -177,78 +371,12 @@ def analyze(
 
     Returns:
         A :class:`TimingReport`; node ``arrival`` attributes are updated
-        with the worst-case values as a side effect.
+        with the worst-case values as a side effect.  The pass is the
+        construction of :class:`TimingTables`, which compiles and
+        evaluates each node in one loop.
     """
-    input_arrivals = input_arrivals or {}
-    report = TimingReport()
-    order = mapped.topological_order()
-    if OBS.enabled:
-        OBS.metrics.counter("sta.node_visits").inc(len(order))
-    with OBS.span("sta.analyze", nodes=len(order)):
-        _propagate(mapped, order, report, wire_model, input_arrivals,
-                   pad_cap, wire_cap_per_fanout)
-    return report
-
-
-def _propagate(
-    mapped: MappedNetwork,
-    order: Sequence[MappedNode],
-    report: TimingReport,
-    wire_model: Optional[WireCapModel],
-    input_arrivals: Dict[str, float],
-    pad_cap: float,
-    wire_cap_per_fanout: float,
-) -> None:
-    for node in order:
-        if node.is_pi:
-            t = input_arrivals.get(node.name, 0.0)
-            report.arrivals[node.name] = ArrivalTimes.at(t)
-        elif node.is_constant:
-            report.arrivals[node.name] = ArrivalTimes.at(0.0)
-        elif node.is_po:
-            report.arrivals[node.name] = report.arrivals[node.fanins[0].name]
-        else:
-            load = _node_load(node, wire_model, pad_cap, wire_cap_per_fanout)
-            report.loads[node.name] = load
-            report.arrivals[node.name] = _node_arrival(
-                node, report.arrivals, load
-            )
-        node.arrival = report.arrivals[node.name].worst
-
-    _select_critical(mapped, report)
-
-
-def _node_arrival(
-    node: MappedNode, arrivals: Dict[str, ArrivalTimes], load: float
-) -> ArrivalTimes:
-    """Gate output arrival from its fanin arrivals and output load.
-
-    Inverting-style worst case: the output rise is driven by the input
-    fall and vice versa; using the conservative max(rise, fall) of the
-    input keeps the model simple and monotone, as MIS 2.1 does for
-    UNKNOWN-phase pins.
-    """
-    rise = 0.0
-    fall = 0.0
-    for pin_index, fanin in enumerate(node.fanins):
-        timing = node.cell.pins[pin_index].timing
-        t = arrivals[fanin.name].worst
-        rise = max(rise, t + timing.rise_block
-                   + timing.rise_resistance * load)
-        fall = max(fall, t + timing.fall_block
-                   + timing.fall_resistance * load)
-    return ArrivalTimes(rise, fall)
-
-
-def _select_critical(mapped: MappedNetwork, report: TimingReport) -> None:
-    """(Re-)pick the critical PO; same last-wins ``>=`` scan as always."""
-    report.critical_delay = 0.0
-    report.critical_po = None
-    for po in mapped.primary_outputs:
-        t = report.arrivals[po.name].worst
-        if t >= report.critical_delay:
-            report.critical_delay = t
-            report.critical_po = po.name
+    return full_pass(mapped, wire_model, input_arrivals, pad_cap,
+                     wire_cap_per_fanout).report
 
 
 def critical_path(

@@ -7,14 +7,15 @@ be untouched.  This module proves that claim per output cone:
 * cones whose input support is small (≤ ``exhaustive_limit``) are compared
   **exhaustively** — every input minterm, bit-parallel, so a 16-input cone
   is one 65536-bit word evaluation per node;
-* larger cones are compared on a **seeded random vector set**, evaluated
-  once for the whole network and shared across all large cones.
+* larger cones are compared on a **seeded random vector set**: the
+  union of the large cones is evaluated once per network, and every
+  large output reads its word from that one simulation.
 
 Any of :class:`~repro.network.network.Network`,
 :class:`~repro.network.subject.SubjectGraph` and
 :class:`~repro.map.netlist.MappedNetwork` can sit on either side — they all
 expose the simulation protocol (``primary_inputs``/``primary_outputs``,
-``fanins``, ``topological_order()``, ``truth_table()``).
+``fanins``, ``transitive_fanin()``, ``truth_table()``).
 """
 
 from __future__ import annotations
@@ -78,34 +79,40 @@ def cone_support(net, po) -> List[str]:
     )
 
 
-def _cone_order(net_order: Sequence, po) -> List:
-    """The PO's cone in fanin-first order, filtered from a full order."""
-    cone = {id(n) for n in _tfi(po)}
-    return [n for n in net_order if id(n) in cone]
+def _cone_order(roots: Sequence) -> List:
+    """The transitive fanin of ``roots`` in fanin-first order.
 
-
-def _tfi(po) -> List:
-    """Transitive fanin of one node (protocol-agnostic, iterative)."""
-    seen = set()
-    out = []
-    stack = [po]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
+    One iterative depth-first walk of the cones themselves
+    (protocol-agnostic: nodes are told apart by identity), so a cone
+    costs its own size, not the network's.
+    """
+    order: List = []
+    entered = set()
+    for root in roots:
+        if id(root) in entered:
             continue
-        seen.add(id(node))
-        out.append(node)
-        stack.extend(node.fanins)
-    return out
+        entered.add(id(root))
+        stack = [(root, iter(root.fanins))]
+        while stack:
+            node, fanins = stack[-1]
+            for fanin in fanins:
+                if id(fanin) not in entered:
+                    entered.add(id(fanin))
+                    stack.append((fanin, iter(fanin.fanins)))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+    return order
 
 
-def _evaluate_cone(
-    cone_order: Sequence, po, pi_words: Dict[str, int], width: int
-) -> int:
-    """Evaluate one output cone bit-parallel; returns the PO's word."""
+def _evaluate(
+    order: Sequence, pi_words: Dict[str, int], width: int
+) -> Dict[str, int]:
+    """Evaluate nodes in fanin-first order bit-parallel; name -> word."""
     mask = (1 << width) - 1
     values: Dict[str, int] = {}
-    for node in cone_order:
+    for node in order:
         if node.is_pi:
             values[node.name] = pi_words.get(node.name, 0) & mask
         elif node.is_po:
@@ -115,7 +122,7 @@ def _evaluate_cone(
             values[node.name] = _eval_tt_words(
                 node.truth_table(), fanin_words, mask
             )
-    return values[po.name]
+    return values
 
 
 def _counterexample(
@@ -163,9 +170,6 @@ def check_equivalence(
     if port_problems:
         return results
 
-    order_a = a.topological_order()
-    order_b = b.topological_order()
-
     # Partition ports by joint cone support size.
     supports: Dict[str, List[str]] = {}
     for port in a_pos:
@@ -186,10 +190,9 @@ def check_equivalence(
         pi_words = {
             pi: TruthTable.variable(i, k).bits for i, pi in enumerate(support)
         }
-        wa = _evaluate_cone(_cone_order(order_a, a_pos[port]),
-                            a_pos[port], pi_words, width)
-        wb = _evaluate_cone(_cone_order(order_b, b_pos[port]),
-                            b_pos[port], pi_words, width)
+        po_a, po_b = a_pos[port], b_pos[port]
+        wa = _evaluate(_cone_order([po_a]), pi_words, width)[po_a.name]
+        wb = _evaluate(_cone_order([po_b]), pi_words, width)[po_b.name]
         if wa != wb:
             failures.append(
                 f"{port}: {_counterexample(support, pi_words, wa ^ wb)}"
@@ -199,18 +202,21 @@ def check_equivalence(
         not failures, "; ".join(failures[:3]), time.perf_counter() - t0,
     ))
 
-    # Random tier: one shared whole-network simulation for all big cones.
+    # Random tier: one shared simulation per side of the union of the
+    # big cones, each node evaluated once.
     t0 = time.perf_counter()
     failures = []
     if big:
         width = budget.num_vectors
         rng = random.Random(budget.seed)
         pi_words = {pi: rng.getrandbits(width) for pi in a_pis}
+        words_a = _evaluate(_cone_order([a_pos[p] for p in big]),
+                            pi_words, width)
+        words_b = _evaluate(_cone_order([b_pos[p] for p in big]),
+                            pi_words, width)
         for port in big:
-            wa = _evaluate_cone(_cone_order(order_a, a_pos[port]),
-                                a_pos[port], pi_words, width)
-            wb = _evaluate_cone(_cone_order(order_b, b_pos[port]),
-                                b_pos[port], pi_words, width)
+            wa = words_a[a_pos[port].name]
+            wb = words_b[b_pos[port].name]
             if wa != wb:
                 failures.append(
                     f"{port}: "

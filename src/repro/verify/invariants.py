@@ -31,7 +31,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.map.lifecycle import LifecycleTracker, NodeState, _LEGAL
-from repro.map.netlist import MappedNetwork
+from repro.map.netlist import MappedNetwork, Net
 from repro.network.network import Network
 from repro.network.subject import SubjectGraph, SubjectNode, SubjectNodeType
 from repro.place.detailed import DetailedPlacement
@@ -510,8 +510,9 @@ def check_timing(
     """Audit an STA report against its (placed) mapped netlist.
 
     When ``wire_model`` is given (the model the STA ran with), gate loads
-    are recomputed from pin capacitances plus the routed wire model and
-    compared against the report.
+    are recomputed from :meth:`MappedNetwork.nets` (each sink pin's
+    capacitance once, ``pad_cap`` per output pad) plus the routed wire
+    model and compared against the report.
     """
     target = mapped.name
     results = []
@@ -522,23 +523,16 @@ def check_timing(
         if load < -EPS:
             problems.append(f"{name}: negative load {load:.4f}")
     if wire_model is not None:
+        nets = {net.name: net for net in mapped.nets()}
         for node in mapped.nodes:
             if not node.is_gate or node.name not in report.loads:
                 continue
-            expected = 0.0
-            positions = []
-            if node.position is not None:
-                positions.append(node.position)
-            for sink in node.fanouts:
-                if sink.is_po:
-                    expected += pad_cap
-                elif sink.is_gate:
-                    for pin_index, fanin in enumerate(sink.fanins):
-                        if fanin is node:
-                            expected += sink.cell.pins[pin_index].input_cap
-                if sink.position is not None:
-                    positions.append(sink.position)
-            expected += net_wire_capacitance(positions, wire_model)
+            net = nets.get(node.name) or Net(node)
+            expected = sum(
+                pad_cap if sink.is_po else sink.input_pin_cap(pin)
+                for sink, pin in net.sinks
+            )
+            expected += net_wire_capacitance(net.pin_positions(), wire_model)
             got = report.loads[node.name]
             if abs(got - expected) > max(EPS, 1e-6 * abs(expected)):
                 problems.append(

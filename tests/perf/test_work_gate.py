@@ -25,7 +25,7 @@ each mapped in area mode by the MIS mapper in cone and in tree mode and
 by the cut mapper; the five ``paper_tables`` circuits mapped by Lily
 in area mode and in timing mode (CM-of-Merged, as ``lily_flow`` maps
 it); Lily's initial placement of the same five (``place``); and, for
-the same five, a move sweep through the incremental STA (``sta``): the
+all six, a move sweep through the incremental STA (``sta``): the
 MIS area cover with every node at a seeded random position (no placer,
 so BLAS never runs), ``STA_MOVES`` seeded single-gate moves through
 ``IncrementalTiming.set_position`` and ``update()``, then
@@ -107,7 +107,7 @@ MODES = {
     # Lily's first step alone: ``on_begin`` places the subject graph.
     "place": (lambda lib: LilyAreaMapper(lib).on_begin, PLACE_COUNTERS,
               PAPER_CIRCUITS),
-    "sta": (sta_sweep, STA_COUNTERS, PAPER_CIRCUITS),
+    "sta": (sta_sweep, STA_COUNTERS, CIRCUITS),
 }
 CASES = [(circuit, mode) for mode, (_, _, circuits) in MODES.items()
          for circuit in circuits]

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from oracles.place import reference_solve
 from repro.geometry import Point, Rect
 from repro.place.hypergraph import PlacementNetlist
 from repro.place.quadratic import (
     CLIQUE_STAR_LIMIT,
+    DIRECT_SOLVE_LIMIT,
     QuadraticSystem,
     clique_edges,
     quadratic_objective,
@@ -172,6 +176,41 @@ class TestQuadraticSystem:
             want = reference_solve(system, given)
             assert list(got.items()) == list(want.items())
             assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("cells", [1, 37, 160, DIRECT_SOLVE_LIMIT])
+    def test_shared_factorization_matches_two_spsolves(self, seeded_rng,
+                                                       cells):
+        """A direct solve factors the Laplacian once for both axes; the
+        arrays must be byte-equal to one ``spsolve`` per axis."""
+        rng = seeded_rng("quadratic", "splu", cells)
+        names = [f"m{i}" for i in range(cells)]
+        pads = {f"p{i}": Point(rng.uniform(0, 100), rng.uniform(0, 100))
+                for i in range(5)}
+        pool = names + list(pads)
+        nets = [[rng.choice(pool) for _ in range(rng.randint(2, 6))]
+                for _ in range(2 * cells)]
+        system = QuadraticSystem(
+            PlacementNetlist(movables=names, nets=nets, fixed=pads), REGION)
+        anchored = np.array(sorted(rng.sample(range(cells), cells // 2 + 1)))
+        weight = np.array([rng.choice([0.01, 1.0, 7.5]) for _ in anchored])
+        ax = np.array([rng.uniform(0, 100) for _ in anchored])
+        ay = np.array([rng.uniform(0, 100) for _ in anchored])
+        xs, ys = system.solve_arrays(weight, ax, ay, anchored)
+
+        diag = system._diag.copy()
+        bx = system._bx.copy()
+        by = system._by.copy()
+        diag[anchored] += weight
+        bx[anchored] += weight * ax
+        by[anchored] += weight * ay
+        arange = np.arange(cells)
+        laplacian = sp.csr_matrix(
+            (np.concatenate([system._vals, diag]),
+             (np.concatenate([system._rows, arange]),
+              np.concatenate([system._cols, arange]))),
+            shape=(cells, cells)).tocsc()
+        assert xs.tobytes() == spla.spsolve(laplacian, bx).tobytes()
+        assert ys.tobytes() == spla.spsolve(laplacian, by).tobytes()
 
     def test_repeated_solves_identical(self):
         system = QuadraticSystem(self._netlist(), REGION)

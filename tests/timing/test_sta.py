@@ -6,8 +6,10 @@ import pytest
 
 from repro.geometry import Point
 from repro.map.netlist import MappedNetwork
-from repro.timing.model import WireCapModel
+from repro.timing.incremental import IncrementalTiming
+from repro.timing.model import WireCapModel, net_wire_capacitance
 from repro.timing.sta import analyze, critical_path
+from repro.verify.invariants import check_timing
 
 
 @pytest.fixture()
@@ -112,3 +114,48 @@ class TestCriticalPath:
         report = analyze(m, wire_model=None)
         assert report.arrivals["const1"].worst == 0.0
         assert report.critical_delay > 0.0
+
+
+class TestRepeatedPinSink:
+    """A sink that reads one driver on k pins adds each pin's cap once
+    (it is listed k times in the driver's fanouts)."""
+
+    @pytest.fixture()
+    def shared(self, big_lib):
+        """PI -> inv1 ``d`` -> nand2 ``s(d, d)`` -> PO."""
+        m = MappedNetwork("repeated")
+        a = m.add_primary_input("a")
+        d = m.add_gate("d", big_lib["inv1"], [a])
+        s = m.add_gate("s", big_lib["nand2"], [d, d])
+        m.add_primary_output("f", s)
+        return m
+
+    def test_analyze(self, shared):
+        net = next(n for n in shared.nets() if n.name == "d")
+        assert net.sink_capacitance() == 0.5
+        assert analyze(shared, wire_model=None).loads["d"] == 0.5
+
+    def test_incremental(self, shared):
+        wire = WireCapModel()
+        for i, node in enumerate(shared.topological_order()):
+            node.position = Point(10.0 * i, 5.0 * i)
+        engine = IncrementalTiming(shared, wire_model=wire)
+        assert engine.report.loads == analyze(shared, wire_model=wire).loads
+        engine.set_position("s", Point(70.0, -20.0))
+        live = engine.update()
+        net = next(n for n in shared.nets() if n.name == "d")
+        assert live.loads["d"] == 0.5 + net_wire_capacitance(
+            net.pin_positions(), wire)
+        assert engine.check_against_full() == []
+
+    def test_check_timing(self, shared):
+        wire = WireCapModel()
+        report = analyze(shared, wire_model=wire)
+        assert all(r.passed
+                   for r in check_timing(shared, report, wire_model=wire))
+        report.loads["d"] = 1.0  # both pins counted twice
+        loads = next(r for r in check_timing(shared, report, wire_model=wire)
+                     if r.name == "invariant.timing.loads")
+        assert not loads.passed
+        assert loads.details.startswith("d: load 1.000000 != recomputed "
+                                        "0.500000")

@@ -9,7 +9,11 @@ fanout) and, after every step, require bitwise agreement with a fresh
 arrivals, loads, critical PO and required times, under both wire models.
 ``TestIncrementalIntegration`` runs the same checks on small
 identity-mapped random DAGs, and covers the full backward pass a new
-deadline runs.
+deadline runs.  ``TestFrontierEdgeCases`` walks a hand-built netlist
+through pad moves, ``invalidate``, ``set_input_arrival``, a
+constant-driven gate, a repeated-pin gate, the per-fanout wire fallback
+and two tied outputs, and after every step also compares each
+``node.arrival``, including steps where no output arrival changed.
 """
 
 from __future__ import annotations
@@ -28,7 +32,12 @@ from repro.map.netlist import MappedNetwork
 from repro.network.decompose import decompose_to_subject
 from repro.timing import IncrementalTiming
 from repro.timing.model import WireCapModel
-from repro.timing.sta import analyze, required_times
+from repro.timing.sta import (
+    TimingTables,
+    analyze,
+    report_mismatches,
+    required_times,
+)
 
 #: Same session seed discipline as tests/conftest.py: set
 #: ``REPRO_TEST_SEED`` to replay a fleet failure.
@@ -175,3 +184,136 @@ class TestIncrementalIntegration:
         assert vec.required() == required_times(mapped, full)
         assert vec.required(deadline=42.0) == required_times(
             mapped, full, 42.0)
+
+
+def _edge_netlist():
+    """Pads, a constant-driven gate, a repeated-pin gate, two tied POs.
+
+    ``a -> g1 -> g2(g1, b) -> s(g2, g2) -> g3(s, gk) -> f1, f2`` with
+    ``gk = nand2(k, c)`` on constant ``k``, and ``f0`` reading ``g1``.
+    ``f1`` and ``f2`` share a driver, so they always tie and the last
+    one (``f2``) is critical.
+    """
+    cells = {c.name: c for c in big_library().cells}
+    nand2, inv1 = cells["nand2"], cells["inv1"]
+    m = MappedNetwork("edges")
+    a, b, c = (m.add_primary_input(name) for name in "abc")
+    k = m.add_constant("k", True)
+    g1 = m.add_gate("g1", inv1, [a])
+    g2 = m.add_gate("g2", nand2, [g1, b])
+    s = m.add_gate("s", nand2, [g2, g2])
+    gk = m.add_gate("gk", nand2, [k, c])
+    g3 = m.add_gate("g3", nand2, [s, gk])
+    m.add_primary_output("f0", g1)
+    m.add_primary_output("f1", g3)
+    m.add_primary_output("f2", g3)
+    for i, node in enumerate(m.topological_order()):
+        node.position = Point(37.0 * i % 200, 53.0 * i % 170)
+    return m
+
+
+def _check_step(engine):
+    """Update, then require the live report and every ``node.arrival`` to
+    equal a fresh ``analyze``; ``node.arrival`` is left as the engine
+    left it, so a later step still sees the engine's own writes."""
+    live = engine.update()
+    mapped = engine.mapped
+    kept = {n.name: n.arrival for n in mapped.nodes}
+    fresh = analyze(mapped, wire_model=engine.wire_model,
+                    input_arrivals=engine.input_arrivals,
+                    pad_cap=engine.pad_cap,
+                    wire_cap_per_fanout=engine.wire_cap_per_fanout)
+    for node in mapped.nodes:
+        node.arrival = kept[node.name]
+    assert report_mismatches(live, {}, fresh, {}) == []
+    assert kept == {name: t.worst for name, t in fresh.arrivals.items()}
+    assert live.critical_po == "f2"
+    return live
+
+
+def _po_arrivals(report):
+    return [report.arrivals[name] for name in ("f0", "f1", "f2")]
+
+
+def _moved(mapped, name, dx, dy):
+    p = mapped[name].position
+    return Point(p.x + dx, p.y + dy)
+
+
+class TestFrontierEdgeCases:
+    def test_wire_model_steps(self, monkeypatch):
+        rescans = []
+        select = TimingTables.select_critical
+
+        def counted(tables, report):
+            rescans.append(report)
+            select(tables, report)
+
+        monkeypatch.setattr(TimingTables, "select_critical", counted)
+        mapped = _edge_netlist()
+        engine = IncrementalTiming(mapped, wire_model=WIRE)
+        _check_step(engine)
+
+        def step(**expect):
+            """One checked update; ``po``: whether a PO arrival moved."""
+            before = _po_arrivals(engine.report)
+            gk = engine.report.arrivals["gk"]
+            del rescans[:]
+            engine.update()
+            rescanned = len(rescans)
+            live = _check_step(engine)
+            po_moved = _po_arrivals(live) != before
+            assert po_moved == expect["po"]
+            assert rescanned == int(po_moved)
+            if "gk" in expect:
+                assert (live.arrivals["gk"] != gk) == expect["gk"]
+
+        # An output pad moves: its driver's wire load changes.
+        engine.set_position("f1", _moved(mapped, "f1", 60.0, 25.0))
+        step(po=True)
+        # An input pad moves: no gate load reads a PI's own net.
+        engine.set_position("a", _moved(mapped, "a", -30.0, 10.0))
+        step(po=False)
+        # A slightly later ``c`` moves ``gk`` but ``s`` dominates ``g3``.
+        engine.set_input_arrival("c", 0.01)
+        step(po=False, gk=True)
+        # A much later ``c`` reaches every output behind ``g3``.
+        engine.set_input_arrival("c", 50.0)
+        step(po=True, gk=True)
+        # The constant and its gate move: only ``gk``'s own net changes.
+        engine.set_position("k", _moved(mapped, "k", 5.0, 5.0))
+        step(po=False, gk=False)
+        engine.set_position("gk", _moved(mapped, "gk", 40.0, -15.0))
+        step(po=True, gk=True)
+        # The repeated-pin gate moves: ``g2``'s net holds it twice.
+        engine.set_position("s", _moved(mapped, "s", -25.0, 30.0))
+        step(po=False)
+        engine.set_input_arrival("c", 0.0)
+        step(po=True, gk=True)
+        engine.set_position("s", _moved(mapped, "s", 80.0, 0.0))
+        step(po=True)
+        # A raw position edit, then invalidate the node and its drivers.
+        mapped["g1"].position = _moved(mapped, "g1", 0.0, 90.0)
+        for name in ("g1", "a"):
+            engine.invalidate(name)
+        step(po=True)
+        assert engine.check_against_full() == []
+
+    def test_fanout_fallback_without_wire_model(self):
+        mapped = _edge_netlist()
+        engine = IncrementalTiming(mapped, wire_model=None,
+                                   wire_cap_per_fanout=0.3)
+        live = _check_step(engine)
+        assert live.loads["g1"] == (
+            mapped["g2"].cell.pins[0].input_cap + 0.25 + 2 * 0.3)
+        for name in ("g1", "s", "f1", "a"):
+            engine.set_position(name, _moved(mapped, name, 40.0, 40.0))
+            before = dict(engine.report.arrivals)
+            assert _check_step(engine).arrivals == before
+        engine.invalidate("g3")
+        _check_step(engine)
+        engine.set_input_arrival("b", 9.0)
+        _check_step(engine)
+        engine.set_input_arrival("a", 1.5)
+        _check_step(engine)
+        assert engine.check_against_full() == []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.network.blif import parse_blif
+from repro.verify import equiv
 from repro.verify import (
     EquivBudget,
     check_equivalence,
@@ -134,3 +135,57 @@ class TestAcrossRepresentations:
         assert equivalent(small_network, subject)
         assert equivalent(subject, mapped)
         assert equivalent(small_network, mapped)
+
+
+class TestEvaluationWork:
+    """Each tier evaluates exactly the nodes its cones hold."""
+
+    @staticmethod
+    def _evaluations(monkeypatch):
+        calls = []
+        real = equiv._eval_tt_words
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(equiv, "_eval_tt_words", counted)
+        return calls
+
+    @staticmethod
+    def _gates(net, roots):
+        return sum(1 for n in net.transitive_fanin(roots)
+                   if not (n.is_pi or n.is_po))
+
+    @pytest.fixture()
+    def adder(self):
+        from repro.circuits.arith import ripple_carry_adder
+        from repro.network.decompose import decompose_to_subject
+
+        net = ripple_carry_adder(6)
+        return net, decompose_to_subject(net)
+
+    def test_random_tier_evaluates_each_node_once(self, monkeypatch, adder):
+        """Cones overlap along the carry chain; the union of the big
+        cones is simulated once per side."""
+        net, subject = adder
+        calls = self._evaluations(monkeypatch)
+        results = check_equivalence(
+            net, subject, EquivBudget(exhaustive_limit=0, num_vectors=256))
+        assert all(r.passed for r in results)
+        assert "7 outputs" in results[2].target
+        assert len(calls) == (self._gates(net, net.primary_outputs)
+                              + self._gates(subject,
+                                            subject.primary_outputs))
+
+    def test_exhaustive_tier_evaluates_each_cone(self, monkeypatch, adder):
+        net, subject = adder
+        calls = self._evaluations(monkeypatch)
+        results = check_equivalence(net, subject, EquivBudget())
+        assert all(r.passed for r in results)
+        assert "7 outputs" in results[1].target
+        by_port = {po_port(po.name): po for po in subject.primary_outputs}
+        assert len(calls) == sum(
+            self._gates(net, [po]) + self._gates(subject,
+                                                 [by_port[po_port(po.name)]])
+            for po in net.primary_outputs)
