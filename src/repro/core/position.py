@@ -35,16 +35,12 @@ def cm_of_merged(
 ) -> Point:
     """Centre of mass of the covered nodes' placePositions.
 
-    The coordinates are summed in node-uid order.  ``covered`` is usually
-    a frozenset of identity-hashed nodes, whose iteration order follows
-    memory addresses; float addition is not associative, so summing in
-    that order would make the result change from run to run.
+    The coordinates are summed in the order given, which must be node-uid
+    order, as a :attr:`~repro.match.treematch.Match.covered` tuple is.
+    Float addition is not associative, so an order that follows memory
+    addresses (a set's) would make the result change from run to run.
     """
-    points = [
-        state.place_position(node)
-        for node in sorted(covered, key=lambda node: node.uid)
-    ]
-    return center_of_mass(points)
+    return center_of_mass([state.place_position(node) for node in covered])
 
 
 def cm_of_fans(

@@ -6,7 +6,8 @@ Commands:
     report <circuit>      detailed MIS-vs-Lily report for one circuit
                           (``--svg out.svg`` also writes the Lily layout)
     verify <circuit>      run both flows under the ``repro.verify`` audit
-                          and print the full checker report
+                          and print the full checker report and the
+                          process's peak RSS
 """
 
 from __future__ import annotations
@@ -240,13 +241,15 @@ def _verify(args) -> int:
     """The ``verify`` command: audit both flows on each circuit.
 
     Runs the MIS and Lily pipelines (in the requested mode) with the
-    ``repro.verify`` audit attached and prints every checker's verdict.
-    Returns a non-zero exit code if any check fails, so the command works
-    as a CI gate.
+    ``repro.verify`` audit attached and prints every checker's verdict,
+    then the process's peak RSS beside the overall verdict.  Returns a
+    non-zero exit code if any check fails, so the command works as a CI
+    gate.
     """
     from repro.circuits.suite import TABLE1_CIRCUITS, build_circuit
     from repro.flow.pipeline import lily_flow, mis_flow
     from repro.library.standard import big_library
+    from repro.obs import peak_rss_mb
 
     level = args.verify_level or "fast"
     library = big_library()
@@ -272,10 +275,12 @@ def _verify(args) -> int:
                 for check in report.failures:
                     print(f"   {check}")
     print()
+    peak = peak_rss_mb()
+    memory = f"; peak RSS {peak:.1f} MB" if peak is not None else ""
     if failures:
-        print(f"verification FAILED: {failures} failing checks")
+        print(f"verification FAILED: {failures} failing checks{memory}")
         return 1
-    print(f"verification passed (level={level})")
+    print(f"verification passed (level={level}){memory}")
     return 0
 
 

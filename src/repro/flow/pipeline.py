@@ -252,6 +252,11 @@ def mis_flow(
     )
     with OBS.span("flow", mapper=flow_name, circuit=net.name,
                   mode=mode) as root:
+        # The pad order is a function of ``net`` alone.  Computed first,
+        # as in lily_flow, its dense eigensolve runs on the set-up heap
+        # rather than on top of the cover's.
+        with OBS.span("pads"):
+            pad_order = io_affinity_order(net)
         with OBS.span("decompose"):
             subject = decompose_to_subject(net)
         if mode not in ("area", "timing"):
@@ -277,11 +282,10 @@ def mis_flow(
         # Nothing after the cover reads the mapper: release its tables
         # and per-run state before the back end allocates.
         del mapper_obj
-        with OBS.span("pads"):
-            pad_order = io_affinity_order(net)
-            pad_order = _mapped_terminal_names(result.mapped, pad_order)
+        backend_pad_order = _mapped_terminal_names(result.mapped, pad_order)
         with OBS.span("backend"):
-            backend = place_and_route(result.mapped, pad_order, wire_model)
+            backend = place_and_route(result.mapped, backend_pad_order,
+                                      wire_model)
         with OBS.span("verify", enabled=bool(verify)):
             equivalent, verify_report = _run_verification(
                 net, result, backend, verify, wire_model

@@ -1,11 +1,12 @@
 """The covering driver every DP mapper runs on (DAGON/MIS style).
 
 Cones are processed one primary output at a time (optionally in Lily's
-Section 3.5 order).  Within a cone, every gate node gets its best
-candidate by bottom-up DP; the chosen cover is then committed: candidate
-roots become *hawks* (instantiated library gates), covered interior nodes
-become *doves*, and logic shared with later cones may be duplicated (dove
-reincarnation) exactly as in Section 2.
+Section 3.5 order, the only one that builds the cones' gate sets; a cone
+is otherwise just the walk of its DP).  Within a cone, every gate node
+gets its best candidate by bottom-up DP; the chosen cover is then
+committed: candidate roots become *hawks* (instantiated library gates),
+covered interior nodes become *doves*, and logic shared with later cones
+may be duplicated (dove reincarnation) exactly as in Section 2.
 
 Solutions are kept across cones (:class:`SolutionMemo`): a shared node is
 solved again only when something its solution read has since changed (a
@@ -29,13 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+from typing import (Collection, Dict, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
 from repro.geometry import Point
 from repro.library.cell import Library
 from repro.library.patterns import pattern_set_for
-from repro.map.cones import logic_cones, order_cones
+from repro.map.cones import order_cones
 from repro.map.lifecycle import LifecycleTracker
 from repro.map.netlist import MappedNetwork, MappedNode
 from repro.match.treematch import Match, Matcher
@@ -76,7 +77,7 @@ class Solution:
         return self.match.inputs
 
     @property
-    def inner(self) -> FrozenSet[SubjectNode]:
+    def inner(self) -> Collection[SubjectNode]:
         """Covered nodes other than the root (they become doves)."""
         return self.match.inner
 
@@ -273,11 +274,13 @@ class BaseMapper:
         """``map_position`` for a newly committed gate (Lily overrides)."""
         return None
 
-    def cone_sequence(self, subject: SubjectGraph, cones) -> List[int]:
-        """Order in which cones are processed."""
+    def cone_sequence(self, subject: SubjectGraph) -> List[int]:
+        """Order in which the cones (indices of ``subject``'s primary
+        outputs) are processed.  Only the Section 3.5 order builds the
+        cones' gate sets; the DP walks each cone itself."""
         if self.use_cone_ordering:
-            return order_cones(subject, cones)
-        return list(range(len(cones)))
+            return order_cones(subject)
+        return list(range(len(subject.primary_outputs)))
 
     def prepare(self, subject: SubjectGraph) -> None:
         """Per-graph set-up after :meth:`on_begin`: bind the matcher.
@@ -343,13 +346,12 @@ class BaseMapper:
         self._reset(subject)
         for pi in subject.primary_inputs:
             self.instances[pi.uid] = self.mapped.add_primary_input(pi.name)
-        cones = logic_cones(subject)
-        order = self.cone_sequence(subject, cones)
+        order = self.cone_sequence(subject)
         self.on_begin(subject)
         self.prepare(subject)
+        outputs = subject.primary_outputs
         for index in order:
-            po, cone = cones[index]
-            self._map_cone(po, cone)
+            self._map_cone(outputs[index])
         # The solutions served only this cover; released here, they no
         # longer weigh on every full garbage collection of the caller's
         # later work (a flow's layout back end).
@@ -368,12 +370,13 @@ class BaseMapper:
 
     # -- cone processing -----------------------------------------------------------
 
-    def _map_cone(self, po: SubjectNode, cone: Set[SubjectNode]) -> None:
+    def _map_cone(self, po: SubjectNode) -> None:
         driver = po.fanins[0]
         if OBS.enabled:
             prefix = self.COUNTER_PREFIX
             OBS.metrics.counter(f"{prefix}.cones").inc()
-            OBS.metrics.histogram(f"{prefix}.cone_size").observe(len(cone))
+            if not driver.is_gate:  # a gate's cone is sized by its walk
+                OBS.metrics.histogram(f"{prefix}.cone_size").observe(0)
         self.on_cone_begin(po)
         if driver.is_gate:
             self._solve_cone(driver)
@@ -390,13 +393,19 @@ class BaseMapper:
 
         Gates whose memo entry is still valid keep it (see
         :class:`SolutionMemo`); such a gate was visited when it was solved,
-        so skipping :meth:`LifecycleTracker.visit` changes no state.
+        so skipping :meth:`LifecycleTracker.visit` changes no state.  The
+        walk is the cone's gate set (the output's transitive fanin gates),
+        so its length is the ``cone_size`` sample.
         """
         memo = self.memo
         invalidated = memo.drop_stale()
         reused = 0
         visit_counter = f"{self.COUNTER_PREFIX}.nodes_visited"
-        for node in self._cone_topological(root):
+        cone = self._cone_topological(root)
+        if OBS.enabled:
+            OBS.metrics.histogram(
+                f"{self.COUNTER_PREFIX}.cone_size").observe(len(cone))
+        for node in cone:
             if self.lifecycle.is_hawk(node):
                 continue  # reuse: its gate already exists
             if node.uid in memo:

@@ -187,7 +187,9 @@ def enumerate_priority_cuts(
     :func:`_cut_priority`; the direct-fanin cut is *always* retained so
     the covering DP can fall back on the library's NAND2/inverter.  Cuts
     are returned as uid-sorted node tuples (trivial cuts excluded), so
-    the result is bit-stable across processes.
+    the result is bit-stable across processes.  A gate's frozenset cuts,
+    which its gate fanouts merge, are released once the last of them has
+    read them, as the tree matcher releases its tables.
 
     Raises :class:`CutError` on a cyclic subject graph (a gate consumed
     before it can be enumerated) instead of looping or silently skipping.
@@ -195,6 +197,8 @@ def enumerate_priority_cuts(
     if k < 1:
         raise CutError(f"cut width must be positive, got {k}")
     table: Dict[int, List[FrozenSet[SubjectNode]]] = {}
+    #: Gate uid -> reads its gate fanouts still have to make of its cuts.
+    readers: Dict[int, int] = {}
     result: Dict[int, List[Tuple[SubjectNode, ...]]] = {}
     for node in graph.topological_order():
         if node.is_po:
@@ -213,6 +217,11 @@ def enumerate_priority_cuts(
                 cuts = [frozenset([fanin])]
                 table[fanin.uid] = cuts
             fanin_cut_lists.append(cuts)
+            left_to_read = readers.get(fanin.uid)
+            if left_to_read == 1:
+                del readers[fanin.uid], table[fanin.uid]
+            elif left_to_read is not None:
+                readers[fanin.uid] = left_to_read - 1
         merged: Set[FrozenSet[SubjectNode]] = set()
         for combo in itertools.product(*fanin_cut_lists):
             union: FrozenSet[SubjectNode] = frozenset().union(*combo)
@@ -227,7 +236,10 @@ def enumerate_priority_cuts(
         direct = frozenset(node.fanins)
         if len(direct) <= k and direct not in ordered:
             ordered.append(direct)
-        table[node.uid] = [frozenset([node])] + ordered
+        fanouts = sum(1 for h in node.fanouts if h.is_gate)
+        if fanouts:
+            table[node.uid] = [frozenset([node])] + ordered
+            readers[node.uid] = fanouts
         result[node.uid] = [
             tuple(sorted(cut, key=lambda n: n.uid)) for cut in ordered
         ]

@@ -230,9 +230,8 @@ class BooleanMatcher:
                     continue
                 inputs = tuple(leaves[perm[i]] for i in range(len(leaves)))
                 cone = _cone_nodes(node, frozenset(leaves)) or []
-                covered = frozenset(cone)
                 if self.tree_mode and any(
-                    n is not node and n.num_fanouts != 1 for n in covered
+                    n is not node and n.num_fanouts != 1 for n in cone
                 ):
                     continue
                 key = (cell.name, tuple(n.uid for n in inputs))
@@ -240,7 +239,7 @@ class BooleanMatcher:
                     continue
                 seen.add(key)
                 found.append(
-                    Match(self._a_pattern[cell.name], node, inputs, covered)
+                    Match(self._a_pattern[cell.name], node, inputs, cone)
                 )
         return found
 
@@ -282,12 +281,12 @@ class UnionMatcher:
         """Structural matches first, then the Boolean ones not among them.
 
         Two matches are the same when they bind one cell to the same
-        inputs over the same covered nodes.
+        inputs over the same covered nodes (uid-ordered in every match).
         """
         merged: Dict[tuple, Match] = {}
         for match in self.structural.matches_at(node) + \
                 self.boolean.matches_at(node):
             key = (match.cell.name, tuple(n.uid for n in match.inputs),
-                   tuple(sorted(n.uid for n in match.covered)))
+                   tuple(n.uid for n in match.covered))
             merged.setdefault(key, match)
         return list(merged.values())

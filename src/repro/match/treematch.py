@@ -28,19 +28,21 @@ the whole binding.
 Every table entry is a ``(binding, covered)`` tuple: ``binding`` holds the
 subject nodes bound to the subtree's pins in ascending pin order, and
 ``covered`` is the frozenset of subject gates under the subtree's interior
-nodes.  Entries are combined in exactly the order of a recursive search
-(fanin order ``(a, b)`` before ``(b, a)``, left child outer, first
-occurrence kept), so each gate's match list equals, entry for entry, what
-trying every pattern recursively at that gate yields.  The covering DP
-breaks cost ties by match order, so that order is part of the contract;
-``tests/oracles/match.py`` keeps the recursive search as the oracle.
+nodes, which the parents' tables union.  A kept :class:`Match` shares the
+entry's ``binding`` as its ``inputs`` and stores ``covered`` once as a
+uid-ordered tuple.  Entries are combined in exactly the order of a
+recursive search (fanin order ``(a, b)`` before ``(b, a)``, left child
+outer, first occurrence kept), so each gate's match list equals, entry for
+entry, what trying every pattern recursively at that gate yields.  The
+covering DP breaks cost ties by match order, so that order is part of the
+contract; ``tests/oracles/match.py`` keeps the recursive search as the
+oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import itemgetter
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from operator import attrgetter, itemgetter
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.library.patterns import (
@@ -67,21 +69,60 @@ _EMPTY: FrozenSet[SubjectNode] = frozenset()
 _Entry = Tuple[Tuple[SubjectNode, ...], FrozenSet[SubjectNode]]
 
 
-@dataclass(frozen=True)
+_UID = attrgetter("uid")
+
+
 class Match:
-    """A pattern bound at a subject node.
+    """A pattern bound at a subject node: an immutable value.
 
     Attributes:
         pattern: the pattern graph (cell + tree).
         root: subject node where the pattern root (the cell output) sits.
         inputs: subject nodes feeding the cell, indexed by cell pin.
-        covered: subject nodes merged into this gate (root included).
+        covered: subject nodes merged into this gate (root included), in
+            ascending uid order.  Given as any collection of nodes; the
+            constructor stores them as a uid-ordered tuple, which is a
+            fraction of a frozenset's size, and which makes every sum
+            over them independent of set iteration order.
+
+    Matches are the matcher's largest data structure (one per pattern
+    binding at every subject gate), so a match has no instance
+    ``__dict__``: its four fields are slots, set once.
     """
 
-    pattern: CellPattern
-    root: SubjectNode
-    inputs: Tuple[SubjectNode, ...]
-    covered: FrozenSet[SubjectNode]
+    __slots__ = ("pattern", "root", "inputs", "covered")
+
+    def __init__(
+        self,
+        pattern: CellPattern,
+        root: SubjectNode,
+        inputs: Tuple[SubjectNode, ...],
+        covered: Iterable[SubjectNode],
+    ) -> None:
+        _set_pattern(self, pattern)
+        _set_root(self, root)
+        _set_inputs(self, inputs)
+        _set_covered(self, tuple(sorted(covered, key=_UID)))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Match is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Match is immutable: cannot delete {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.pattern, self.root, self.inputs, self.covered)
+
+    def __reduce__(self):
+        return Match, self._key()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def cell(self):
@@ -89,13 +130,22 @@ class Match:
         return self.pattern.cell
 
     @property
-    def inner(self) -> FrozenSet[SubjectNode]:
-        """Covered nodes other than the root (the prospective doves)."""
-        return self.covered - {self.root}
+    def inner(self) -> Tuple[SubjectNode, ...]:
+        """Covered nodes other than the root (the prospective doves), in
+        uid order."""
+        root = self.root
+        return tuple(n for n in self.covered if n is not root)
 
     def __repr__(self) -> str:
         ins = ",".join(n.name for n in self.inputs)
         return f"Match({self.cell.name} @ {self.root.name} <- [{ins}])"
+
+
+# The slots' own setters: ``Match.__setattr__`` refuses every write.
+_set_pattern = Match.pattern.__set__
+_set_root = Match.root.__set__
+_set_inputs = Match.inputs.__set__
+_set_covered = Match.covered.__set__
 
 
 class _Forest:

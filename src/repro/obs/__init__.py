@@ -40,7 +40,13 @@ from repro.obs.metrics import (
     merge_metrics_snapshots,
     percentile_from_buckets,
 )
-from repro.obs.report import ObsReport, PhaseStat, build_report, merge_reports
+from repro.obs.report import (
+    ObsReport,
+    PhaseStat,
+    build_report,
+    merge_reports,
+    peak_rss_mb,
+)
 from repro.obs.session import OBS, ObsSession, get_session, observed
 from repro.obs.tracer import Span, Tracer
 
@@ -66,4 +72,5 @@ __all__ = [
     "PhaseStat",
     "build_report",
     "merge_reports",
+    "peak_rss_mb",
 ]

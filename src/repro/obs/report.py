@@ -10,6 +10,7 @@ benchmarks and the CLI can all consume the same numbers.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -17,10 +18,27 @@ from repro.obs.metrics import histogram_delta, merge_histogram_summaries
 from repro.obs.session import ObsSession
 from repro.obs.tracer import Span
 
-__all__ = ["PhaseStat", "ObsReport", "build_report", "merge_reports"]
+__all__ = ["PhaseStat", "ObsReport", "build_report", "merge_reports",
+           "peak_rss_mb"]
 
 #: Aggregated phase rows deeper than this are folded into their parent.
 MAX_TABLE_DEPTH = 3
+
+
+def peak_rss_mb() -> Optional[float]:
+    """This process's peak resident set size so far, in MiB.
+
+    ``None`` where the platform has no ``resource`` module.  ``ru_maxrss``
+    counts KiB on Linux and bytes on macOS.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":
+        return peak / (1024.0 * 1024.0)
+    return peak / 1024.0
 
 
 @dataclass
@@ -177,8 +195,12 @@ def build_report(
     separable and :func:`merge_reports` sums them without double
     counting (see :func:`~repro.obs.metrics.histogram_delta` for the
     extremes).  Gauges are session-cumulative: a last value cannot be
-    differenced.
+    differenced.  The session's ``process.peak_rss_mb`` gauge is read
+    here, so every report carries the process's peak RSS so far.
     """
+    peak = peak_rss_mb()
+    if peak is not None:
+        session.metrics.gauge("process.peak_rss_mb").set(peak)
     counters_before = counters_before or {}
     counters: Dict[str, int] = {}
     for name, value in session.metrics.snapshot_counters().items():

@@ -236,26 +236,29 @@ def check_cone_partition(
     Each cone K_i must be exactly the gate subset of its output's
     transitive fanin (recomputed here with an independent traversal), and
     the cones must jointly cover every live gate of the subject graph.
+    Without ``cones``, each output's cone is built by
+    :meth:`~repro.network.subject.SubjectGraph.cone_nodes`, checked and
+    dropped in turn, so the audit never holds every cone's gate set.
     """
     target = subject.name
     t0 = time.perf_counter()
     problems: List[str] = []
-    if cones is None:
-        from repro.map.cones import logic_cones
-
-        cones = logic_cones(subject)
-
-    cone_by_po = {po.uid: cone for po, cone in cones}
-    po_uids = {po.uid for po in subject.primary_outputs}
-    for po, _cone in cones:
-        if po.uid not in po_uids:
-            problems.append(f"cone root {po.name} is not a primary output")
+    if cones is not None:
+        cone_by_po = {po.uid: cone for po, cone in cones}
+        po_uids = {po.uid for po in subject.primary_outputs}
+        for po, _cone in cones:
+            if po.uid not in po_uids:
+                problems.append(
+                    f"cone root {po.name} is not a primary output")
     covered: Set[int] = set()
     for po in subject.primary_outputs:
-        cone = cone_by_po.get(po.uid)
-        if cone is None:
-            problems.append(f"output {po.name} has no cone")
-            continue
+        if cones is None:
+            cone = subject.cone_nodes(po)
+        else:
+            cone = cone_by_po.get(po.uid)
+            if cone is None:
+                problems.append(f"output {po.name} has no cone")
+                continue
         # Independent traversal (not graph.cone_nodes / transitive_fanin).
         expected: Set[int] = set()
         stack = [po]
@@ -608,8 +611,8 @@ def check_incremental_sta(
     :meth:`~repro.timing.incremental.IncrementalTiming.check_against_full`).
     Required times are primed at the initial critical delay and compared
     at that same deadline, so each trial's comparison reads the engine's
-    backward frontier, not a full backward pass.  Original positions (and
-    the ``node.arrival`` side effects) are restored before returning, so
+    backward frontier, not a full backward pass.  The positions and
+    ``node.arrival`` values it found are restored before returning, so
     the audit leaves the netlist exactly as it found it.
     """
     import random
@@ -625,6 +628,7 @@ def check_incremental_sta(
     if not placed:
         return [_result("invariant.timing.incremental", target, [], t0)]
     saved = {g.name: g.position for g in placed}
+    arrivals = [(node, node.arrival) for node in mapped.nodes]
     rng = random.Random(seed)
     try:
         engine = IncrementalTiming(mapped, wire_model=wire_model)
@@ -650,14 +654,8 @@ def check_incremental_sta(
     finally:
         for name, position in saved.items():
             mapped[name].position = position
-        # Re-run the full pass so node.arrival side effects match the
-        # restored positions (the report object is discarded).
-        try:
-            from repro.timing.sta import analyze
-
-            analyze(mapped, wire_model=wire_model)
-        except Exception:
-            pass
+        for node, arrival in arrivals:
+            node.arrival = arrival
     return [_result("invariant.timing.incremental", target, problems, t0)]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -36,6 +37,9 @@ class TestCli:
         assert "== synth:5:60 / mis / area:" in out
         assert "== synth:5:60 / lily / area:" in out
         assert "verification passed" in out
+        # The process's peak memory is logged beside the verdict.
+        assert re.search(r"verification passed \(level=fast\); "
+                         r"peak RSS \d+\.\d MB$", out, re.MULTILINE)
 
     def test_verify_rejects_unknown_circuit(self):
         with pytest.raises(SystemExit, match=r"unknown circuit\(s\): nope"):

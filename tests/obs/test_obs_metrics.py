@@ -112,7 +112,9 @@ class TestSession:
         with session.span("old"):
             pass
         session.enable()
-        assert session.metrics.snapshot_counters() == {}
+        # Only a garbage collection since the reset may have counted.
+        assert not [name for name in session.metrics.snapshot_counters()
+                    if not name.startswith("gc.")]
         assert session.tracer.roots == []
 
     def test_observed_context_manager(self):

@@ -177,6 +177,20 @@ class TestVerifyIntegration:
         # The audit must leave positions untouched.
         assert {n.name: n.position for n in mapped.nodes} == saved
 
+    def test_invariant_checker_restores_arrivals(self, seeded_rng):
+        """The audit puts back the ``node.arrival`` values it found,
+        even ones no timing pass would compute."""
+        from repro.verify.invariants import check_incremental_sta
+
+        mapped = _mapped_with_positions(seeded_rng("ista", "arrivals"))
+        analyze(mapped, wire_model=WIRE)
+        for index, node in enumerate(mapped.nodes):
+            node.arrival = -1.0 - index
+        sentinels = {n.name: n.arrival for n in mapped.nodes}
+        results = check_incremental_sta(mapped, wire_model=WIRE, trials=2)
+        assert results[0].passed, results[0].details
+        assert {n.name: n.arrival for n in mapped.nodes} == sentinels
+
     def test_stale_required_frontier_is_detected(self, seeded_rng,
                                                  monkeypatch):
         """A single fast-audit trial must exercise the backward frontier."""
