@@ -3,31 +3,25 @@
 The mapper extends the DP covering engine with:
 
 * a live placement of the inchoate network (:mod:`repro.core.state`);
-* true-fanout search and fanin/fanout rectangles (:mod:`repro.core.rectangles`);
 * the CM-of-Merged / CM-of-Fans incremental position update
   (:mod:`repro.core.position`);
-* wire-cost estimation per candidate match (:mod:`repro.core.wirecost`);
-* the area-mode and delay-mode mappers themselves (:mod:`repro.core.lily`).
+* the area-mode and delay-mode mappers themselves (:mod:`repro.core.lily`),
+  which price every candidate match from the true fanouts, pin points
+  and pin caps that :class:`repro.perf.netcache.NetCache` keeps per net.
+
+The Section 3.3–3.4 primitives written out (true fanouts, fan
+rectangles, the per-match wire cost) are the test oracles in
+``tests/oracles/lily.py``.
 """
 
 from repro.core.state import PlacementState
-from repro.core.rectangles import (
-    true_fanouts,
-    fanin_rectangle,
-    fanout_rectangle,
-)
 from repro.core.position import cm_of_merged, cm_of_fans
-from repro.core.wirecost import match_wire_cost
 from repro.core.lily import LilyAreaMapper, LilyDelayMapper, LilyOptions
 
 __all__ = [
     "PlacementState",
-    "true_fanouts",
-    "fanin_rectangle",
-    "fanout_rectangle",
     "cm_of_merged",
     "cm_of_fans",
-    "match_wire_cost",
     "LilyAreaMapper",
     "LilyDelayMapper",
     "LilyOptions",

@@ -6,7 +6,9 @@ Both mappers keep a live placement of the inchoate network:
    GORDIAN-style global placement of the subject graph (Section 3.1).
 2. Every candidate match gets a tentative *mapPosition* (CM-of-Merged or
    CM-of-Fans, Section 3.2) and a wire cost from its fanin rectangles
-   (Sections 3.3–3.4).
+   (Sections 3.3–3.4).  Both read the pins of the nets around the match
+   from the :class:`~repro.perf.netcache.NetCache`, under every
+   :class:`LilyOptions` combination.
 3. Committed matches record their mapPosition; later cones see hawks at
    their real locations.  Optionally the partially mapped network is
    re-placed every N cones.
@@ -40,9 +42,7 @@ from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.area.estimate import subject_image
 from repro.core.position import cm_of_fans, cm_of_merged
-from repro.core.rectangles import fanin_rectangle, fanout_rectangle
 from repro.core.state import PlacementState
-from repro.core.wirecost import match_wire_cost
 from repro.geometry import Point, Rect, _median
 from repro.library.cell import Library
 from repro.map.base import BaseMapper, Solution
@@ -55,6 +55,7 @@ from repro.perf.netcache import NetCache
 from repro.place.global_place import GlobalPlacer
 from repro.place.hypergraph import subject_netlist
 from repro.place.pads import assign_pads
+from repro.route.spanning import rectilinear_mst_length
 from repro.route.wirelength import chung_hwang_factor
 from repro.timing.model import WireCapModel
 
@@ -116,9 +117,33 @@ def _check_bound_parameters(library: Library, options: LilyOptions) -> None:
     _require_nonnegative(options.wire_weight, "wire_weight")
 
 
+#: The names each model field of :class:`LilyOptions` accepts.
+_MODEL_NAMES = {
+    "position_update": ("cm_of_fans", "cm_of_merged"),
+    "norm": ("manhattan", "euclidean"),
+    "wire_model": ("halfperim", "spanning"),
+}
+
+
+def _check_model_names(options: LilyOptions) -> None:
+    """Refuse an unknown position update, norm or wire model before the
+    mapper builds anything."""
+    for field, names in _MODEL_NAMES.items():
+        value = getattr(options, field)
+        if value not in names:
+            raise ValueError(
+                f"unknown {field.replace('_', ' ')}: {value!r} "
+                f"(expected one of {names})")
+
+
+#: A match input's net box, ``(lx, ly, ux, uy, remaining)``: see
+#: :meth:`_LilyMixin._fanin_boxes`.
+_Box = Tuple[float, float, float, float, int]
+
+
 class _LilyMixin:
-    """Placement plumbing and bounded pricing shared by the area and
-    delay mappers."""
+    """Placement plumbing, net boxes, tentative positions and bounded
+    pricing shared by the area and delay mappers."""
 
     def _init_lily(
         self,
@@ -137,10 +162,6 @@ class _LilyMixin:
         #: Cached quadratic-system assembly reused by every periodic
         #: re-place (anchors only touch the diagonal/rhs).
         self._quad_system = None
-
-    def _true_fanouts(self, node: SubjectNode) -> List[SubjectNode]:
-        """:func:`~repro.core.rectangles.true_fanouts`, cached across cones."""
-        return self._netcache.consumers(node)
 
     # -- global placement of the inchoate network (Section 3.1) -------------
 
@@ -228,37 +249,108 @@ class _LilyMixin:
             return solution.position
         return self.state.best_position(node)
 
+    def _fanin_boxes(
+        self,
+        match: Match,
+        inputs: Sequence[Solution],
+        covered_uids: AbstractSet[int],
+    ) -> List[_Box]:
+        """Per non-constant match input, in input order, the box of its
+        net's pins that stay outside the match (Section 3.3's fanin
+        rectangle): ``(lx, ly, ux, uy, remaining)``.
+
+        The box folds the input's mapPosition and the cached points of
+        its true fanouts that ``covered_uids`` leaves out; ``remaining``
+        counts those fanouts.  Min and max do not depend on the order.
+        """
+        entry = self._netcache.entry
+        boxes: List[_Box] = []
+        for fanin, solution in zip(match.inputs, inputs):
+            if fanin.is_constant:
+                continue
+            uids, xs, ys, _ = entry(fanin)
+            fp = self._input_position(fanin, solution)
+            lx = ux = fp.x
+            ly = uy = fp.y
+            remaining = 0
+            for uid, x, y in zip(uids, xs, ys):
+                if uid in covered_uids:
+                    continue
+                remaining += 1
+                if x < lx:
+                    lx = x
+                elif x > ux:
+                    ux = x
+                if y < ly:
+                    ly = y
+                elif y > uy:
+                    uy = y
+            boxes.append((lx, ly, ux, uy, remaining))
+        return boxes
+
     def _tentative_position(
-        self, node: SubjectNode, match: Match, inputs: Sequence[Solution]
+        self,
+        node: SubjectNode,
+        match: Match,
+        inputs: Sequence[Solution],
+        covered_uids: AbstractSet[int],
+        boxes: Optional[List[_Box]] = None,
     ) -> Point:
+        """The candidate's mapPosition (Section 3.2).
+
+        CM-of-Fans takes the optimal point over the input nets' boxes
+        (``boxes``, or :meth:`_fanin_boxes` if not given) and the box of
+        ``node``'s direct fanouts outside the match: the median of the
+        corner coordinates (Manhattan) or the centre of mass of the box
+        centres (Euclidean).  With no box at all, and always under
+        CM-of-Merged, the match sits at its covered nodes' centre of
+        mass.
+        """
         if OBS.enabled:
             OBS.metrics.counter("lily.position_evals").inc()
         if self.options.position_update == "cm_of_merged":
             return cm_of_merged(match.covered, self.state)
-        if self.options.position_update != "cm_of_fans":
-            raise ValueError(
-                f"unknown position update: {self.options.position_update!r}"
-            )
-        rects = []
-        for index, fanin in enumerate(match.inputs):
-            if fanin.is_constant:
+        if boxes is None:
+            boxes = self._fanin_boxes(match, inputs, covered_uids)
+        out_uids, out_xs, out_ys, _ = self._netcache.out_entry(node)
+        have_out = False
+        olx = oly = oux = ouy = 0.0
+        for uid, x, y in zip(out_uids, out_xs, out_ys):
+            if uid in covered_uids:
                 continue
-            rects.append(
-                fanin_rectangle(
-                    fanin,
-                    match.covered,
-                    self.state,
-                    self.lifecycle,
-                    fanin_position=self._input_position(fanin, inputs[index]),
-                    consumers=self._true_fanouts(fanin),
-                )
-            )
-        out_rect = fanout_rectangle(
-            node, match.covered, self.state, self.lifecycle
-        )
-        if not rects and out_rect is None:
+            if not have_out:
+                have_out = True
+                olx = oux = x
+                oly = ouy = y
+                continue
+            if x < olx:
+                olx = x
+            elif x > oux:
+                oux = x
+            if y < oly:
+                oly = y
+            elif y > ouy:
+                ouy = y
+        if not boxes and not have_out:
             return cm_of_merged(match.covered, self.state)
-        return cm_of_fans(rects, out_rect, norm=self.options.norm)
+        if self.options.norm == "manhattan":
+            # optimal_point_manhattan without building the rectangles.
+            mxs: List[float] = []
+            mys: List[float] = []
+            for lx, ly, ux, uy, _ in boxes:
+                mxs.append(lx)
+                mxs.append(ux)
+                mys.append(ly)
+                mys.append(uy)
+            if have_out:
+                mxs.append(olx)
+                mxs.append(oux)
+                mys.append(oly)
+                mys.append(ouy)
+            return Point(_median(mxs), _median(mys))
+        rects = [Rect(lx, ly, ux, uy) for lx, ly, ux, uy, _ in boxes]
+        out_rect = Rect(olx, oly, oux, ouy) if have_out else None
+        return cm_of_fans(rects, out_rect, norm="euclidean")
 
     def position_for(self, node: SubjectNode, match: Match) -> Optional[Point]:
         solution = self.memo.get(node.uid)
@@ -356,6 +448,7 @@ class LilyAreaMapper(_LilyMixin, BaseMapper):
     ) -> None:
         options = options or LilyOptions()
         _check_bound_parameters(library, options)
+        _check_model_names(options)
         kwargs.setdefault("use_cone_ordering", options.use_cone_ordering)
         super().__init__(library, **kwargs)
         self._init_lily(options, region, pad_positions)
@@ -364,147 +457,53 @@ class LilyAreaMapper(_LilyMixin, BaseMapper):
         self, node: SubjectNode, match: Match, inputs: Sequence[Solution]
     ) -> Solution:
         """``area + wire_weight * wire`` of ``match`` at its tentative
-        mapPosition (the cached fast path for halfperim/CM-of-Fans)."""
-        if (
-            self.options.wire_model == "halfperim"
-            and self.options.position_update == "cm_of_fans"
-        ):
-            return self._evaluate_fast(node, match, inputs)
-        return self._evaluate_general(node, match, inputs)
+        mapPosition (Sections 3.2–3.4).
+
+        The wire increment sums, per non-constant input in input order,
+        the expected length of the input net, which its remaining true
+        fanouts and gate(m) share: ``halfperim`` takes the half-perimeter
+        of the input's box extended by the gate position, times the
+        Chung–Hwang factor of the net's pins; ``spanning`` takes the
+        rectilinear spanning tree over the input point, the gate point
+        and the remaining fanouts' points in uid order.
+        """
+        covered_uids = {n.uid for n in match.covered}
+        boxes = self._fanin_boxes(match, inputs, covered_uids)
+        position = self._tentative_position(node, match, inputs,
+                                            covered_uids, boxes)
+        wire_increment = 0.0
+        if self.options.wire_model == "halfperim":
+            gx, gy = position.x, position.y
+            for lx, ly, ux, uy, remaining in boxes:
+                width = (ux if ux > gx else gx) - (lx if lx < gx else gx)
+                height = (uy if uy > gy else gy) - (ly if ly < gy else gy)
+                wire_increment += (
+                    (width + height) * chung_hwang_factor(remaining + 2)
+                ) / (remaining + 1)
+        else:
+            entry = self._netcache.entry
+            for fanin, solution in zip(match.inputs, inputs):
+                if fanin.is_constant:
+                    continue
+                uids, xs, ys, _ = entry(fanin)
+                points = [self._input_position(fanin, solution), position]
+                points.extend(Point(x, y) for uid, x, y in zip(uids, xs, ys)
+                              if uid not in covered_uids)
+                # Shared by the remaining fanouts and gate(m).
+                wire_increment += (rectilinear_mst_length(points)
+                                   / (len(points) - 1))
+        area = match.cell.area + sum(s.area for s in inputs)
+        wire = wire_increment + sum(s.wire for s in inputs)
+        cost = area + self.options.wire_weight * wire
+        return Solution(
+            node, match, cost=cost, area=area, wire=wire, position=position
+        )
 
     def cost_bound(self, match: Match, inputs: Sequence[Solution]) -> float:
         """``area + wire_weight * (input wire)``: the priced cost without
         the wire increment, which is >= 0."""
         area = match.cell.area + sum(s.area for s in inputs)
         return area + self.options.wire_weight * sum(s.wire for s in inputs)
-
-    def _evaluate_general(
-        self, node: SubjectNode, match: Match, inputs: Sequence[Solution]
-    ) -> Solution:
-        """The cost under any position update and wire model.
-
-        Built from the Section 3 primitives (fan rectangles, tentative
-        position, :func:`~repro.core.wirecost.match_wire_cost`).  The
-        golden-equivalence tests run it for every match, as the oracle
-        of :meth:`_evaluate_fast`.
-        """
-        position = self._tentative_position(node, match, inputs)
-        input_positions = [
-            self._input_position(v, inputs[i])
-            for i, v in enumerate(match.inputs)
-        ]
-        wire_increment = match_wire_cost(
-            match,
-            position,
-            input_positions,
-            self.state,
-            self.lifecycle,
-            model=self.options.wire_model,
-            consumers_of=self._true_fanouts,
-        )
-        area = match.cell.area + sum(s.area for s in inputs)
-        wire = wire_increment + sum(s.wire for s in inputs)
-        cost = area + self.options.wire_weight * wire
-        return Solution(
-            node, match, cost=cost, area=area, wire=wire, position=position
-        )
-
-    def _evaluate_fast(
-        self, node: SubjectNode, match: Match, inputs: Sequence[Solution]
-    ) -> Solution:
-        """The halfperim/CM-of-Fans cost, on cached net data.
-
-        Bit-identical to :meth:`_evaluate_general`: each input's fanin
-        rectangle is the min/max fold of the cached pin points (min/max
-        are order-independent), the wire rectangle is the same rectangle
-        extended by the gate position (exactly ``extra_point``), and all
-        summations run in the same order.  Asserted by the golden-
-        equivalence tests.
-        """
-        if OBS.enabled:
-            OBS.metrics.counter("lily.position_evals").inc()
-        cache = self._netcache
-        covered = match.covered
-        covered_uids = {n.uid for n in covered}
-        #: Per non-constant input: (lx, ly, ux, uy, len(remaining)).
-        folds = []
-        for index, fanin in enumerate(match.inputs):
-            if fanin.is_constant:
-                continue
-            _, uids, xs, ys, _ = cache.entry(fanin)
-            fp = self._input_position(fanin, inputs[index])
-            lx = ux = fp.x
-            ly = uy = fp.y
-            remaining = 0
-            for uid, x, y in zip(uids, xs, ys):
-                if uid in covered_uids:
-                    continue
-                remaining += 1
-                if x < lx:
-                    lx = x
-                elif x > ux:
-                    ux = x
-                if y < ly:
-                    ly = y
-                elif y > uy:
-                    uy = y
-            folds.append((lx, ly, ux, uy, remaining))
-        # Output-net rectangle over the cached direct-fanout points.
-        out_uids, out_xs, out_ys, _ = cache.out_entry(node)
-        have_out = False
-        olx = oly = oux = ouy = 0.0
-        for uid, x, y in zip(out_uids, out_xs, out_ys):
-            if uid in covered_uids:
-                continue
-            if not have_out:
-                have_out = True
-                olx = oux = x
-                oly = ouy = y
-                continue
-            if x < olx:
-                olx = x
-            elif x > oux:
-                oux = x
-            if y < oly:
-                oly = y
-            elif y > ouy:
-                ouy = y
-        if not folds and not have_out:
-            position = cm_of_merged(covered, self.state)
-        elif self.options.norm == "manhattan":
-            # Inlined optimal_point_manhattan: median over the corner
-            # coordinates of all fan rectangles.
-            mxs: List[float] = []
-            mys: List[float] = []
-            for lx, ly, ux, uy, _ in folds:
-                mxs.append(lx)
-                mxs.append(ux)
-                mys.append(ly)
-                mys.append(uy)
-            if have_out:
-                mxs.append(olx)
-                mxs.append(oux)
-                mys.append(oly)
-                mys.append(ouy)
-            position = Point(_median(mxs), _median(mys))
-        else:
-            rects = [Rect(lx, ly, ux, uy) for lx, ly, ux, uy, _ in folds]
-            out_rect = Rect(olx, oly, oux, ouy) if have_out else None
-            position = cm_of_fans(rects, out_rect, norm=self.options.norm)
-        gx, gy = position.x, position.y
-        wire_increment = 0.0
-        for lx, ly, ux, uy, remaining in folds:
-            width = (ux if ux > gx else gx) - (lx if lx < gx else gx)
-            height = (uy if uy > gy else gy) - (ly if ly < gy else gy)
-            wire_increment += (
-                (width + height) * chung_hwang_factor(remaining + 2)
-            ) / (remaining + 1)
-        area = match.cell.area + sum(s.area for s in inputs)
-        wire = wire_increment + sum(s.wire for s in inputs)
-        cost = area + self.options.wire_weight * wire
-        return Solution(
-            node, match, cost=cost, area=area, wire=wire, position=position
-        )
 
     def hawk_solution(self, node: SubjectNode) -> Solution:
         """A hawk costs nothing more and sits at its mapPosition."""
@@ -546,6 +545,7 @@ class LilyDelayMapper(_LilyMixin, BaseMapper):
         options = options or LilyOptions()
         wire_cap = wire_cap or WireCapModel()
         _check_bound_parameters(library, options)
+        _check_model_names(options)
         _require_nonnegative(wire_cap.ch_per_um, "wire_cap.ch_per_um")
         _require_nonnegative(wire_cap.cv_per_um, "wire_cap.cv_per_um")
         _require_nonnegative(pad_cap, "pad_cap")
@@ -582,7 +582,7 @@ class LilyDelayMapper(_LilyMixin, BaseMapper):
         with strict comparisons from the fanin's point, as ``min`` and
         ``max`` do over the points in that order.
         """
-        _, uids, xs, ys, caps = self._netcache.entry(fanin)
+        uids, xs, ys, caps = self._netcache.entry(fanin)
         cap = pin_cap
         lx = ux = fanin_position.x
         ly = uy = fanin_position.y
@@ -683,8 +683,9 @@ class LilyDelayMapper(_LilyMixin, BaseMapper):
         self, node: SubjectNode, match: Match, inputs: Sequence[Solution]
     ) -> Solution:
         """Output arrival of ``match`` by the Section 4.4 procedure."""
-        position = self._tentative_position(node, match, inputs)
         covered_uids = {n.uid for n in match.covered}
+        position = self._tentative_position(node, match, inputs,
+                                            covered_uids)
         pins = match.cell.pins
         blocks: List[float] = []
         for pin_index, fanin in enumerate(match.inputs):

@@ -37,6 +37,7 @@ from repro.place.pads import io_affinity_order, perimeter_slots
 from repro.route.global_route import RoutedDesign, route_design
 from repro.timing.model import WireCapModel
 from repro.timing.sta import TimingReport, analyze
+from repro.verify import LEVELS, audit_flow
 from repro.verify.result import VerifyReport
 
 __all__ = ["BackendResult", "FlowResult", "mis_flow", "lily_flow",
@@ -202,16 +203,21 @@ def _run_verification(
     if not verify:
         return True, None
     if isinstance(verify, str):
-        from repro.verify import LEVELS, audit_flow
-
-        if verify not in LEVELS:
-            raise ValueError(
-                f"unknown verify level: {verify!r} (expected one of {LEVELS})"
-            )
         report = audit_flow(net, result, backend, level=verify,
                             wire_model=wire_model or WireCapModel())
         return report.family_passed("equiv"), report
     return networks_equivalent(net, result.mapped), None
+
+
+def _check_flow_arguments(mode: str, verify: Union[bool, str]) -> None:
+    """Refuse an unknown ``mode`` or ``verify`` level before a flow
+    orders a pad or decomposes a node."""
+    if mode not in ("area", "timing"):
+        raise ValueError(f"unknown mode: {mode!r}")
+    if isinstance(verify, str) and verify not in LEVELS:
+        raise ValueError(
+            f"unknown verify level: {verify!r} (expected one of {LEVELS})"
+        )
 
 
 def mis_flow(
@@ -241,6 +247,7 @@ def mis_flow(
     report their spec in ``FlowResult.mapper`` (e.g. ``"mis-cuts"``)
     since they change the answer.
     """
+    _check_flow_arguments(mode, verify)
     spec = parse_mapper_spec(mapper)
     flow_name = "mis" if spec.kind == "tree" else f"mis-{spec.canonical}"
     start = perf_counter()
@@ -259,8 +266,6 @@ def mis_flow(
             pad_order = io_affinity_order(net)
         with OBS.span("decompose"):
             subject = decompose_to_subject(net)
-        if mode not in ("area", "timing"):
-            raise ValueError(f"unknown mode: {mode!r}")
         # Pattern-set generation is cached per library; the first flow in a
         # process pays it here, so it gets its own phase row.  The cut
         # backends pay their NPN-table build in the same phase.
@@ -323,6 +328,7 @@ def lily_flow(
 
     ``verify`` and ``matcher`` work exactly as in :func:`mis_flow`.
     """
+    _check_flow_arguments(mode, verify)
     start = perf_counter()
     counters_before = (
         OBS.metrics.snapshot_counters() if OBS.enabled else None
@@ -348,8 +354,6 @@ def lily_flow(
             # the same connectivity and pad order — transfers best to the final
             # layout in delay mode (Section 3.2's stated advantage).
             options = LilyOptions(position_update="cm_of_merged")
-        if mode not in ("area", "timing"):
-            raise ValueError(f"unknown mode: {mode!r}")
         # Same cached pattern-set note as mis_flow: first flow pays it here.
         with OBS.span("patterns"):
             if mode == "area":

@@ -3,8 +3,9 @@
 Every kernel here has one production path, with no switch:
 
 * **incremental net caching** (:mod:`repro.perf.netcache`) — Lily's
-  per-net true-fanout lists and pin points are cached across cones and
-  invalidated by delta on commit instead of recomputed per candidate;
+  per-net true fanouts, pin points and pin caps are cached across cones
+  and invalidated by delta on commit instead of recomputed per
+  candidate; every Lily cost reads them;
 * **incremental placement bookkeeping** (:mod:`repro.perf.incremental`) —
   one per-net bounding-box cache giving the annealer and the detailed
   swap pass cost deltas over the moved cells' nets only;

@@ -1,12 +1,14 @@
 """Cross-cone net cache with delta invalidation (incremental wire cost).
 
-Lily's cost model asks, for every candidate match input, for the input
-net's *true fanouts* (the fanout walk through doves) and their current
-points.  This cache keeps each net's entry alive across cones and drops
-only what a commit actually touched.  It also tells the covering DP
-which nets a commit changed: :meth:`NetCache.invalidate` returns them,
-and the DP's :class:`~repro.map.base.SolutionMemo` drops exactly the
-solutions that priced those nets.
+Lily prices every candidate match from the nets around it: each match
+input's net, reached through the input's *true fanouts* (the fanout
+walk through doves, Section 3.3), and the candidate's output net, its
+direct fanouts.  This cache holds the one true-fanout walk and the one
+pin-point rule in the package, keeps each net's entry alive across
+cones and drops only what a commit actually touched.  It also tells the
+covering DP which nets a commit changed: :meth:`NetCache.invalidate`
+returns them, and the DP's :class:`~repro.map.base.SolutionMemo` drops
+exactly the solutions that priced those nets.
 
 Correctness rests on a dependency index: an entry records every node its
 fanout walk *visited* (consumers found and doves walked through).  A
@@ -16,7 +18,8 @@ points are functions of exactly the visited nodes' states/positions — so
 dropping the entries that visited a committed node leaves every surviving
 entry equal to a fresh recompute.  Placement refreshes move every gate
 and clear the cache outright.  The equivalence tests re-derive each entry
-from scratch and assert equality mid-run.
+from scratch with the Section 3.3 primitives in ``tests/oracles/lily.py``
+and assert equality mid-run.
 
 A delay mapper also reads each pin's load capacitance from the entries:
 ``pad_cap`` for a primary output, the committed cell's largest pin cap
@@ -37,16 +40,16 @@ from repro.obs import OBS
 
 __all__ = ["NetCache"]
 
-#: (consumers sorted by uid, their uids, x coords, y coords, load caps).
-_Entry = Tuple[List[SubjectNode], List[int], List[float], List[float],
-               List[float]]
-#: (direct-fanout uids, x coords, y coords, load caps).
-_OutEntry = Tuple[List[int], List[float], List[float], List[float]]
+#: (pin uids, x coords, y coords, load caps), aligned by index: an
+#: input net's true fanouts in uid order, or an output net's direct
+#: fanouts in fanout order.
+_Entry = Tuple[List[int], List[float], List[float], List[float]]
 
 
 class NetCache:
-    """Per-net true-fanout lists, pin points and pin caps, invalidated by
-    commits.
+    """Per-net pin uids, points and caps, invalidated by commits: an
+    input net over its true fanouts, an output net over its direct
+    fanouts.
 
     Args:
         state: the live placement (place and map positions).
@@ -76,16 +79,18 @@ class NetCache:
         #: visited node uid -> entry keys whose walk saw that node.
         self._deps: Dict[int, Set[int]] = {}
         #: node uid -> the entry of its output net (direct fanouts).
-        self._out_entries: Dict[int, _OutEntry] = {}
+        self._out_entries: Dict[int, _Entry] = {}
         #: sink uid -> out-entry keys listing that sink.
         self._out_deps: Dict[int, Set[int]] = {}
 
     def _pins(
         self, nodes: List[SubjectNode]
     ) -> Tuple[List[float], List[float], List[float]]:
-        """xs, ys and caps of ``nodes``: mapPosition for hawks,
-        placePosition (or pad) otherwise, as
-        :func:`repro.core.rectangles._node_point` does."""
+        """xs, ys and caps of ``nodes``.
+
+        A pin's point is its mapPosition if it is a hawk that has one,
+        else its placePosition (a pad's position for a terminal).
+        """
         state_of = self.lifecycle.state
         map_position = self.state.map_position
         place_position = self.state.place_position
@@ -113,12 +118,13 @@ class NetCache:
         return xs, ys, caps
 
     def entry(self, fanin: SubjectNode) -> _Entry:
-        """Cached ``(consumers, uids, xs, ys, caps)`` for ``fanin``'s
-        output net.
+        """Cached ``(uids, xs, ys, caps)`` of ``fanin``'s true fanouts.
 
-        ``consumers`` is exactly :func:`repro.core.rectangles.true_fanouts`
-        of ``fanin``; the other lists are the consumers' uids, current
-        points and load caps, aligned by index.
+        The walk follows ``fanin``'s fanouts and looks through doves (the
+        hawks their logic was merged into absorb the connection); gates
+        in any other state and primary outputs are the true fanouts.
+        Duplicated logic can yield several along one branch.  The pins
+        come in uid order, each with its current point and load cap.
         """
         key = fanin.uid
         cached = self._entries.get(key)
@@ -146,7 +152,7 @@ class NetCache:
             else:
                 found.append(branch)
         found.sort(key=lambda n: n.uid)
-        entry = (found, [n.uid for n in found], *self._pins(found))
+        entry = ([n.uid for n in found], *self._pins(found))
         self._entries[key] = entry
         deps = self._deps
         for uid in seen:
@@ -157,11 +163,7 @@ class NetCache:
                 bucket.add(key)
         return entry
 
-    def consumers(self, fanin: SubjectNode) -> List[SubjectNode]:
-        """The true-fanout list alone (the general path's rectangles)."""
-        return self.entry(fanin)[0]
-
-    def out_entry(self, node: SubjectNode) -> _OutEntry:
+    def out_entry(self, node: SubjectNode) -> _Entry:
         """Cached ``(uids, xs, ys, caps)`` of ``node``'s direct fanouts.
 
         The candidate-output net of Section 3.3 uses the *inchoate*

@@ -240,3 +240,26 @@ class TestBoundParameters:
                                 rise_resistance=0.0, fall_resistance=0.0)
         LilyAreaMapper(lib, options=LilyOptions(wire_weight=0.0))
         LilyDelayMapper(lib, wire_cap=WireCapModel(0.0, 0.0), pad_cap=0.0)
+
+
+class TestModelNames:
+    """An unknown position update, norm or wire model is refused by the
+    constructor, before the pattern build and the initial placement."""
+
+    @pytest.mark.parametrize("field", ["position_update", "norm",
+                                       "wire_model"])
+    @pytest.mark.parametrize("mapper", [LilyAreaMapper, LilyDelayMapper])
+    def test_unknown_name_rejected_at_construction(self, big_lib,
+                                                   monkeypatch, mapper,
+                                                   field):
+        from repro.map.base import BaseMapper
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the mapper was built")
+
+        monkeypatch.setattr(BaseMapper, "__init__", no_build)
+        options = LilyOptions(**{field: "bogus"})
+        with pytest.raises(ValueError,
+                           match=f"unknown {field.replace('_', ' ')}: "
+                                 "'bogus'"):
+            mapper(big_lib, options=options)

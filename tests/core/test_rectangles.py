@@ -1,10 +1,14 @@
-"""True fanouts and fanin/fanout rectangles (Section 3.3)."""
+"""True fanouts and fanin/fanout rectangles (Section 3.3).
+
+The primitives are the Lily oracle's (``oracles.lily``); the golden
+tests hold production's cached boxes to them.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.rectangles import fanin_rectangle, fanout_rectangle, true_fanouts
+from oracles.lily import fanin_rectangle, fanout_rectangle, true_fanouts
 from repro.core.state import PlacementState
 from repro.geometry import Point, Rect
 from repro.map.lifecycle import LifecycleTracker

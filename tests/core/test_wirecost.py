@@ -1,11 +1,15 @@
-"""Wire-cost estimation for candidate matches (Section 3.4)."""
+"""Wire-cost estimation for candidate matches (Section 3.4).
+
+The estimator is the Lily oracle's (``oracles.lily``); the golden tests
+hold production's cached pricing to it.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from oracles.lily import fanin_net_cost, match_wire_cost, true_fanouts
 from repro.core.state import PlacementState
-from repro.core.wirecost import fanin_net_cost, match_wire_cost
 from repro.geometry import Point, Rect
 from repro.library.patterns import pattern_set_for
 from repro.map.lifecycle import LifecycleTracker
@@ -127,8 +131,6 @@ class TestMatchWireCost:
 
     def test_consumers_cache_consistent(self, match_case):
         """Supplying precomputed true-fanout lists changes nothing."""
-        from repro.core.rectangles import true_fanouts
-
         g, n, match, state = match_case
         lifecycle = LifecycleTracker()
         inputs = [Point(0, 0), Point(0, 100)]

@@ -154,3 +154,23 @@ class TestMapperReleased:
         assert len(mappers) == 1
         assert alive == [False]
         assert result.map_result.num_gates > 0
+
+
+class TestArgumentsCheckedFirst:
+    """A bad ``mode`` or ``verify`` level fails before the flow orders a
+    pad, so no eigensolve, decomposition, cover or back end runs for it."""
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"mode": "vibes"}, "unknown mode: 'vibes'"),
+        ({"verify": "fullest"}, "unknown verify level: 'fullest'"),
+    ], ids=["mode", "verify"])
+    @pytest.mark.parametrize("flow", ["mis", "lily"])
+    def test_rejected_before_any_work(self, monkeypatch, misex1, lib, flow,
+                                      kwargs, message):
+        def no_work(net):
+            raise AssertionError("the flow started work")
+
+        monkeypatch.setattr(pipeline, "io_affinity_order", no_work)
+        run = mis_flow if flow == "mis" else lily_flow
+        with pytest.raises(ValueError, match=message):
+            run(misex1, lib, **kwargs)

@@ -2,12 +2,14 @@
 
 The goldens map with the recursive oracle matcher (``oracles.match``)
 and, for Lily, with the ``oracles.lily`` mappers, which price every
-match (no bound) without the cross-cone net cache: area mode on the
-general cost path, delay mode with per-consumer loads.  So each
-comparison checks the table matcher plus Lily's net cache, fast
-evaluator, cached loads and bounded pricing against the naive code.  The variants map with a fresh mapper
-and with one that mapped another circuit first, whose matcher must
-rebuild its tables for the new subject graph.
+match (no bound) without the cross-cone net cache and position every
+candidate from the Section 3.3 rectangles: area mode with the Section
+3.4 wire cost, delay mode with per-consumer loads.  So each comparison
+checks the table matcher plus Lily's net cache, box folds, cached loads
+and bounded pricing against the naive code, under every position
+update, norm and wire model.  The variants map with a fresh mapper and
+with one that mapped another circuit first, whose matcher must rebuild
+its tables for the new subject graph.
 
 The DP cover breaks cost ties by scan order, positions feed back into
 later cones, and the final netlist hashes all of it together — so the
@@ -30,6 +32,14 @@ from repro.map.mis import MisAreaMapper, MisDelayMapper
 from repro.network.decompose import decompose_to_subject
 
 CIRCUITS = ["misex1", "b9", "apex7"]
+
+#: Lily's position variants: (position_update, norm).  CM-of-Merged
+#: reads no norm.
+POSITIONS = {
+    "cm_of_fans-manhattan": ("cm_of_fans", "manhattan"),
+    "cm_of_fans-euclidean": ("cm_of_fans", "euclidean"),
+    "cm_of_merged": ("cm_of_merged", "manhattan"),
+}
 
 
 def _fresh(cls, library, other):
@@ -74,15 +84,45 @@ def subjects():
     }
 
 
-@pytest.mark.parametrize("circuit", CIRCUITS)
-def test_lily_area_all_variants(subjects, big_lib, circuit):
+def _assert_matches_oracle(subjects, big_lib, circuit, cls, oracle, label):
+    """Fresh and reused ``cls`` mappers reproduce ``oracle``'s cover."""
     subject = subjects[circuit]
-    golden = _fingerprint(_oracle(NaiveLilyAreaMapper, big_lib).map(subject))
+    golden = _fingerprint(_oracle(oracle, big_lib).map(subject))
     other = subjects[CIRCUITS[CIRCUITS.index(circuit) - 1]]
     for name, variant in VARIANTS.items():
-        mapper = variant(LilyAreaMapper, big_lib, other)
+        mapper = variant(cls, big_lib, other)
         fp = _fingerprint(mapper.map(subject))
-        assert fp == golden, f"{circuit}/{name} diverged from naive"
+        assert fp == golden, f"{circuit} {label}/{name} diverged from naive"
+
+
+def _lily_pair(fast, naive, position, **options):
+    """``fast`` and ``naive`` Lily mappers under one option set."""
+    update, norm = POSITIONS[position]
+    options = LilyOptions(position_update=update, norm=norm, **options)
+    return partial(fast, options=options), partial(naive, options=options)
+
+
+@pytest.mark.parametrize("circuit", CIRCUITS)
+def test_lily_area_all_variants(subjects, big_lib, circuit):
+    """The default options: CM-of-Fans, Manhattan, halfperim."""
+    _assert_matches_oracle(subjects, big_lib, circuit, LilyAreaMapper,
+                           NaiveLilyAreaMapper, "lily-area")
+
+
+@pytest.mark.parametrize("circuit", CIRCUITS)
+@pytest.mark.parametrize("position, wire_model", [
+    (position, wire_model)
+    for position in POSITIONS for wire_model in ("halfperim", "spanning")
+    if (position, wire_model) != ("cm_of_fans-manhattan", "halfperim")
+])
+def test_lily_area_option_variants(subjects, big_lib, circuit, position,
+                                   wire_model):
+    """Every other position variant and wire model (the default is
+    ``test_lily_area_all_variants``)."""
+    fast, naive = _lily_pair(LilyAreaMapper, NaiveLilyAreaMapper, position,
+                             wire_model=wire_model)
+    _assert_matches_oracle(subjects, big_lib, circuit, fast, naive,
+                           f"lily-area/{position}/{wire_model}")
 
 
 @pytest.mark.parametrize("circuit", CIRCUITS)
@@ -94,23 +134,23 @@ def test_mis_area_fast_vs_naive(subjects, big_lib, circuit):
 
 
 def test_delay_mappers_fast_vs_naive(subjects, big_lib):
-    """Lily delay mode with both position updates (``lily_flow`` maps
-    timing with CM-of-Merged), and the MIS delay mapper."""
-    mappers = [(MisDelayMapper, MisDelayMapper, "mis")]
-    for update in ("cm_of_fans", "cm_of_merged"):
-        options = LilyOptions(position_update=update)
-        mappers.append((partial(LilyDelayMapper, options=options),
-                        partial(NaiveLilyDelayMapper, options=options),
-                        f"lily/{update}"))
-    for index, circuit in enumerate(CIRCUITS):
-        subject = subjects[circuit]
-        other = subjects[CIRCUITS[index - 1]]
-        for cls, oracle, label in mappers:
-            golden = _fingerprint(_oracle(oracle, big_lib).map(subject))
-            for name, variant in VARIANTS.items():
-                mapper = variant(cls, big_lib, other)
-                fp = _fingerprint(mapper.map(subject))
-                assert fp == golden, f"{circuit} {label}/{name} diverged"
+    """The MIS delay mapper (Lily's delay mode is
+    ``test_lily_delay_positions_fast_vs_naive``)."""
+    for circuit in CIRCUITS:
+        _assert_matches_oracle(subjects, big_lib, circuit, MisDelayMapper,
+                               MisDelayMapper, "mis-delay")
+
+
+@pytest.mark.parametrize("circuit", CIRCUITS)
+@pytest.mark.parametrize("position", list(POSITIONS))
+def test_lily_delay_positions_fast_vs_naive(subjects, big_lib, circuit,
+                                            position):
+    """Lily delay mode under each position variant (``lily_flow`` maps
+    timing with CM-of-Merged; CM-of-Fans is the options' default)."""
+    fast, naive = _lily_pair(LilyDelayMapper, NaiveLilyDelayMapper,
+                             position)
+    _assert_matches_oracle(subjects, big_lib, circuit, fast, naive,
+                           f"lily-delay/{position}")
 
 
 def _backend_fingerprint(flow):
