@@ -21,7 +21,7 @@ from repro.match.treematch import Matcher
 from repro.network.decompose import decompose_to_subject
 from repro.place.global_place import GlobalPlacer
 from repro.place.hypergraph import subject_netlist
-from repro.place.pads import assign_pads
+from repro.place.pads import io_affinity_order, pads_from_order
 from repro.route.channel import left_edge_route
 from repro.timing.sta import analyze
 
@@ -61,7 +61,7 @@ def test_speed_matching(benchmark, c880_subject, library):
 
 def test_speed_global_placement(benchmark, c880_subject):
     region = subject_image(len(c880_subject.gates))
-    pads = assign_pads(c880_subject, region)
+    pads = pads_from_order(io_affinity_order(c880_subject), region)
     netlist = subject_netlist(c880_subject, pads)
     placer = GlobalPlacer()
     benchmark(lambda: placer.place(netlist, region))

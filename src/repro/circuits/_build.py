@@ -4,19 +4,11 @@ from __future__ import annotations
 
 from repro.network.logic import Cube, SopCover
 
-__all__ = ["sop_and", "sop_or", "sop_xor", "sop_xnor", "sop_maj3", "sop_nand",
-           "sop_nor", "sop_not", "sop_buf"]
+__all__ = ["sop_and", "sop_or", "sop_xor", "sop_xnor", "sop_maj3"]
 
 
 def sop_and(n: int) -> SopCover:
     return SopCover(n, [Cube("1" * n)])
-
-
-def sop_nand(n: int) -> SopCover:
-    cubes = []
-    for i in range(n):
-        cubes.append(Cube("-" * i + "0" + "-" * (n - i - 1)))
-    return SopCover(n, cubes)
 
 
 def sop_or(n: int) -> SopCover:
@@ -24,10 +16,6 @@ def sop_or(n: int) -> SopCover:
     for i in range(n):
         cubes.append(Cube("-" * i + "1" + "-" * (n - i - 1)))
     return SopCover(n, cubes)
-
-
-def sop_nor(n: int) -> SopCover:
-    return SopCover(n, [Cube("0" * n)])
 
 
 def sop_xor(n: int = 2) -> SopCover:
@@ -47,11 +35,3 @@ def sop_xnor(n: int = 2) -> SopCover:
 
 def sop_maj3() -> SopCover:
     return SopCover(3, [Cube("11-"), Cube("1-1"), Cube("-11")])
-
-
-def sop_not() -> SopCover:
-    return SopCover(1, [Cube("0")])
-
-
-def sop_buf() -> SopCover:
-    return SopCover(1, [Cube("1")])

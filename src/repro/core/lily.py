@@ -54,10 +54,10 @@ from repro.obs import OBS
 from repro.perf.netcache import NetCache
 from repro.place.global_place import GlobalPlacer
 from repro.place.hypergraph import subject_netlist
-from repro.place.pads import assign_pads
+from repro.place.pads import io_affinity_order, pads_from_order
 from repro.route.spanning import rectilinear_mst_length
 from repro.route.wirelength import chung_hwang_factor
-from repro.timing.model import WireCapModel
+from repro.timing.model import PAD_CAP, WireCapModel
 
 __all__ = ["LilyOptions", "LilyAreaMapper", "LilyDelayMapper"]
 
@@ -169,7 +169,7 @@ class _LilyMixin:
         region = self._region or subject_image(len(subject.gates))
         pads = self._pad_positions
         if pads is None:
-            pads = assign_pads(subject, region)
+            pads = pads_from_order(io_affinity_order(subject), region)
         self._netlist = subject_netlist(subject, pads)
         placer = GlobalPlacer(
             min_cells_per_region=self.options.min_cells_per_region,
@@ -539,7 +539,6 @@ class LilyDelayMapper(_LilyMixin, BaseMapper):
         pad_positions: Optional[Dict[str, Point]] = None,
         wire_cap: Optional[WireCapModel] = None,
         input_arrivals: Optional[Dict[str, float]] = None,
-        pad_cap: float = 0.25,
         **kwargs,
     ) -> None:
         options = options or LilyOptions()
@@ -548,13 +547,11 @@ class LilyDelayMapper(_LilyMixin, BaseMapper):
         _check_model_names(options)
         _require_nonnegative(wire_cap.ch_per_um, "wire_cap.ch_per_um")
         _require_nonnegative(wire_cap.cv_per_um, "wire_cap.cv_per_um")
-        _require_nonnegative(pad_cap, "pad_cap")
         kwargs.setdefault("use_cone_ordering", options.use_cone_ordering)
         super().__init__(library, **kwargs)
         self._init_lily(options, region, pad_positions)
         self.wire_cap = wire_cap
         self.input_arrivals = dict(input_arrivals or {})
-        self.pad_cap = pad_cap
         #: Base-function input capacitance for egg/nestling fanouts.
         self._base_cap = library.nand2().pins[0].input_cap
 
@@ -562,7 +559,7 @@ class LilyDelayMapper(_LilyMixin, BaseMapper):
         # Plain data only: a cache holding the mapper would keep it alive
         # as long as anything holds the cache.
         return NetCache(self.state, self.lifecycle, self.instances,
-                        self.pad_cap, self._base_cap)
+                        self._base_cap)
 
     # -- Section 4 load and arrival machinery --------------------------------
 
@@ -641,7 +638,7 @@ class LilyDelayMapper(_LilyMixin, BaseMapper):
             elif y > uy:
                 uy = y
         if not sinks:
-            cap += self.pad_cap  # and a one-point net has no wire
+            cap += PAD_CAP  # and a one-point net has no wire
             return cap
         cap += self.wire_cap.capacitance(ux - lx, uy - ly)
         return cap

@@ -71,7 +71,3 @@ class PlacementState:
     def best_position(self, node: SubjectNode) -> Point:
         """mapPosition when the node has one, otherwise placePosition."""
         return self._map.get(node.uid, self._place[node.uid])
-
-    def pad_position(self, name: str) -> Optional[Point]:
-        """The pad of terminal ``name``, if it has one."""
-        return self._pads.get(name)

@@ -80,10 +80,6 @@ def main(argv=None) -> int:
                              "--server; --procs workers per shard)")
     args = parser.parse_args(argv)
 
-    from repro.perf import PerfOptions
-
-    perf = PerfOptions().with_procs(args.procs)
-
     from repro.map.cuts import MapperSpecError, parse_mapper_spec
 
     circuits = args.circuits or None
@@ -109,7 +105,7 @@ def main(argv=None) -> int:
     if args.command in ("table1", "table2"):
         if args.server:
             return _tables_served(args, circuits, verify)
-        return _tables(args, circuits, verify, perf)
+        return _tables(args, circuits, verify)
     if args.command == "verify":
         return _verify(args)
     _report(args, verify)
@@ -143,12 +139,12 @@ def _check_circuits(names) -> None:
         raise SystemExit("; ".join(problems))
 
 
-def _tables(args, circuits, verify, perf) -> int:
+def _tables(args, circuits, verify) -> int:
     """The ``table1`` / ``table2`` commands (optionally process-parallel)."""
     from repro.obs import OBS, merge_reports
 
     obs_out = [] if args.profile else None
-    observing = args.profile and perf.procs <= 1
+    observing = args.profile and args.procs <= 1
     if observing:
         # Sequential runs record in this process; workers bring their own
         # sessions (see flow.tables._circuit_in_worker).
@@ -156,11 +152,13 @@ def _tables(args, circuits, verify, perf) -> int:
     try:
         if args.command == "table1":
             rows = run_table1(circuits, scale=args.scale, verify=verify,
-                              perf=perf, obs_out=obs_out, mapper=args.mapper)
+                              procs=args.procs, obs_out=obs_out,
+                              mapper=args.mapper)
             print(format_table1(rows))
         else:
             rows = run_table2(circuits, scale=args.scale, verify=verify,
-                              perf=perf, obs_out=obs_out, mapper=args.mapper)
+                              procs=args.procs, obs_out=obs_out,
+                              mapper=args.mapper)
             print(format_table2(rows))
     finally:
         if observing:

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.area.estimate import ChipEstimate, estimate_chip, mapped_image, subject_image
 from repro.core.lily import LilyAreaMapper, LilyDelayMapper, LilyOptions
-from repro.geometry import Point, Rect
+from repro.geometry import Point
 from repro.library.cell import Library
 from repro.map.base import MapResult
 from repro.map.cuts import CutMapper, FusionMapper, parse_mapper_spec
@@ -33,7 +33,7 @@ from repro.obs import OBS, ObsReport, build_report
 from repro.place.detailed import DetailedPlacement, detailed_place
 from repro.place.global_place import GlobalPlacer
 from repro.place.hypergraph import mapped_netlist
-from repro.place.pads import io_affinity_order, perimeter_slots
+from repro.place.pads import io_affinity_order, pads_from_order
 from repro.route.global_route import RoutedDesign, route_design
 from repro.timing.model import WireCapModel
 from repro.timing.sta import TimingReport, analyze
@@ -112,12 +112,6 @@ class FlowResult:
     def delay(self) -> float:
         """Critical-path delay of the routed design (STA, wire included)."""
         return self.backend.timing.critical_delay
-
-
-def pads_from_order(order: List[str], region: Rect) -> Dict[str, Point]:
-    """Place an already-ordered pad list on a region's perimeter."""
-    slots = perimeter_slots(region, len(order))
-    return {name: slot for name, slot in zip(order, slots)}
 
 
 def place_and_route(

@@ -7,21 +7,21 @@ congestion, wirelength, and the wiring-aware critical path with slacks.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.flow.pipeline import FlowResult
-from repro.timing.model import WireCapModel
-from repro.timing.sta import analyze, critical_path, slacks
+from repro.timing.sta import critical_path, slacks
 
 __all__ = ["circuit_report", "comparison_report"]
 
 
-def circuit_report(
-    result: FlowResult,
-    wire_model: Optional[WireCapModel] = None,
-    max_path_rows: int = 12,
-) -> str:
-    """Full single-run report."""
+def circuit_report(result: FlowResult, max_path_rows: int = 12) -> str:
+    """Full single-run report.
+
+    The timing block reads the flow's own STA report
+    (``result.backend.timing``, timed under the flow's wire model); the
+    report runs no timing pass of its own.
+    """
     mapped = result.mapped
     backend = result.backend
     chip = backend.chip
@@ -52,8 +52,7 @@ def circuit_report(
         f", per channel {tracks}"
     )
 
-    wire_model = wire_model or WireCapModel()
-    report = analyze(mapped, wire_model=wire_model)
+    report = backend.timing
     lines.append("timing:")
     lines.append(f"  critical delay   : {report.critical_delay:9.2f} ns "
                  f"(at {report.critical_po})")

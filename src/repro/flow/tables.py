@@ -9,9 +9,10 @@ placer, router and timing model and reports the paper's columns:
   included, post detailed placement) — MIS 2.1 vs Lily, 1µ-scaled library.
 
 Circuits are independent of each other, so both drivers can fan the rows
-out over worker *processes* (``procs`` / CLI ``--procs N``): each worker
-runs one circuit's MIS+Lily pair in its own interpreter (its own GIL, its
-own pattern/match caches) and ships the finished row — plus its
+out over worker *processes* (``procs`` / CLI ``--procs N``; a value
+below 2 runs them in this process): each worker runs one circuit's
+MIS+Lily pair in its own interpreter (its own GIL, its own pattern/match
+caches) and ships the finished row — plus its
 :class:`~repro.obs.ObsReport` profiles when requested — back to the
 parent, which assembles results in submission order.  Rows are therefore
 identical for any ``procs``; only wall-clock changes.
@@ -29,10 +30,11 @@ from repro.flow.pipeline import lily_flow, mis_flow
 from repro.library.cell import Library
 from repro.library.standard import big_library, scale_library
 from repro.obs import OBS, ObsReport
-from repro.perf import PerfOptions
 from repro.timing.model import WireCapModel
 
 __all__ = [
+    "TABLE2_WIRE_MODEL",
+    "table2_library",
     "Table1Row",
     "Table2Row",
     "run_table1",
@@ -41,6 +43,18 @@ __all__ = [
     "format_table2",
     "geometric_mean_ratios",
 ]
+
+
+#: Table 2's wire model: 0.4/0.3 fF/µm, 3µ-era metal with fringing —
+#: keeps the wire share of path delay in the regime the paper's
+#: experiment probes.
+TABLE2_WIRE_MODEL = WireCapModel(4.0e-4, 3.0e-4)
+
+
+def table2_library() -> Library:
+    """Table 2's library: :func:`~repro.library.standard.big_library`
+    with gate delays and input capacitances scaled 3µ -> 1µ."""
+    return scale_library(big_library(), 1.0 / 3.0, name="big_1u")
 
 
 @dataclass
@@ -197,23 +211,20 @@ def run_table1(
     library: Optional[Library] = None,
     options: Optional[LilyOptions] = None,
     verify: Union[bool, str] = True,
-    perf: Optional[PerfOptions] = None,
-    procs: Optional[int] = None,
+    procs: int = 1,
     obs_out: Optional[List[ObsReport]] = None,
     mapper: str = "tree",
 ) -> List[Table1Row]:
     """Regenerate Table 1 over the named circuits.
 
-    ``procs > 1`` fans circuits over a process pool (defaults to
-    ``perf.procs``); rows are identical for any value.  ``obs_out``, when
-    given a list, receives one :class:`ObsReport` per flow — from worker
-    processes too — ready for :func:`repro.obs.merge_reports`.
+    ``procs > 1`` fans circuits over a process pool; rows are identical
+    for any value.  ``obs_out``, when given a list, receives one
+    :class:`ObsReport` per flow — from worker processes too — ready for
+    :func:`repro.obs.merge_reports`.
     ``mapper`` selects the MIS column's covering backend
     (``tree``/``cuts``/``fusion``/``lut:K``); Lily stays tree-based.
     """
     library = library or big_library()
-    if procs is None:
-        procs = perf.procs if perf is not None else 1
     args = [
         (name, scale, library, options, verify, mapper)
         for name in circuits or TABLE1_CIRCUITS
@@ -227,30 +238,26 @@ def run_table2(
     library: Optional[Library] = None,
     options: Optional[LilyOptions] = None,
     verify: Union[bool, str] = True,
-    perf: Optional[PerfOptions] = None,
-    procs: Optional[int] = None,
+    procs: int = 1,
     obs_out: Optional[List[ObsReport]] = None,
     mapper: str = "tree",
 ) -> List[Table2Row]:
     """Regenerate Table 2 over the named circuits.
 
     Gate delays and input capacitances are linearly scaled 3µ -> 1µ, as in
-    Section 5.  The wire capacitance *per unit length* is left unscaled:
-    interconnect capacitance per micron is roughly technology-independent,
-    which is exactly why "as technology scales down, the contribution of
-    wiring to the delay becomes significant and even dominating" [4, 13].
+    Section 5 (:func:`table2_library`, the default ``library``).  The
+    wire capacitance *per unit length* (:data:`TABLE2_WIRE_MODEL`) is
+    left unscaled: interconnect capacitance per micron is roughly
+    technology-independent, which is exactly why "as technology scales
+    down, the contribution of wiring to the delay becomes significant and
+    even dominating" [4, 13].
 
     ``procs`` / ``obs_out`` work exactly as in :func:`run_table1`.
     """
     if library is None:
-        library = scale_library(big_library(), 1.0 / 3.0, name="big_1u")
-    if procs is None:
-        procs = perf.procs if perf is not None else 1
-    # 0.4/0.3 fF/µm: 3µ-era metal with fringing — keeps the wire share of
-    # path delay in the regime the paper's experiment probes.
-    wire_model = WireCapModel(4.0e-4, 3.0e-4)
+        library = table2_library()
     args = [
-        (name, scale, library, options, verify, wire_model, mapper)
+        (name, scale, library, options, verify, TABLE2_WIRE_MODEL, mapper)
         for name in circuits or TABLE2_CIRCUITS
     ]
     return _run_suite(_table2_circuit, args, procs, obs_out)

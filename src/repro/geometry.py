@@ -3,28 +3,23 @@
 The paper works with a *point model* of gates (Section 3.1): every gate is a
 single ``(x, y)`` coordinate, pins coincide with the gate centre.  All wire
 estimates therefore reduce to geometry over points and axis-aligned
-rectangles.  This module provides those primitives plus the two norms used in
-Section 3.2 (Manhattan and Euclidean) and the separable-median solution of the
-optimal point-location problem for the Manhattan norm.
+rectangles.  This module provides those primitives, the Manhattan distance,
+and the optimal point-location solutions of Section 3.2 for both norms: the
+separable median (Manhattan) and the centre-of-centres approximation
+(Euclidean).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 __all__ = [
     "Point",
     "Rect",
     "manhattan",
-    "euclidean",
     "bounding_rect",
     "center_of_mass",
-    "median_point",
-    "rect_distance_x",
-    "rect_distance_y",
-    "rect_manhattan_distance",
     "optimal_point_manhattan",
     "optimal_point_euclidean",
 ]
@@ -40,14 +35,6 @@ class Point:
 
     x: float
     y: float
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return this point shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """Return ``(x, y)`` as a plain tuple."""
-        return (self.x, self.y)
 
     def __iter__(self):
         yield self.x
@@ -94,22 +81,6 @@ class Rect:
     def center(self) -> Point:
         return Point((self.lx + self.ux) / 2.0, (self.ly + self.uy) / 2.0)
 
-    def contains(self, p: Point, tol: float = 0.0) -> bool:
-        """Return whether ``p`` lies inside the rectangle (inclusive)."""
-        return (
-            self.lx - tol <= p.x <= self.ux + tol
-            and self.ly - tol <= p.y <= self.uy + tol
-        )
-
-    def expanded_to(self, p: Point) -> "Rect":
-        """Return the smallest rectangle containing both ``self`` and ``p``."""
-        return Rect(
-            min(self.lx, p.x),
-            min(self.ly, p.y),
-            max(self.ux, p.x),
-            max(self.uy, p.y),
-        )
-
     def union(self, other: "Rect") -> "Rect":
         """Return the bounding box of two rectangles."""
         return Rect(
@@ -119,20 +90,9 @@ class Rect:
             max(self.uy, other.uy),
         )
 
-    @staticmethod
-    def from_point(p: Point) -> "Rect":
-        """A degenerate (zero-area) rectangle at a single point."""
-        return Rect(p.x, p.y, p.x, p.y)
-
-
 def manhattan(a: Point, b: Point) -> float:
     """Manhattan (L1, rectilinear) distance between two points."""
     return abs(a.x - b.x) + abs(a.y - b.y)
-
-
-def euclidean(a: Point, b: Point) -> float:
-    """Euclidean (L2) distance between two points."""
-    return math.hypot(a.x - b.x, a.y - b.y)
 
 
 def bounding_rect(points: Iterable[Point]) -> Rect:
@@ -161,39 +121,6 @@ def _median(values: List[float]) -> float:
     if n % 2 == 1:
         return vals[mid]
     return (vals[mid - 1] + vals[mid]) / 2.0
-
-
-def median_point(points: Sequence[Point]) -> Point:
-    """Coordinate-wise median, the L1 analogue of the centre of mass."""
-    if not points:
-        raise ValueError("median_point() of an empty point set")
-    return Point(_median([p.x for p in points]), _median([p.y for p in points]))
-
-
-def rect_distance_x(x: float, r: Rect) -> float:
-    """Horizontal distance from abscissa ``x`` to rectangle ``r``.
-
-    This is the separable ``f(x)`` of Section 3.2 (up to the constant
-    ``-|r.ux - r.lx|`` term, which the paper drops):
-
-        ``f(x) = (|r.lx - x| + |r.ux - x| - (r.ux - r.lx)) / 2``
-
-    It is zero when ``x`` lies within the rectangle's x-extent and grows
-    linearly outside.  It is computed as ``max(r.lx - x, 0, x - r.ux)``,
-    the same value without the cancellation that let a point inside read
-    as a tiny negative distance.
-    """
-    return max(r.lx - x, 0.0, x - r.ux)
-
-
-def rect_distance_y(y: float, r: Rect) -> float:
-    """Vertical distance from ordinate ``y`` to rectangle ``r``."""
-    return max(r.ly - y, 0.0, y - r.uy)
-
-
-def rect_manhattan_distance(p: Point, r: Rect) -> float:
-    """Manhattan distance from point ``p`` to rectangle ``r`` (0 if inside)."""
-    return rect_distance_x(p.x, r) + rect_distance_y(p.y, r)
 
 
 def optimal_point_manhattan(rects: Sequence[Rect]) -> Point:

@@ -138,13 +138,6 @@ class Cell:
                 autos.append(perm)
         return autos
 
-    def worst_case_delay(self, load: float) -> float:
-        """Worst pin-to-output delay under the given output load."""
-        return max(
-            p.timing.worst_block + p.timing.worst_resistance * load
-            for p in self.pins
-        )
-
     def __repr__(self) -> str:
         return f"Cell({self.name!r}, area={self.area}, inputs={self.num_inputs})"
 

@@ -87,16 +87,6 @@ class PatternNode:
                 self._key = ("N", keys[0], keys[1])
         return self._key
 
-    def relabeled(self, perm: Sequence[int]) -> "PatternNode":
-        """Apply a pin permutation: leaf ``i`` becomes leaf ``perm[i]``."""
-        if self.kind is PatternKind.LEAF:
-            return PatternNode.leaf(perm[self.pin_index])
-        if self.kind is PatternKind.INV:
-            return PatternNode.inv(self.children[0].relabeled(perm))
-        return PatternNode.nand(
-            self.children[0].relabeled(perm), self.children[1].relabeled(perm)
-        )
-
     def size(self) -> int:
         """Number of interior (gate) nodes."""
         if self.kind is PatternKind.LEAF:

@@ -2,9 +2,7 @@
 
 A mapped circuit is written with one ``.gate <cell> pin=signal ...`` line
 per instance, exactly as SIS emitted mapped networks; reading requires the
-gate library to resolve cell names.  A functional fallback writer emits
-plain ``.names`` blocks instead (readable by any BLIF consumer, including
-our own :func:`repro.network.blif.parse_blif`).
+gate library to resolve cell names.
 """
 
 from __future__ import annotations
@@ -13,6 +11,7 @@ from typing import Dict, List, Optional
 
 from repro.library.cell import Library
 from repro.map.netlist import MappedNetwork, MappedNode
+from repro.network.blif import PO_SUFFIX, po_port
 
 __all__ = ["write_mapped_blif", "parse_mapped_blif", "MappedBlifError"]
 
@@ -21,17 +20,11 @@ class MappedBlifError(ValueError):
     """Raised on malformed mapped-BLIF input."""
 
 
-def _po_port(name: str) -> str:
-    return name[:-4] if name.endswith("__po") else name
+def write_mapped_blif(mapped: MappedNetwork) -> str:
+    """Serialise a mapped netlist to BLIF, one ``.gate`` line per instance.
 
-
-def write_mapped_blif(mapped: MappedNetwork, use_gates: bool = True) -> str:
-    """Serialise a mapped netlist to BLIF.
-
-    Args:
-        mapped: the netlist.
-        use_gates: emit ``.gate`` lines (SIS style); with ``False``, emit
-            functional ``.names`` blocks instead.
+    Constants and the buffers that keep a port's name apart from its
+    driver's are ``.names`` blocks.
     """
     lines = [f".model {mapped.name}"]
     lines.append(
@@ -40,7 +33,7 @@ def write_mapped_blif(mapped: MappedNetwork, use_gates: bool = True) -> str:
     po_ports: List[str] = []
     buffers: List[str] = []
     for po in mapped.primary_outputs:
-        port = _po_port(po.name)
+        port = po_port(po.name)
         po_ports.append(port)
         driver = po.fanins[0]
         if driver.name != port:
@@ -53,22 +46,14 @@ def write_mapped_blif(mapped: MappedNetwork, use_gates: bool = True) -> str:
             if node.const_value:
                 lines.append("1")
         elif node.is_gate:
-            if use_gates:
-                bindings = " ".join(
-                    f"{pin.name}={fanin.name}"
-                    for pin, fanin in zip(node.cell.pins, node.fanins)
-                )
-                lines.append(
-                    f".gate {node.cell.name} {bindings} "
-                    f"{node.cell.output_name}={node.name}"
-                )
-            else:
-                header = ".names " + " ".join(
-                    [f.name for f in node.fanins] + [node.name]
-                )
-                lines.append(header)
-                for cube in node.cell.sop().cubes:
-                    lines.append(f"{cube.mask} 1")
+            bindings = " ".join(
+                f"{pin.name}={fanin.name}"
+                for pin, fanin in zip(node.cell.pins, node.fanins)
+            )
+            lines.append(
+                f".gate {node.cell.name} {bindings} "
+                f"{node.cell.output_name}={node.name}"
+            )
     lines.extend(buffers)
     lines.append(".end")
     return "\n".join(lines) + "\n"
@@ -179,6 +164,6 @@ def parse_mapped_blif(text: str, library: Library) -> MappedNetwork:
         driver = signals.get(port)
         if driver is None:
             raise MappedBlifError(f"undriven output {port!r}")
-        mapped.add_primary_output(f"{port}__po", driver)
+        mapped.add_primary_output(port + PO_SUFFIX, driver)
     mapped.check()
     return mapped

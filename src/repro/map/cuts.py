@@ -52,7 +52,6 @@ from repro.library.cell import Cell, Library, Pin, PinTiming
 from repro.map.base import BaseMapper, MapResult
 from repro.map.lifecycle import LifecycleTracker
 from repro.map.mis import (
-    DEFAULT_PAD_CAP,
     DEFAULT_WIRE_CAP_PER_FANOUT,
     MisAreaMapper,
     MisDelayMapper,
@@ -384,26 +383,6 @@ class NpnBinding:
         }
         return len(negated_leaves) + (1 if self.output_negated else 0)
 
-    def realized_bits(self) -> int:
-        """Truth-table bits of the function the bound cell realises."""
-        n = self.cell.num_inputs
-        cell_bits = self.cell.truth_table.bits
-        bits = 0
-        for m in range(1 << n):
-            y = 0
-            for pin in range(n):
-                value = (m >> self.leaf_of_pin[pin]) & 1
-                if self.pin_negated[pin]:
-                    value ^= 1
-                if value:
-                    y |= 1 << pin
-            value = (cell_bits >> y) & 1
-            if self.output_negated:
-                value ^= 1
-            if value:
-                bits |= 1 << m
-        return bits
-
 
 class NpnMatchTable:
     """Per-library table: cut function -> cell bindings realising it.
@@ -418,11 +397,9 @@ class NpnMatchTable:
     name, so matching is deterministic.
     """
 
-    def __init__(self, library: Library, k: int,
-                 full_width: int = NPN_FULL_WIDTH) -> None:
+    def __init__(self, library: Library, k: int) -> None:
         self.library = library
         self.k = k
-        self.full_width = full_width
         self._table: Dict[Tuple[int, int], List[NpnBinding]] = {}
         for cell in library:
             if cell.num_inputs <= k:
@@ -432,7 +409,7 @@ class NpnMatchTable:
 
     def _expand_cell(self, cell: Cell) -> None:
         n = cell.num_inputs
-        full = n <= self.full_width
+        full = n <= NPN_FULL_WIDTH
         phase_space = range(1 << n) if full else (0,)
         best_for_cell: Dict[int, Tuple[tuple, NpnBinding]] = {}
         for output_negated in (False, True):
@@ -454,10 +431,6 @@ class NpnMatchTable:
                         best_for_cell[bits] = (rank, binding)
         for bits, (_, binding) in best_for_cell.items():
             self._table.setdefault((n, bits), []).append(binding)
-
-    def lookup(self, tt: TruthTable) -> List[NpnBinding]:
-        """Bindings realising ``tt`` exactly (possibly empty)."""
-        return self.lookup_bits(tt.num_inputs, tt.bits)
 
     def lookup_bits(self, num_inputs: int, bits: int) -> List[NpnBinding]:
         """Bindings realising the ``num_inputs``-input table ``bits``."""
@@ -614,8 +587,8 @@ class CutMapper(BaseMapper):
         cuts_per_node: priority-cut bound per node.
         lut_k: cover with generated ``lut_k``-input LUTs instead of
             library cells (FPGA mode).
-        wire_cap_per_fanout / pad_cap / input_arrivals: the MIS delay
-            model's knobs, as in :class:`~repro.map.mis.MisDelayMapper`.
+        wire_cap_per_fanout / input_arrivals: the MIS delay model's
+            knobs, as in :class:`~repro.map.mis.MisDelayMapper`.
     """
 
     COUNTER_PREFIX = "cut"
@@ -630,7 +603,6 @@ class CutMapper(BaseMapper):
         cuts_per_node: int = DEFAULT_PRIORITY_CUTS,
         lut_k: Optional[int] = None,
         wire_cap_per_fanout: float = DEFAULT_WIRE_CAP_PER_FANOUT,
-        pad_cap: float = DEFAULT_PAD_CAP,
         input_arrivals: Optional[Dict[str, float]] = None,
     ) -> None:
         if mode not in ("area", "timing"):
@@ -654,7 +626,6 @@ class CutMapper(BaseMapper):
             self.inverter = library.inverter()
             self.input_cap = _typical_input_cap(library)
         self.wire_cap_per_fanout = wire_cap_per_fanout
-        self.pad_cap = pad_cap
         self.input_arrivals = dict(input_arrivals or {})
         self._reset()
 
@@ -723,7 +694,7 @@ class CutMapper(BaseMapper):
         choices = self._choices[node.uid]
         reads = (v for c in choices for v in c.leaves)
         timing = self.mode == "timing"
-        load = (estimated_load(node, self.input_cap, self.pad_cap,
+        load = (estimated_load(node, self.input_cap,
                                self.wire_cap_per_fanout)
                 if timing else 0.0)
         best_key: Optional[tuple] = None

@@ -69,14 +69,6 @@ class LifecycleTracker:
         """Whether the node is the output of a committed gate."""
         return self.state(node) is NodeState.HAWK
 
-    def is_dove(self, node: SubjectNode) -> bool:
-        """Whether the node is covered inside a committed gate."""
-        return self.state(node) is NodeState.DOVE
-
-    def is_egg(self, node: SubjectNode) -> bool:
-        """Whether no DP pass has reached the node (or it reincarnated)."""
-        return self.state(node) is NodeState.EGG
-
     def _transition(self, node: SubjectNode, to: NodeState) -> None:
         frm = self.state(node)
         if frm is to:

@@ -19,14 +19,13 @@ from repro.map.base import BaseMapper, Solution
 from repro.match.treematch import Match
 from repro.network.subject import SubjectNode
 from repro.obs import OBS
+from repro.timing.model import PAD_CAP
 
 __all__ = ["MisAreaMapper", "MisDelayMapper", "inchoate_fanout_count",
            "estimated_load"]
 
 #: Default wiring capacitance per fanout connection, pF (MIS's linear model).
 DEFAULT_WIRE_CAP_PER_FANOUT = 0.05
-#: Default load presented by an output pad, pF.
-DEFAULT_PAD_CAP = 0.25
 
 
 def inchoate_fanout_count(node: SubjectNode) -> int:
@@ -34,19 +33,19 @@ def inchoate_fanout_count(node: SubjectNode) -> int:
     return max(1, len(node.fanouts))
 
 
-def estimated_load(node: SubjectNode, input_cap: float, pad_cap: float,
+def estimated_load(node: SubjectNode, input_cap: float,
                    wire_cap_per_fanout: float) -> float:
     """MIS load model: constant cap per fanout gate + linear wire cap.
 
     Every fanout gate presents ``input_cap`` and every output pad
-    ``pad_cap`` (a node without fanouts drives a pad); the wire adds
-    ``wire_cap_per_fanout`` per fanout connection.
+    :data:`~repro.timing.model.PAD_CAP` (a node without fanouts drives a
+    pad); the wire adds ``wire_cap_per_fanout`` per fanout connection.
     """
     load = 0.0
     for sink in node.fanouts:
-        load += pad_cap if sink.is_po else input_cap
+        load += PAD_CAP if sink.is_po else input_cap
     if not node.fanouts:
-        load += pad_cap
+        load += PAD_CAP
     load += wire_cap_per_fanout * inchoate_fanout_count(node)
     return load
 
@@ -63,7 +62,6 @@ class MisDelayMapper(BaseMapper):
         input_cap: the assumed constant gate input capacitance (pF);
             defaults to the library's most common pin capacitance.
         wire_cap_per_fanout: lumped wiring capacitance per fanout (pF).
-        pad_cap: load presented by a primary-output pad (pF).
         input_arrivals: optional arrival time per primary-input name.
     """
 
@@ -72,7 +70,6 @@ class MisDelayMapper(BaseMapper):
         library: Library,
         input_cap: Optional[float] = None,
         wire_cap_per_fanout: float = DEFAULT_WIRE_CAP_PER_FANOUT,
-        pad_cap: float = DEFAULT_PAD_CAP,
         input_arrivals: Optional[Dict[str, float]] = None,
         **kwargs,
     ) -> None:
@@ -81,13 +78,11 @@ class MisDelayMapper(BaseMapper):
             input_cap = _typical_input_cap(library)
         self.input_cap = input_cap
         self.wire_cap_per_fanout = wire_cap_per_fanout
-        self.pad_cap = pad_cap
         self.input_arrivals = dict(input_arrivals or {})
 
     def estimated_load(self, node: SubjectNode) -> float:
         """:func:`estimated_load` of ``node`` under this mapper's caps."""
-        return estimated_load(node, self.input_cap, self.pad_cap,
-                              self.wire_cap_per_fanout)
+        return estimated_load(node, self.input_cap, self.wire_cap_per_fanout)
 
     def evaluate_match(
         self, node: SubjectNode, match: Match, inputs: Sequence[Solution]

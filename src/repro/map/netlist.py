@@ -124,10 +124,6 @@ class Net:
                 positions.append(node.position)
         return positions
 
-    def sink_capacitance(self) -> float:
-        """Sum of input-pin capacitances hanging on the net."""
-        return sum(node.input_pin_cap(pin) for node, pin in self.sinks)
-
 
 class MappedNetwork:
     """A technology-mapped circuit: DAG of library-gate instances."""

@@ -24,7 +24,7 @@ from repro.match.treematch import Match
 from repro.network.logic import TruthTable
 from repro.network.subject import SubjectGraph, SubjectNode
 
-__all__ = ["BooleanMatcher", "enumerate_cuts", "cut_function", "cut_cone"]
+__all__ = ["BooleanMatcher", "enumerate_cuts", "cut_function"]
 
 #: Cuts retained per node during enumeration (priority: fewer leaves).
 DEFAULT_CUTS_PER_NODE = 24
@@ -114,18 +114,6 @@ def _cone_nodes(
     return order
 
 
-def cut_cone(
-    root: SubjectNode, leaves: FrozenSet[SubjectNode]
-) -> Optional[List[SubjectNode]]:
-    """Public alias of :func:`_cone_nodes`: the interior of a cut.
-
-    The cut mapper (:mod:`repro.map.cuts`) computes cut interiors with its
-    own integer-mask walk; this traversal is the independent reference
-    its tests compare that walk against.
-    """
-    return _cone_nodes(root, leaves)
-
-
 def cut_function(
     root: SubjectNode, leaves: Sequence[SubjectNode]
 ) -> Optional[TruthTable]:
@@ -155,8 +143,7 @@ class BooleanMatcher:
     Drop-in alternative to the structural
     :class:`~repro.match.treematch.Matcher`: ``matches_at`` returns the
     same :class:`Match` objects, so either can drive the covering engine.
-    Requires :meth:`bind` (or a first ``matches_at`` call through
-    :meth:`all_matches`) against the subject graph to enumerate cuts.
+    Requires :meth:`bind` against the subject graph to enumerate cuts.
     """
 
     def __init__(
@@ -242,15 +229,6 @@ class BooleanMatcher:
                     Match(self._a_pattern[cell.name], node, inputs, cone)
                 )
         return found
-
-    def all_matches(self, graph: SubjectGraph) -> Dict[int, List[Match]]:
-        """Binds ``graph``; matches for every gate, keyed by node uid."""
-        self.bind(graph)
-        return {
-            node.uid: self.matches_at(node)
-            for node in graph.nodes
-            if node.is_gate
-        }
 
     @staticmethod
     def _pin_assignment(cell: Cell, tt: TruthTable) -> Optional[Tuple[int, ...]]:

@@ -54,7 +54,7 @@ from repro.library.patterns import (
 from repro.network.subject import SubjectGraph, SubjectNode, SubjectNodeType
 from repro.obs import OBS
 
-__all__ = ["Match", "Matcher", "find_matches"]
+__all__ = ["Match", "Matcher"]
 
 _NAND2 = SubjectNodeType.NAND2
 
@@ -326,11 +326,6 @@ class Matcher:
         self._build(self._unbuilt_cone(snode), release=False)
         return self._lists[snode]
 
-    def all_matches(self, graph: SubjectGraph) -> Dict[int, List[Match]]:
-        """Binds ``graph``; matches for every gate, keyed by node uid."""
-        self.bind(graph)
-        return {node.uid: found for node, found in self._lists.items()}
-
     def _unbuilt_cone(self, root: SubjectNode) -> List[SubjectNode]:
         """Gates below ``root`` (inclusive) not built yet, fanins first."""
         lists = self._lists
@@ -477,10 +472,3 @@ class Matcher:
             OBS.metrics.counter("match.calls").inc(len(gates))
             OBS.metrics.counter("match.found").inc(found_total)
             OBS.metrics.counter("match.table_entries").inc(stored)
-
-
-def find_matches(
-    snode: SubjectNode, patterns: PatternSet, tree_mode: bool = False
-) -> List[Match]:
-    """Convenience wrapper: all matches rooted at one subject node."""
-    return Matcher(patterns, tree_mode).matches_at(snode)

@@ -13,7 +13,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.network.logic import Cube, SopCover
 from repro.network.network import Network, Node
 
-__all__ = ["parse_blif", "parse_blif_file", "write_blif", "BlifError"]
+__all__ = ["parse_blif", "parse_blif_file", "write_blif", "BlifError",
+           "PO_SUFFIX", "po_port"]
 
 
 class BlifError(ValueError):
@@ -176,6 +177,21 @@ def _cover_from_rows(
         filename, line)
 
 
+#: A primary output is a wrapper node named after its port plus this
+#: suffix (port ``f`` is node ``f__po``), so a port may share its name
+#: with the internal signal that drives it.
+PO_SUFFIX = "__po"
+
+
+def po_port(name: str) -> str:
+    """The port of a primary-output node: ``name`` minus :data:`PO_SUFFIX`.
+
+    Ports compare across netlists: a network, its subject graph and its
+    mapped netlist name each output's wrapper node the same way.
+    """
+    return name[:-len(PO_SUFFIX)] if name.endswith(PO_SUFFIX) else name
+
+
 def _build_network(
     model_name: str,
     inputs: List[str],
@@ -240,7 +256,7 @@ def _build_network(
         driver = placed.get(sig)
         if driver is None:
             raise BlifError(f"undriven primary output: {sig!r}", filename)
-        net.add_primary_output(f"{sig}__po", driver)
+        net.add_primary_output(sig + PO_SUFFIX, driver)
     net.check()
     return net
 
@@ -259,7 +275,7 @@ def write_blif(net: Network) -> str:
     buffer_blocks: List[str] = []
     for po in net.primary_outputs:
         driver = po.fanins[0]
-        port = po.name[:-4] if po.name.endswith("__po") else po.name
+        port = po_port(po.name)
         po_names.append(port)
         if port != driver.name:
             buffer_blocks.append(f".names {driver.name} {port}\n1 1")

@@ -141,23 +141,21 @@ def _decompose_cover(
 def decompose_to_subject(
     net: Network,
     positions: Optional[Dict[str, Point]] = None,
-    pairer: Optional[Pairer] = None,
 ) -> SubjectGraph:
     """Convert a Boolean network into its NAND2/INV subject graph.
 
     Args:
         net: the technology-independent optimized network.
         positions: optional companion placement, keyed by *network* node
-            name.  When given (and no explicit ``pairer``), decomposition
-            trees are built proximity-first so that nearby signals enter
-            each tree at topologically-near points (Figure 1.1).
-        pairer: explicit leaf-pairing strategy, overriding the default.
+            name.  When given, decomposition trees are built
+            proximity-first (:func:`proximity_pairer`) so that nearby
+            signals enter each tree at topologically-near points
+            (Figure 1.1); otherwise :func:`balanced_pairer` pairs them.
 
     Returns:
         The inchoate network N_inchoate as a :class:`SubjectGraph`.
     """
-    if pairer is None:
-        pairer = proximity_pairer if positions is not None else balanced_pairer
+    pairer = proximity_pairer if positions is not None else balanced_pairer
     positions = positions or {}
 
     graph = SubjectGraph(net.name)

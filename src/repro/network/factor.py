@@ -34,10 +34,6 @@ class FactorStats:
     literals_after: int = 0
     rewrites: int = 0
 
-    @property
-    def literals_saved(self) -> int:
-        return self.literals_before - self.literals_after
-
 
 def _cube_literals(node: Node, cube: Cube) -> List[Literal]:
     return [

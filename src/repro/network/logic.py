@@ -228,10 +228,6 @@ class TruthTable:
                 m |= 1 << i
         return (self.bits >> m) & 1 == 1
 
-    def count_ones(self) -> int:
-        """Number of on-set minterms."""
-        return bin(self.bits).count("1")
-
     # -- structural operations ----------------------------------------------
 
     def cofactor(self, index: int, value: bool) -> "TruthTable":
@@ -304,24 +300,6 @@ class TruthTable:
             if best is None or cand < best:
                 best = cand
         return TruthTable(self.num_inputs, best if best is not None else self.bits)
-
-    def npn_canonical(self) -> "TruthTable":
-        """Canonical representative under input/output negation + permutation.
-
-        Exhaustive over the NPN group; fine for library-cell widths (<= 6).
-        """
-        best = None
-        n = self.num_inputs
-        for out_phase in (False, True):
-            base = ~self if out_phase else self
-            for phase_bits in range(1 << n):
-                phases = [(phase_bits >> i) & 1 == 1 for i in range(n)]
-                phased = base.with_phases(phases, False)
-                for perm in itertools.permutations(range(n)):
-                    cand = phased.permuted(perm).bits
-                    if best is None or cand < best:
-                        best = cand
-        return TruthTable(n, best if best is not None else self.bits)
 
     # -- SOP extraction -------------------------------------------------------
 

@@ -12,6 +12,7 @@ import functools
 import random
 from typing import Dict, Sequence, Tuple
 
+from repro.network.blif import po_port
 from repro.network.logic import TruthTable
 
 __all__ = ["simulate", "evaluate_words", "networks_equivalent"]
@@ -73,11 +74,6 @@ def simulate(net, assignment: Dict[str, bool]) -> Dict[str, bool]:
     return {name: bool(word & 1) for name, word in out.items()}
 
 
-def _po_port(name: str) -> str:
-    """Strip the ``__po`` wrapper suffix so ports compare across netlists."""
-    return name[:-4] if name.endswith("__po") else name
-
-
 def networks_equivalent(
     a,
     b,
@@ -94,8 +90,8 @@ def networks_equivalent(
     b_pis = sorted(pi.name for pi in b.primary_inputs)
     if a_pis != b_pis:
         return False
-    a_pos = sorted(_po_port(po.name) for po in a.primary_outputs)
-    b_pos = sorted(_po_port(po.name) for po in b.primary_outputs)
+    a_pos = sorted(po_port(po.name) for po in a.primary_outputs)
+    b_pos = sorted(po_port(po.name) for po in b.primary_outputs)
     if a_pos != b_pos:
         return False
 
@@ -111,9 +107,9 @@ def networks_equivalent(
         pi_words = {name: rng.getrandbits(width) for name in a_pis}
 
     out_a = {
-        _po_port(k): v for k, v in evaluate_words(a, pi_words, width).items()
+        po_port(k): v for k, v in evaluate_words(a, pi_words, width).items()
     }
     out_b = {
-        _po_port(k): v for k, v in evaluate_words(b, pi_words, width).items()
+        po_port(k): v for k, v in evaluate_words(b, pi_words, width).items()
     }
     return out_a == out_b

@@ -270,20 +270,6 @@ class SubjectGraph:
 
     # -- structure queries used by the mappers ------------------------------------
 
-    def tree_roots(self) -> List[SubjectNode]:
-        """Roots of the maximal-tree partition used by DAGON.
-
-        A gate is a tree root iff it is a stem (multi-fanout), feeds a primary
-        output, or has no fanout at all.
-        """
-        roots = []
-        for node in self._nodes:
-            if not node.is_gate:
-                continue
-            if node.num_fanouts != 1 or node.fanouts[0].is_po:
-                roots.append(node)
-        return roots
-
     def cone_nodes(self, po: SubjectNode) -> Set[SubjectNode]:
         """The logic cone K_i of a primary output: its transitive fanin gates."""
         cone = self.transitive_fanin([po])

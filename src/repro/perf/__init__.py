@@ -23,33 +23,7 @@ per subject gate.  The naive twins survive only as test oracles under
 :func:`repro.timing.sta.analyze`, so every result stays bit-identical
 to the naive arithmetic.  Cache hit/miss
 counters report through ``repro.obs`` (visible in ``report --profile``).
-:class:`PerfOptions` keeps the one remaining choice: how many worker
-processes a suite run uses.
+The package itself exports nothing: import each kernel from its
+submodule (several import ``repro.map`` / ``repro.core``, so loading
+them here would close import cycles through those packages).
 """
-
-import importlib
-
-from repro.perf.options import PerfOptions
-
-__all__ = [
-    "PerfOptions",
-    "NetCache",
-    "NetBoxCache",
-]
-
-# The heavier members live in submodules that import from repro.map /
-# repro.core; loading them here eagerly would close import cycles
-# through those packages (repro.core.lily imports netcache).  PEP 562 lazy
-# attributes keep `from repro.perf import NetCache` working regardless
-# of which package loads first.
-_LAZY = {
-    "NetCache": "repro.perf.netcache",
-    "NetBoxCache": "repro.perf.incremental",
-}
-
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(module), name)

@@ -22,10 +22,11 @@ from scratch with the Section 3.3 primitives in ``tests/oracles/lily.py``
 and assert equality mid-run.
 
 A delay mapper also reads each pin's load capacitance from the entries:
-``pad_cap`` for a primary output, the committed cell's largest pin cap
-for a hawk, the base (NAND2) pin cap for anything else.  A pin's cap
-changes only when it becomes a hawk, and that commit drops every entry
-whose walk saw it, so the same dependency index keeps the caps fresh.
+:data:`~repro.timing.model.PAD_CAP` for a primary output, the committed
+cell's largest pin cap for a hawk, the base (NAND2) pin cap for anything
+else.  A pin's cap changes only when it becomes a hawk, and that commit
+drops every entry whose walk saw it, so the same dependency index keeps
+the caps fresh.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.map.lifecycle import LifecycleTracker, NodeState
 from repro.map.netlist import MappedNode
 from repro.network.subject import SubjectNode
 from repro.obs import OBS
+from repro.timing.model import PAD_CAP
 
 __all__ = ["NetCache"]
 
@@ -58,7 +60,6 @@ class NetCache:
             (a hawk's pin cap is its cell's :attr:`~repro.library.cell.
             Cell.max_input_cap`).  ``None`` (area mode) leaves the cap
             lists empty.
-        pad_cap: the cap of a primary-output pin.
         base_cap: the cap of any other pin that is not a hawk.
     """
 
@@ -67,13 +68,11 @@ class NetCache:
         state: PlacementState,
         lifecycle: LifecycleTracker,
         instances: Optional[Dict[int, MappedNode]] = None,
-        pad_cap: float = 0.0,
         base_cap: float = 0.0,
     ) -> None:
         self.state = state
         self.lifecycle = lifecycle
         self._instances = instances
-        self._pad_cap = pad_cap
         self._base_cap = base_cap
         self._entries: Dict[int, _Entry] = {}
         #: visited node uid -> entry keys whose walk saw that node.
@@ -108,7 +107,7 @@ class NetCache:
             if instances is None:
                 continue
             if node.is_po:
-                caps.append(self._pad_cap)
+                caps.append(PAD_CAP)
             elif hawk:
                 instance = instances.get(node.uid)
                 caps.append(self._base_cap if instance is None

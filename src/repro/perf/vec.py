@@ -52,28 +52,26 @@ def assemble_quadratic(
     fixed,
     n: int,
     center,
-    weight_model: str,
     star_limit: int,
     anchor_epsilon: float,
 ):
     """Vectorized COO assembly of the quadratic placement system.
 
-    Mirrors a naive per-edge loop over
-    :func:`repro.place.quadratic.clique_edges` bitwise (the test oracle
-    of ``tests/perf/test_vec_kernels.py``): edges are generated per net
-    in the exact naive order (clique pairs
-    lexicographic, wide/star nets driver-to-sink), and the diagonal /
-    right-hand-side contributions are applied with ``np.add.at`` —
-    an element-at-a-time in-order accumulation — on top of the same
-    ``anchor_epsilon`` base, so every float lands via the same sequence
-    of IEEE additions as the naive build.
+    Mirrors a naive per-edge loop bitwise (the test oracle of
+    ``tests/perf/test_vec_kernels.py``): edges are generated per net in
+    the exact naive order (clique pairs lexicographic, nets wider than
+    ``star_limit`` pins driver-to-sink, every edge of a ``k``-pin net
+    weighing ``2 / k``), and the diagonal / right-hand-side
+    contributions are applied with ``np.add.at`` — an element-at-a-time
+    in-order accumulation — on top of the same ``anchor_epsilon`` base,
+    so every float lands via the same sequence of IEEE additions as the
+    naive build.
 
     Returns ``(diag, bx, by, rows, cols, vals)`` numpy arrays; the
     off-diagonal streams (``rows``/``cols``/``vals``) list entries in
     naive extension order so the later CSR duplicate-summation is
     bitwise-reproducible too.
     """
-    star_model = weight_model == "star"
     fixed_slot: Dict[str, int] = {}
     fxs: List[float] = []
     fys: List[float] = []
@@ -87,7 +85,7 @@ def assemble_quadratic(
                 if fs is None:
                     if len(net) < 2:
                         # Naive never resolves pins of sub-2-pin nets
-                        # (clique_edges returns [] first); skip them so a
+                        # (they have no edges); skip them so a
                         # dangling name there cannot raise here either.
                         continue
                     p = fixed[pin]
@@ -102,16 +100,9 @@ def assemble_quadratic(
     off_arr = np.asarray(offsets, dtype=np.int64)
     k_arr = np.diff(off_arr)
 
-    if star_model:
-        kind = np.where(k_arr >= 2, 1, 0)
-    else:
-        kind = np.where(k_arr < 2, 0, np.where(k_arr > star_limit, 1, 2))
+    kind = np.where(k_arr < 2, 0, np.where(k_arr > star_limit, 1, 2))
     with np.errstate(divide="ignore"):
-        w_net = np.where(
-            k_arr > 0,
-            1.0 if star_model else 2.0 / np.maximum(k_arr, 1),
-            0.0,
-        )
+        w_net = np.where(k_arr > 0, 2.0 / np.maximum(k_arr, 1), 0.0)
     ecount = np.where(
         kind == 1, k_arr - 1,
         np.where(kind == 2, k_arr * (k_arr - 1) // 2, 0),

@@ -9,10 +9,9 @@ from repro.place.hypergraph import (
     network_netlist,
     subject_netlist,
 )
-from repro.place.quadratic import solve_quadratic
 from repro.place.fm import fm_refine
 from repro.place.global_place import GlobalPlacement, GlobalPlacer
-from repro.place.pads import assign_pads, perimeter_slots
+from repro.place.pads import pads_from_order, perimeter_slots
 from repro.place.detailed import DetailedPlacement, Row, detailed_place
 from repro.place.anneal import AnnealStats, simulated_annealing
 
@@ -23,11 +22,10 @@ __all__ = [
     "network_netlist",
     "AnnealStats",
     "simulated_annealing",
-    "solve_quadratic",
     "fm_refine",
     "GlobalPlacement",
     "GlobalPlacer",
-    "assign_pads",
+    "pads_from_order",
     "perimeter_slots",
     "DetailedPlacement",
     "Row",

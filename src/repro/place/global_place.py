@@ -53,13 +53,6 @@ class GlobalPlacement:
     leaf_regions: List[Rect] = field(default_factory=list)
     assignment: Dict[str, int] = field(default_factory=dict)
 
-    def occupancies(self, sizes: Dict[str, float]) -> List[float]:
-        """Total cell area per leaf region (balance diagnostics)."""
-        occupancy = [0.0] * len(self.leaf_regions)
-        for name, region_index in self.assignment.items():
-            occupancy[region_index] += sizes.get(name, 1.0)
-        return occupancy
-
 
 class GlobalPlacer:
     """Quadratic placement + recursive bi-partitioning.

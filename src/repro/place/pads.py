@@ -5,16 +5,15 @@ outputs (Section 3.1), using a bottom-up pad-assignment procedure driven by
 the connectivity structure of the network [20].  We reproduce that with a
 spectral method: I/O terminals are ordered by the Fiedler vector of their
 affinity graph (terminals sharing logic cones attract) and assigned to
-evenly spaced slots around the chip perimeter.
-
-``method='natural'`` (declaration order) and ``method='random'`` provide
-the degraded pad assignments for the Section 5 sensitivity study.
+evenly spaced slots around the chip perimeter:
+``pads_from_order(io_affinity_order(network), region)``.  The Section 5
+sensitivity study (ablation A5) passes its own degraded orders to
+:func:`pads_from_order`.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -22,7 +21,7 @@ from numpy.linalg import _umath_linalg
 from repro.geometry import Point, Rect
 from repro.obs import OBS
 
-__all__ = ["perimeter_slots", "assign_pads", "io_affinity_order"]
+__all__ = ["perimeter_slots", "pads_from_order", "io_affinity_order"]
 
 
 def perimeter_slots(region: Rect, count: int) -> List[Point]:
@@ -53,10 +52,10 @@ def perimeter_slots(region: Rect, count: int) -> List[Point]:
     return slots
 
 
-def _io_terminals(network) -> Tuple[List[str], List[str]]:
-    pis = [n.name for n in network.primary_inputs]
-    pos = [n.name for n in network.primary_outputs]
-    return pis, pos
+def pads_from_order(order: List[str], region: Rect) -> Dict[str, Point]:
+    """Place an already-ordered pad list on a region's perimeter."""
+    slots = perimeter_slots(region, len(order))
+    return {name: slot for name, slot in zip(order, slots)}
 
 
 def io_affinity_order(network) -> List[str]:
@@ -75,7 +74,8 @@ def io_affinity_order(network) -> List[str]:
     4 n^2 doubles at once.
     """
     with OBS.span("place.pad_order"):
-        pis, pos = _io_terminals(network)
+        pis = [n.name for n in network.primary_inputs]
+        pos = [n.name for n in network.primary_outputs]
         names = pis + pos
         n = len(names)
         if n <= 2:
@@ -130,35 +130,3 @@ def _eigh_in_place(matrix: np.ndarray) -> np.ndarray:
 
 def _no_convergence(err, flag):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
-def assign_pads(
-    network,
-    region: Rect,
-    method: str = "connectivity",
-    seed: int = 0,
-) -> Dict[str, Point]:
-    """Fix every primary input/output on the chip boundary.
-
-    Args:
-        network: a Network, SubjectGraph or MappedNetwork (anything with
-            ``primary_inputs``/``primary_outputs`` and ``transitive_fanin``).
-        region: the chip image.
-        method: ``connectivity`` (spectral, the default), ``natural``
-            (declaration order) or ``random`` (seeded shuffle).
-
-    Returns:
-        Terminal name -> pad position.
-    """
-    pis, pos = _io_terminals(network)
-    if method == "connectivity":
-        order = io_affinity_order(network)
-    elif method == "natural":
-        order = pis + pos
-    elif method == "random":
-        order = pis + pos
-        random.Random(seed).shuffle(order)
-    else:
-        raise ValueError(f"unknown pad-assignment method: {method!r}")
-    slots = perimeter_slots(region, len(order))
-    return {name: slot for name, slot in zip(order, slots)}

@@ -16,7 +16,7 @@ bitwise-identical matrix from the cached off-diagonal terms.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,9 +26,6 @@ from repro.geometry import Point, Rect
 from repro.place.hypergraph import PlacementNetlist
 
 __all__ = [
-    "solve_quadratic",
-    "quadratic_objective",
-    "clique_edges",
     "QuadraticSystem",
     "CLIQUE_STAR_LIMIT",
 ]
@@ -40,73 +37,39 @@ ANCHOR_EPSILON = 1e-6
 #: ones with conjugate gradients.
 DIRECT_SOLVE_LIMIT = 400
 
-#: Pin count above which ``clique`` nets fall back to the star model: the
-#: clique expansion is O(k²) edges, which blows up on high-fanout nets
-#: (clock/reset-like) while adding no placement information a star does
-#: not.  33 pins ≈ 528 clique edges vs 32 star edges.
+#: Pin count above which a net falls back from clique to star edges
+#: (driver to each sink, keeping the ``2 / |net|`` pair weight so the
+#: net's total pull stays comparable): the clique expansion is O(k²)
+#: edges, which blows up on high-fanout nets (clock/reset-like) while
+#: adding no placement information a star does not.  33 pins ≈ 528
+#: clique edges vs 32 star edges.
 CLIQUE_STAR_LIMIT = 33
-
-
-def clique_edges(
-    net: Sequence[str], weight_model: str = "clique"
-) -> List[Tuple[str, str, float]]:
-    """Pairwise edges for one net.
-
-    ``clique`` uses the standard ``2 / |net|`` pair weight so every net
-    contributes total weight ~2 regardless of pin count; ``star`` connects
-    the first pin (driver) to each sink with unit weight.  Clique nets
-    wider than :data:`CLIQUE_STAR_LIMIT` pins automatically fall back to
-    star edges (keeping the ``2 / |net|`` weight so the net's total pull
-    stays comparable), capping the expansion at O(k) edges.
-    """
-    k = len(net)
-    if k < 2:
-        return []
-    if weight_model == "star":
-        driver = net[0]
-        return [(driver, sink, 1.0) for sink in net[1:]]
-    w = 2.0 / k
-    if k > CLIQUE_STAR_LIMIT:
-        driver = net[0]
-        return [(driver, sink, w) for sink in net[1:]]
-    edges = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            edges.append((net[i], net[j], w))
-    return edges
 
 
 class QuadraticSystem:
     """Cached assembly of the quadratic placement system for one netlist.
 
-    Splits :func:`solve_quadratic` into a build-once part (the net
-    traversal with its clique/star expansion, the base diagonal and
-    right-hand sides) and a cheap per-solve part (anchor application,
-    diagonal append, CSR assembly, linear solve).  Anchors add only
-    diagonal and rhs terms, so every :meth:`solve` produces the same
-    matrix — in the same floating-point operation order — as a cold
-    :func:`solve_quadratic` with the same anchors.
+    A build-once part (the net traversal with its clique expansion, the
+    base diagonal and right-hand sides) and a cheap per-solve part
+    (anchor application, diagonal append, CSR assembly, linear solve).
+    Anchors add only diagonal and rhs terms, so every :meth:`solve`
+    produces the same matrix — in the same floating-point operation
+    order — as a fresh system's with the same anchors.
     """
 
-    def __init__(
-        self,
-        netlist: PlacementNetlist,
-        region: Rect,
-        weight_model: str = "clique",
-    ) -> None:
+    def __init__(self, netlist: PlacementNetlist, region: Rect) -> None:
         """Build the system with the struct-of-arrays assembly.
 
         :func:`repro.perf.vec.assemble_quadratic` produces the diagonal,
         right-hand sides and off-diagonal streams bitwise-equal to a
-        per-edge loop over :func:`clique_edges` (the randomized oracle
-        tests assert exact equality).
+        per-edge build (the randomized oracle tests assert exact
+        equality).
         """
         from repro.obs import OBS
         from repro.perf.vec import assemble_quadratic
 
         self.netlist = netlist
         self.region = region
-        self.weight_model = weight_model
         n = netlist.num_movable
         self.n = n
         self.index = {name: i for i, name in enumerate(netlist.movables)}
@@ -115,7 +78,7 @@ class QuadraticSystem:
             return
         diag, bx, by, rows, cols, vals = assemble_quadratic(
             netlist.nets, self.index, netlist.fixed, n, self._center,
-            weight_model, CLIQUE_STAR_LIMIT, ANCHOR_EPSILON,
+            CLIQUE_STAR_LIMIT, ANCHOR_EPSILON,
         )
         self._diag = diag
         self._bx = bx
@@ -132,11 +95,22 @@ class QuadraticSystem:
         anchors: Optional[Dict[str, Tuple[Point, float]]] = None,
         initial: Optional[Dict[str, Point]] = None,
     ) -> Dict[str, Point]:
-        """Solve for all movable cells; see :func:`solve_quadratic`.
+        """Solve the quadratic placement for all movable cells.
 
-        The name-keyed front of :meth:`solve_arrays`: anchors become
-        index and value arrays, and the solution is clipped into the
-        region cell by cell.
+        Args:
+            anchors: optional extra springs ``name -> (point, weight)``
+                used by the partitioning levels to pull cells toward
+                region centres.
+            initial: optional warm-start positions (previous solution).
+                Only consulted by the iterative CG path (large systems);
+                small systems use a direct solve where a starting point
+                has no meaning.  Warm starts change the CG iterate
+                sequence, so the result matches a cold solve to solver
+                tolerance, not bitwise.
+
+        Returns:
+            Cell name -> position for every movable cell, clipped into
+            the region: the name-keyed front of :meth:`solve_arrays`.
         """
         n = self.n
         if n == 0:
@@ -194,7 +168,7 @@ class QuadraticSystem:
             anchor_x, anchor_y: the anchor points' coordinates.
             anchored: cell indices of the anchors, each at most once;
                 ``None`` anchors every cell, in index order.
-            x0, y0: optional CG starting point (see :func:`solve_quadratic`).
+            x0, y0: optional CG starting point (see :meth:`solve`).
 
         Each anchor adds ``weight`` to its cell's diagonal and
         ``weight * anchor`` to its right-hand sides, the same IEEE
@@ -238,36 +212,6 @@ class QuadraticSystem:
                 _solve_spd(laplacian, by, center.y, x0=y0))
 
 
-def solve_quadratic(
-    netlist: PlacementNetlist,
-    region: Rect,
-    anchors: Optional[Dict[str, Tuple[Point, float]]] = None,
-    weight_model: str = "clique",
-    initial: Optional[Dict[str, Point]] = None,
-) -> Dict[str, Point]:
-    """Solve the quadratic placement for all movable cells.
-
-    Args:
-        netlist: the placement hypergraph (movables + fixed terminals).
-        region: the layout image; solutions are clipped into it.
-        anchors: optional extra springs ``name -> (point, weight)`` used by
-            the partitioning levels to pull cells toward region centres.
-        weight_model: ``clique`` or ``star`` net decomposition.
-        initial: optional warm-start positions (previous solution).  Only
-            consulted by the iterative CG path (large systems); small
-            systems use a direct solve where a starting point has no
-            meaning.  Warm starts change the CG iterate sequence, so the
-            result matches a cold solve to solver tolerance, not bitwise;
-            leave unset where bit-reproducibility matters.
-
-    Returns:
-        Cell name -> position for every movable cell.
-    """
-    return QuadraticSystem(netlist, region, weight_model).solve(
-        anchors, initial=initial
-    )
-
-
 def _solve_spd(
     laplacian: sp.csr_matrix,
     rhs: np.ndarray,
@@ -284,19 +228,3 @@ def _solve_spd(
     if info != 0:
         return spla.spsolve(laplacian.tocsc(), rhs)
     return solution
-
-
-def quadratic_objective(
-    netlist: PlacementNetlist,
-    positions: Dict[str, Point],
-    weight_model: str = "clique",
-) -> float:
-    """The squared-Euclidean wirelength a placement achieves (for tests)."""
-    total = 0.0
-    lookup = dict(netlist.fixed)
-    lookup.update(positions)
-    for net in netlist.nets:
-        for a, b, w in clique_edges(net, weight_model):
-            pa, pb = lookup[a], lookup[b]
-            total += w * ((pa.x - pb.x) ** 2 + (pa.y - pb.y) ** 2)
-    return total

@@ -4,12 +4,7 @@ channel router, and the row-based global router that turns a detailed
 placement into channel assignments, track counts, routed net lengths and
 the final chip area."""
 
-from repro.route.wirelength import (
-    chung_hwang_factor,
-    hpwl,
-    net_length_estimate,
-    steiner_estimate,
-)
+from repro.route.wirelength import chung_hwang_factor, hpwl
 from repro.route.spanning import rectilinear_mst_length, rectilinear_mst_edges
 from repro.route.channel import ChannelResult, left_edge_route, channel_density
 from repro.route.global_route import RoutedDesign, route_design
@@ -17,8 +12,6 @@ from repro.route.global_route import RoutedDesign, route_design
 __all__ = [
     "chung_hwang_factor",
     "hpwl",
-    "net_length_estimate",
-    "steiner_estimate",
     "rectilinear_mst_length",
     "rectilinear_mst_edges",
     "ChannelResult",

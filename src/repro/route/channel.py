@@ -28,11 +28,6 @@ class ChannelResult:
     num_tracks: int = 0
     density: int = 0
 
-    @property
-    def is_density_optimal(self) -> bool:
-        """Whether the assignment met the channel-density lower bound."""
-        return self.num_tracks == self.density
-
 
 def channel_density(intervals: Sequence[Tuple[float, float]]) -> int:
     """Maximum number of intervals crossing any vertical line."""

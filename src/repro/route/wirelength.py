@@ -1,11 +1,15 @@
-"""Net-length estimation models (Section 3.4).
+"""Half-perimeter net length and its Steiner correction (Section 3.4).
 
 Lily implements two estimators and we reproduce both:
 
-* half-perimeter of the enclosing rectangle, corrected by the worst-case
-  ratio of minimal rectilinear Steiner tree length to half-perimeter from
-  Chung & Hwang [3] (a function of pin count); and
-* the length of a rectilinear spanning tree over the pins.
+* half-perimeter of the enclosing rectangle (:func:`hpwl`), corrected by
+  the worst-case ratio of minimal rectilinear Steiner tree length to
+  half-perimeter from Chung & Hwang [3] (:func:`chung_hwang_factor`, a
+  function of pin count); Lily's ``halfperim`` wire model and the wire
+  capacitance of :func:`repro.timing.model.net_wire_capacitance` apply
+  the two; and
+* the length of a rectilinear spanning tree over the pins
+  (:mod:`repro.route.spanning`).
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from repro.geometry import Point, bounding_rect
 __all__ = [
     "hpwl",
     "chung_hwang_factor",
-    "steiner_estimate",
-    "net_length_estimate",
 ]
 
 
@@ -42,27 +44,3 @@ def chung_hwang_factor(num_pins: int) -> float:
     if num_pins <= 3:
         return 1.0
     return (math.sqrt(num_pins) + 1.0) / 2.0
-
-
-def steiner_estimate(points: Sequence[Point]) -> float:
-    """Half-perimeter x Chung–Hwang correction (Lily's default model)."""
-    if len(points) < 2:
-        return 0.0
-    return hpwl(points) * chung_hwang_factor(len(points))
-
-
-def net_length_estimate(points: Sequence[Point], model: str = "steiner") -> float:
-    """Estimate a net's routed length under the selected model.
-
-    ``model``: ``hpwl``, ``steiner`` (half-perimeter x Chung–Hwang) or
-    ``spanning`` (rectilinear minimum spanning tree).
-    """
-    if model == "hpwl":
-        return hpwl(points)
-    if model == "steiner":
-        return steiner_estimate(points)
-    if model == "spanning":
-        from repro.route.spanning import rectilinear_mst_length
-
-        return rectilinear_mst_length(points)
-    raise ValueError(f"unknown wire model: {model!r}")

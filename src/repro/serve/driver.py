@@ -17,14 +17,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.circuits.suite import TABLE1_CIRCUITS, TABLE2_CIRCUITS
-from repro.flow.tables import Table1Row, Table2Row
+from repro.flow.tables import TABLE2_WIRE_MODEL, Table1Row, Table2Row
 from repro.serve.client import Client
 
-__all__ = ["run_table1_served", "run_table2_served", "ServeJobFailed",
-           "TABLE2_WIRE_CAP"]
-
-#: The Table 2 wire model (pF/µm), mirrored from ``flow.tables.run_table2``.
-TABLE2_WIRE_CAP = (4.0e-4, 3.0e-4)
+__all__ = ["run_table1_served", "run_table2_served", "ServeJobFailed"]
 
 
 class ServeJobFailed(RuntimeError):
@@ -81,8 +77,15 @@ def run_table2_served(
     verify: Union[bool, str] = True,
     mapper: str = "tree",
 ) -> List[Table2Row]:
-    """Table 2 rows (1µ-scaled library + heavy wire model) served."""
-    options = {"library": "big_1u", "wire_cap": list(TABLE2_WIRE_CAP)}
+    """Table 2 rows (1µ-scaled library + heavy wire model) served.
+
+    The service names :func:`~repro.flow.tables.table2_library`
+    ``big_1u``; the wire model is
+    :data:`~repro.flow.tables.TABLE2_WIRE_MODEL`.
+    """
+    options = {"library": "big_1u",
+               "wire_cap": [TABLE2_WIRE_MODEL.ch_per_um,
+                            TABLE2_WIRE_MODEL.cv_per_um]}
     rows: List[Table2Row] = []
     for name in circuits or TABLE2_CIRCUITS:
         mis = _cell(client, name, "mis", "timing", scale, verify,

@@ -29,10 +29,11 @@ import threading
 from typing import Dict, Optional, Tuple
 
 from repro.circuits.suite import build_circuit
+from repro.flow.tables import table2_library
 from repro.library.cell import Library
 from repro.library.genlib import parse_genlib
 from repro.library.patterns import PatternSet, pattern_set_for
-from repro.library.standard import big_library, scale_library, tiny_library
+from repro.library.standard import big_library, tiny_library
 from repro.network.blif import parse_blif
 from repro.network.network import Network
 from repro.match.treematch import Matcher
@@ -132,9 +133,7 @@ def _build_library(library: str, genlib: Optional[str]) -> Tuple[str, Library]:
     if library == "tiny":
         return "tiny", tiny_library()
     if library == "big_1u":
-        # Table 2's library: delays/caps linearly scaled 3u -> 1u.
-        return "big_1u", scale_library(big_library(), 1.0 / 3.0,
-                                       name="big_1u")
+        return "big_1u", table2_library()
     raise ValueError(f"unknown library spec: {library!r}")
 
 

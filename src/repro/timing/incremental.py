@@ -70,16 +70,13 @@ class IncrementalTiming:
     Args:
         mapped: the placed mapped netlist (positions are read live).
         wire_model: as for :func:`~repro.timing.sta.analyze`.
-        input_arrivals: PI name -> arrival time (default 0).
-        pad_cap: load presented by an output pad.
-        wire_cap_per_fanout: fallback lumped wire cap per fanout.
         vec: accepted for callers that still select the engine by name;
             there is one engine, so anything but ``True`` raises
             :class:`ValueError`.
 
     The constructor runs one full pass
-    (:func:`~repro.timing.sta.full_pass`) and keeps its tables;
-    afterwards
+    (:func:`~repro.timing.sta.full_pass`, every primary input arriving
+    at 0) and keeps its tables; afterwards
     :meth:`set_position` / :meth:`set_input_arrival` record changes and
     :meth:`update` refreshes :attr:`report` by frontier propagation.
     Positions must change through :meth:`set_position` (or
@@ -91,9 +88,6 @@ class IncrementalTiming:
         self,
         mapped: MappedNetwork,
         wire_model: Optional[WireCapModel] = None,
-        input_arrivals: Optional[Dict[str, float]] = None,
-        pad_cap: float = 0.25,
-        wire_cap_per_fanout: float = 0.0,
         vec: bool = True,
     ) -> None:
         if vec is not True:
@@ -103,16 +97,9 @@ class IncrementalTiming:
             )
         self.mapped = mapped
         self.wire_model = wire_model
-        self.input_arrivals = dict(input_arrivals or {})
-        self.pad_cap = pad_cap
-        self.wire_cap_per_fanout = wire_cap_per_fanout
-        self._tables = full_pass(
-            mapped,
-            wire_model=wire_model,
-            input_arrivals=self.input_arrivals,
-            pad_cap=pad_cap,
-            wire_cap_per_fanout=wire_cap_per_fanout,
-        )
+        #: PI name -> arrival time, as :meth:`set_input_arrival` left it.
+        self.input_arrivals: Dict[str, float] = {}
+        self._tables = full_pass(mapped, wire_model=wire_model)
         self.report = self._tables.report
         self._dirty: Set[int] = set()
         self._load_dirty: Set[int] = set()
@@ -307,8 +294,6 @@ class IncrementalTiming:
             self.mapped,
             wire_model=self.wire_model,
             input_arrivals=self.input_arrivals,
-            pad_cap=self.pad_cap,
-            wire_cap_per_fanout=self.wire_cap_per_fanout,
         )
         return report_mismatches(
             self.report,

@@ -10,12 +10,19 @@ exactly as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.geometry import Point
-from repro.route.wirelength import chung_hwang_factor
 
-__all__ = ["WireCapModel", "net_wire_capacitance"]
+__all__ = ["PAD_CAP", "WireCapModel", "net_wire_capacitance"]
+
+#: Load presented by an output pad, pF: one value for the STA, the
+#: mappers' load models and the audit's load recomputation.
+PAD_CAP = 0.25
+
+# Imported after PAD_CAP: ``repro.route`` loads ``repro.map``, whose MIS
+# load model reads PAD_CAP from this module.
+from repro.route.wirelength import chung_hwang_factor  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -23,16 +30,11 @@ class WireCapModel:
     """Per-unit-length capacitance of horizontal and vertical interconnect.
 
     Defaults approximate a 3µ double-metal process: ~0.2 fF/µm, with the
-    vertical layer slightly lighter.  :meth:`scaled` mirrors the paper's
-    linear 3µ -> 1µ scaling of wiring capacitance.
+    vertical layer slightly lighter.
     """
 
     ch_per_um: float = 2.0e-4  # pF / µm, horizontal (in-channel) wiring
     cv_per_um: float = 1.5e-4  # pF / µm, vertical (cross-channel) wiring
-
-    def scaled(self, factor: float) -> "WireCapModel":
-        """A copy with both per-unit capacitances multiplied by ``factor``."""
-        return WireCapModel(self.ch_per_um * factor, self.cv_per_um * factor)
 
     def capacitance(self, x_length: float, y_length: float) -> float:
         """``C_w = c_h X + c_v Y`` for given extents (µm -> pF)."""
@@ -40,21 +42,18 @@ class WireCapModel:
 
 
 def net_wire_capacitance(
-    pin_positions: Sequence[Point],
-    model: Optional[WireCapModel] = None,
-    use_steiner_factor: bool = True,
+    pin_positions: Sequence[Point], model: WireCapModel
 ) -> float:
     """Lumped wire capacitance of a net from its pin positions.
 
-    X and Y are the bounding-box extents, optionally corrected by the
-    Chung–Hwang factor for multi-pin nets (Section 3.3's models feed
-    Section 4.2's capacitance).
+    X and Y are the bounding-box extents, corrected by the Chung–Hwang
+    factor for multi-pin nets (Section 3.3's models feed Section 4.2's
+    capacitance).
     """
-    model = model or WireCapModel()
     if len(pin_positions) < 2:
         return 0.0
     xs = [p.x for p in pin_positions]
     ys = [p.y for p in pin_positions]
-    factor = chung_hwang_factor(len(pin_positions)) if use_steiner_factor else 1.0
+    factor = chung_hwang_factor(len(pin_positions))
     return model.capacitance((max(xs) - min(xs)) * factor,
                              (max(ys) - min(ys)) * factor)

@@ -7,7 +7,8 @@ Implements the recursion of Section 4.1 exactly:
 with ``C_L`` the sum of fanout pin capacitances plus the lumped wire
 capacitance of the output net (Section 4.2).  The mapped netlist must be
 placed (gate positions and pad positions known) for the wire term; without
-positions the wire term falls back to zero or a per-fanout constant.
+a wire model the wire term is zero.  Every output pad presents
+:data:`~repro.timing.model.PAD_CAP`.
 
 A forward pass compiles the netlist into integer-indexed
 :class:`TimingTables` and evaluates each node as it is compiled;
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.library.cell import Cell
 from repro.map.netlist import MappedNetwork, MappedNode, MappedNodeKind
 from repro.obs import OBS
-from repro.timing.model import WireCapModel, net_wire_capacitance
+from repro.timing.model import PAD_CAP, WireCapModel, net_wire_capacitance
 
 __all__ = [
     "ArrivalTimes",
@@ -158,16 +159,15 @@ class TimingTables:
     coefficients are one tuple per cell pin, shared by every instance),
     for a PO its driver's index, else ``()``; ``fanouts[i]``, the
     indices of its fanout entries.  Per gate: ``pin_loads[i]``, the
-    capacitance of its fanout pins (:func:`_pin_load`), plus the
-    per-fanout wire fallback when there is no wire model.  ``outputs``
+    capacitance of its fanout pins (:func:`_pin_load`).  ``outputs``
     lists the POs' indices in ``mapped.primary_outputs`` order.
     ``rise``, ``fall``, ``worst`` and ``loads`` hold each node's current
     values (``loads``: 0.0 for non-gates);
     :class:`~repro.timing.incremental.IncrementalTiming` keeps them
     current after construction.
 
-    The tables depend on the netlist's structure and on ``wire_model``,
-    ``pad_cap`` and ``wire_cap_per_fanout``; positions are read live by
+    The tables depend on the netlist's structure and on ``wire_model``;
+    positions are read live by
     :meth:`gate_load`.  Construction is the full forward pass: each node
     is compiled and then evaluated in the same loop (its fanins already
     are), filling the arrays, :attr:`report`, and every node's
@@ -182,8 +182,6 @@ class TimingTables:
         order: Sequence[MappedNode],
         wire_model: Optional[WireCapModel],
         input_arrivals: Dict[str, float],
-        pad_cap: float,
-        wire_cap_per_fanout: float,
     ) -> None:
         n = len(order)
         self.wire_model = wire_model
@@ -218,9 +216,7 @@ class TimingTables:
                               for fanin, pin_timing
                               in zip(node.fanins, timing)])
                 add_pins(pins)
-                pin_loads[i] = _pin_load(node, pad_cap)
-                if wire_model is None:
-                    pin_loads[i] += wire_cap_per_fanout * len(node.fanouts)
+                pin_loads[i] = _pin_load(node)
                 gate_loads[i] = loads[name] = load = gate_load(i)
                 r, f = gate_arrival(pins, worst, load)
                 arrivals[name] = ArrivalTimes(r, f)
@@ -283,12 +279,13 @@ class TimingTables:
         report.critical_po = None if critical is None else self.names[critical]
 
 
-def _pin_load(node: MappedNode, pad_cap: float) -> float:
+def _pin_load(node: MappedNode) -> float:
     """Capacitance of ``node``'s fanout pins, each ``(sink, pin)`` once.
 
     A sink reading ``node`` on k pins is listed k times in
     ``node.fanouts``; its pins are summed at its first entry.  Output
-    pads present ``pad_cap``.  Summed in fanout order.
+    pads present :data:`~repro.timing.model.PAD_CAP`.  Summed in fanout
+    order.
     """
     load = 0.0
     fanouts = node.fanouts
@@ -302,7 +299,7 @@ def _pin_load(node: MappedNode, pad_cap: float) -> float:
                     if fanin is node:
                         load += sink.cell.pins[pin_index].input_cap
         elif sink.kind is MappedNodeKind.PRIMARY_OUTPUT:
-            load += pad_cap
+            load += PAD_CAP
     return load
 
 
@@ -336,8 +333,6 @@ def full_pass(
     mapped: MappedNetwork,
     wire_model: Optional[WireCapModel] = None,
     input_arrivals: Optional[Dict[str, float]] = None,
-    pad_cap: float = 0.25,
-    wire_cap_per_fanout: float = 0.0,
 ) -> TimingTables:
     """Compile ``mapped`` into tables and run the full forward pass.
 
@@ -348,26 +343,21 @@ def full_pass(
     if OBS.enabled:
         OBS.metrics.counter("sta.node_visits").inc(len(order))
     with OBS.span("sta.analyze", nodes=len(order)):
-        return TimingTables(mapped, order, wire_model, input_arrivals or {},
-                            pad_cap, wire_cap_per_fanout)
+        return TimingTables(mapped, order, wire_model, input_arrivals or {})
 
 
 def analyze(
     mapped: MappedNetwork,
     wire_model: Optional[WireCapModel] = None,
     input_arrivals: Optional[Dict[str, float]] = None,
-    pad_cap: float = 0.25,
-    wire_cap_per_fanout: float = 0.0,
 ) -> TimingReport:
     """Propagate rise/fall arrival times from PIs to POs.
 
     Args:
         mapped: the (ideally placed) mapped netlist.
         wire_model: per-unit-length wire capacitance; ``None`` disables the
-            positional wire term and uses ``wire_cap_per_fanout`` instead.
+            wire term.
         input_arrivals: PI name -> arrival time (default 0).
-        pad_cap: load presented by an output pad.
-        wire_cap_per_fanout: fallback lumped wire cap per fanout.
 
     Returns:
         A :class:`TimingReport`; node ``arrival`` attributes are updated
@@ -375,8 +365,7 @@ def analyze(
         construction of :class:`TimingTables`, which compiles and
         evaluates each node in one loop.
     """
-    return full_pass(mapped, wire_model, input_arrivals, pad_cap,
-                     wire_cap_per_fanout).report
+    return full_pass(mapped, wire_model, input_arrivals).report
 
 
 def critical_path(

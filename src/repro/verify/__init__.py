@@ -30,12 +30,12 @@ from repro.verify.audit import (
     audit_flow,
     audit_mapping,
 )
+from repro.network.blif import po_port
 from repro.verify.equiv import (
     EquivBudget,
     check_equivalence,
     cone_support,
     equivalent,
-    po_port,
 )
 from repro.verify.faults import (
     FAULTS,

@@ -24,13 +24,13 @@ import random
 import time
 from typing import Dict, List, Optional, Sequence
 
+from repro.network.blif import po_port
 from repro.network.logic import TruthTable
 from repro.network.simulate import _eval_tt_words
 from repro.verify.result import CheckResult
 
 __all__ = [
     "EquivBudget",
-    "po_port",
     "cone_support",
     "check_equivalence",
     "equivalent",
@@ -65,11 +65,6 @@ class EquivBudget:
         if level == "full":
             return EquivBudget(exhaustive_limit=16, num_vectors=8192)
         raise ValueError(f"unknown verify level: {level!r}")
-
-
-def po_port(name: str) -> str:
-    """Strip the ``__po`` wrapper suffix so ports compare across netlists."""
-    return name[:-4] if name.endswith("__po") else name
 
 
 def cone_support(net, po) -> List[str]:

@@ -35,7 +35,7 @@ from repro.map.netlist import MappedNetwork, Net
 from repro.network.network import Network
 from repro.network.subject import SubjectGraph, SubjectNode, SubjectNodeType
 from repro.place.detailed import DetailedPlacement
-from repro.timing.model import WireCapModel, net_wire_capacitance
+from repro.timing.model import PAD_CAP, WireCapModel, net_wire_capacitance
 from repro.timing.sta import TimingReport, slacks
 from repro.verify.result import CheckResult
 
@@ -508,14 +508,13 @@ def check_timing(
     mapped: MappedNetwork,
     report: TimingReport,
     wire_model: Optional[WireCapModel] = None,
-    pad_cap: float = 0.25,
 ) -> List[CheckResult]:
     """Audit an STA report against its (placed) mapped netlist.
 
     When ``wire_model`` is given (the model the STA ran with), gate loads
     are recomputed from :meth:`MappedNetwork.nets` (each sink pin's
-    capacitance once, ``pad_cap`` per output pad) plus the routed wire
-    model and compared against the report.
+    capacitance once, :data:`~repro.timing.model.PAD_CAP` per output
+    pad) plus the routed wire model and compared against the report.
     """
     target = mapped.name
     results = []
@@ -532,7 +531,7 @@ def check_timing(
                 continue
             net = nets.get(node.name) or Net(node)
             expected = sum(
-                pad_cap if sink.is_po else sink.input_pin_cap(pin)
+                PAD_CAP if sink.is_po else sink.input_pin_cap(pin)
                 for sink, pin in net.sinks
             )
             expected += net_wire_capacitance(net.pin_positions(), wire_model)

@@ -1,9 +1,9 @@
-"""SVG visualisation of placements and routed layouts.
+"""SVG visualisation of routed layouts.
 
-Pure-string SVG generation (no rendering dependencies): a scatter plot of
-a global placement, and a full layout view of a routed design — cell rows,
-gate outlines, routing channels shaded by track count, pads on the
-boundary and optional net traces.  Used by the report CLI and the examples.
+Pure-string SVG generation (no rendering dependencies): a full layout
+view of a routed design — cell rows, gate outlines, routing channels
+shaded by track count, pads on the boundary and optional net traces.
+Used by the report CLI and the examples.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Dict, Optional
 
 from repro.geometry import Point, Rect
 
-__all__ = ["placement_svg", "layout_svg"]
+__all__ = ["layout_svg"]
 
 _HEADER = (
     '<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}" '
@@ -23,45 +23,6 @@ _HEADER = (
 def _scale(region: Rect, target: float) -> float:
     extent = max(region.width, region.height, 1e-9)
     return target / extent
-
-
-def placement_svg(
-    positions: Dict[str, Point],
-    region: Rect,
-    pads: Optional[Dict[str, Point]] = None,
-    target_size: float = 640.0,
-) -> str:
-    """Scatter plot of a (global) placement inside its region."""
-    s = _scale(region, target_size)
-    width = region.width * s
-    height = region.height * s
-
-    def sx(x: float) -> float:
-        return (x - region.lx) * s
-
-    def sy(y: float) -> float:
-        # SVG y grows downward; flip so the layout reads naturally.
-        return height - (y - region.ly) * s
-
-    parts = [
-        _HEADER.format(vb=f"0 0 {width:.1f} {height:.1f}",
-                       w=f"{width:.0f}", h=f"{height:.0f}"),
-        f'<rect x="0" y="0" width="{width:.1f}" height="{height:.1f}" '
-        'fill="#fcfcf8" stroke="#888"/>',
-    ]
-    for name, p in sorted(positions.items()):
-        parts.append(
-            f'<circle cx="{sx(p.x):.1f}" cy="{sy(p.y):.1f}" r="2.5" '
-            f'fill="#356" opacity="0.8"><title>{name}</title></circle>'
-        )
-    for name, p in sorted((pads or {}).items()):
-        parts.append(
-            f'<rect x="{sx(p.x) - 3:.1f}" y="{sy(p.y) - 3:.1f}" '
-            f'width="6" height="6" fill="#b43" opacity="0.9">'
-            f'<title>{name}</title></rect>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts)
 
 
 def layout_svg(

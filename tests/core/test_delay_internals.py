@@ -45,7 +45,7 @@ def armed_mapper(big_lib):
 class TestLoadModels:
     def test_output_load_includes_wire(self, armed_mapper):
         g, mapper, n1, n2 = armed_mapper
-        from repro.match.treematch import find_matches
+        from oracles.match import find_matches
         from repro.library.patterns import pattern_set_for
 
         match = next(
@@ -60,7 +60,7 @@ class TestLoadModels:
 
     def test_input_load_counts_gate_pin(self, armed_mapper):
         g, mapper, n1, n2 = armed_mapper
-        from repro.match.treematch import find_matches
+        from oracles.match import find_matches
         from repro.library.patterns import pattern_set_for
 
         match = next(
@@ -76,7 +76,7 @@ class TestLoadModels:
     def test_recalculated_arrival_uses_blocks(self, armed_mapper, big_lib):
         g, mapper, n1, n2 = armed_mapper
         from repro.library.patterns import pattern_set_for
-        from repro.match.treematch import find_matches
+        from oracles.match import find_matches
 
         match = next(
             m for m in find_matches(n1, pattern_set_for(big_lib))
@@ -106,7 +106,7 @@ class TestBlockArrivalSplit:
         the R_i * C_L part; block arrivals are untouched."""
         g, mapper, n1, n2 = armed_mapper
         from repro.library.patterns import pattern_set_for
-        from repro.match.treematch import find_matches
+        from oracles.match import find_matches
 
         match = next(
             m for m in find_matches(n1, pattern_set_for(mapper.library))

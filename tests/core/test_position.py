@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 
 from repro.core.position import cm_of_fans, cm_of_merged
 from repro.core.state import PlacementState
-from repro.geometry import (
-    Point,
-    Rect,
-    rect_manhattan_distance,
-)
+from oracles.geometry import rect_manhattan_distance
+from repro.geometry import Point, Rect
 from repro.network.subject import SubjectGraph
 
 coords = st.floats(min_value=0, max_value=100, allow_nan=False)

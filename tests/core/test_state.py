@@ -58,8 +58,3 @@ class TestPlacementState:
         _g, n, state = graph_and_state
         state.set_place_position(n, Point(1, 2))
         assert state.place_position(n) == Point(1, 2)
-
-    def test_pad_lookup(self, graph_and_state):
-        *_rest, state = graph_and_state
-        assert state.pad_position("a") == Point(0, 0)
-        assert state.pad_position("nope") is None

@@ -9,11 +9,11 @@ from __future__ import annotations
 import pytest
 
 from oracles.lily import fanin_net_cost, match_wire_cost, true_fanouts
+from oracles.match import find_matches
 from repro.core.state import PlacementState
 from repro.geometry import Point, Rect
 from repro.library.patterns import pattern_set_for
 from repro.map.lifecycle import LifecycleTracker
-from repro.match.treematch import find_matches
 from repro.network.subject import SubjectGraph
 
 

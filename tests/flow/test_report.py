@@ -8,6 +8,7 @@ from repro.circuits.random_logic import random_network
 from repro.circuits.suite import build_circuit
 from repro.flow.pipeline import lily_flow, mis_flow
 from repro.flow.report import circuit_report, comparison_report
+from repro.flow.tables import TABLE2_WIRE_MODEL, table2_library
 from repro.library.standard import big_library
 from repro.obs import OBS, observed
 from repro.timing.model import WireCapModel
@@ -70,8 +71,8 @@ def _reference_timing_lines(mapped, wire_model, max_path_rows=12):
 
 
 class TestTimingOnReferenceSTA:
-    """``circuit_report`` times the netlist with ``sta.analyze``; its
-    timing block must read exactly as the reference engine gives it."""
+    """``circuit_report``'s timing block is the flow's own STA report; it
+    must read exactly as the reference engine gives it."""
 
     @pytest.fixture(scope="class", params=["C880", "random"])
     def result(self, request):
@@ -87,12 +88,25 @@ class TestTimingOnReferenceSTA:
         assert timing == _reference_timing_lines(result.mapped,
                                                  WireCapModel())
 
-    def test_traced_run_uses_reference_sta(self, result):
+    def test_report_runs_no_timing_pass(self, result):
         with observed():
             circuit_report(result)
         names = {span.name for span in OBS.tracer.all_spans()}
-        assert "sta.analyze" in names
+        assert "sta.analyze" not in names
         assert "sta.analyze_array" not in names
+
+    def test_timing_block_under_the_flows_wire_model(self):
+        """A Table 2 timing flow (1u library, heavy wire model): the
+        report's delay is the flow's, not a re-timing under the default
+        wire model."""
+        result = lily_flow(build_circuit("misex1"), table2_library(),
+                           mode="timing", wire_model=TABLE2_WIRE_MODEL,
+                           verify=False)
+        lines = circuit_report(result).splitlines()
+        timing = lines[lines.index("timing:"):]
+        assert timing == _reference_timing_lines(result.mapped,
+                                                 TABLE2_WIRE_MODEL)
+        assert f"{result.delay:9.2f} ns" in timing[1]
 
 
 class TestLayoutDrivenDecomposition:

@@ -56,10 +56,6 @@ class TestCell:
         autos = cell.input_automorphisms()
         assert len(autos) == 2  # identity and a<->b
 
-    def test_worst_case_delay_monotone_in_load(self):
-        cell = make_cell("inv", "!a", ["a"])
-        assert cell.worst_case_delay(1.0) > cell.worst_case_delay(0.1)
-
     def test_sop(self):
         cell = make_cell("or2", "a+b", ["a", "b"])
         assert cell.sop().evaluate([True, False])

@@ -40,10 +40,6 @@ class TestPatternNode:
         b = PatternNode.nand(PatternNode.leaf(1), PatternNode.leaf(0))
         assert a.key() == b.key()
 
-    def test_relabeled(self):
-        tree = PatternNode.inv(PatternNode.leaf(0))
-        assert tree.relabeled([2]).leaves() == [2]
-
     def test_invalid_arities(self):
         with pytest.raises(ValueError):
             PatternNode(PatternKind.INV, ())

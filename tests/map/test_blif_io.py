@@ -27,11 +27,6 @@ class TestWrite:
         assert ".gate" in text
         assert ".model" in text and ".end" in text
 
-    def test_functional_fallback_parses_as_plain_blif(self, mapped_small):
-        text = write_mapped_blif(mapped_small, use_gates=False)
-        plain = parse_blif(text)
-        assert networks_equivalent(mapped_small, plain)
-
 
 class TestRoundTrip:
     def test_gate_roundtrip(self, big_lib, mapped_small):

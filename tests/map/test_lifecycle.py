@@ -25,7 +25,6 @@ class TestTransitions:
         _g, n1, _n2 = nodes
         tracker = LifecycleTracker()
         assert tracker.state(n1) is NodeState.EGG
-        assert tracker.is_egg(n1)
 
     def test_visit_makes_nestling(self, nodes):
         _g, n1, _ = nodes
@@ -52,7 +51,7 @@ class TestTransitions:
         tracker = LifecycleTracker()
         tracker.visit(n1)
         tracker.make_dove(n1)
-        assert tracker.is_dove(n1)
+        assert tracker.state(n1) is NodeState.DOVE
 
     def test_egg_straight_to_hawk_via_nestling(self, nodes):
         """make_hawk on an egg passes through nestling implicitly."""
@@ -86,7 +85,7 @@ class TestTransitions:
         tracker = LifecycleTracker()
         tracker.make_dove(n1)
         tracker.make_dove(n1)
-        assert tracker.is_dove(n1)
+        assert tracker.state(n1) is NodeState.DOVE
         assert tracker.reincarnations == 0
 
     def test_illegal_transition_raises(self, nodes):

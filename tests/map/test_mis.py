@@ -51,16 +51,15 @@ class TestDelayMapper:
         assert networks_equivalent(net, result.mapped)
 
     def test_delay_mapping_no_slower_than_area_mapping(self, big_lib):
-        """Under the mapper's own load model and a final fanout-count STA,
-        the delay-mode result should not be slower than area mode."""
+        """Under an STA of the pin loads alone (the mapper sees no
+        positions), the delay-mode result should not be slower than area
+        mode."""
         net = random_network("d", 8, 3, 20, seed=7)
         subject = decompose_to_subject(net)
         area_map = MisAreaMapper(big_lib).map(subject)
         delay_map = MisDelayMapper(big_lib).map(subject)
-        t_area = analyze(area_map.mapped, wire_model=None,
-                         wire_cap_per_fanout=0.05).critical_delay
-        t_delay = analyze(delay_map.mapped, wire_model=None,
-                          wire_cap_per_fanout=0.05).critical_delay
+        t_area = analyze(area_map.mapped, wire_model=None).critical_delay
+        t_delay = analyze(delay_map.mapped, wire_model=None).critical_delay
         assert t_delay <= t_area * 1.15  # allow estimation slack
 
     def test_input_arrivals_respected(self, big_lib):

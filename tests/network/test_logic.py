@@ -103,9 +103,6 @@ class TestTruthTableBasics:
         assert maj.evaluate([True, True, False])
         assert not maj.evaluate([True, False, False])
 
-    def test_count_ones(self):
-        assert TruthTable(2, 0b0110).count_ones() == 2
-
 
 class TestTruthTableStructure:
     def test_cofactor(self):
@@ -160,27 +157,6 @@ class TestCanonisation:
     def test_p_canonical_symmetric(self):
         f = TruthTable.variable(0, 2) & TruthTable.variable(1, 2)
         assert f.p_canonical() == f
-
-    def test_npn_identifies_and_or(self):
-        """AND and OR are NPN-equivalent (De Morgan)."""
-        f = TruthTable.variable(0, 2) & TruthTable.variable(1, 2)
-        g = TruthTable.variable(0, 2) | TruthTable.variable(1, 2)
-        assert f.npn_canonical() == g.npn_canonical()
-
-    def test_npn_separates_and_xor(self):
-        f = TruthTable.variable(0, 2) & TruthTable.variable(1, 2)
-        g = TruthTable.variable(0, 2) ^ TruthTable.variable(1, 2)
-        assert f.npn_canonical() != g.npn_canonical()
-
-    @given(random_tables(3))
-    @settings(max_examples=30)
-    def test_npn_invariant_under_input_flip(self, tt):
-        if tt.num_inputs == 0:
-            return
-        flipped = tt.with_phases(
-            [True] + [False] * (tt.num_inputs - 1), False
-        )
-        assert flipped.npn_canonical() == tt.npn_canonical()
 
 
 class TestSopExtraction:

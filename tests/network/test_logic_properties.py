@@ -93,15 +93,17 @@ class TestPermutationGroup:
         assert f.with_phases(phases, False).with_phases(phases, False) == f
 
 
+def _ones(tt) -> int:
+    """Number of minterms of ``tt``."""
+    return bin(tt.bits).count("1")
+
+
 class TestCounting:
     @given(tables(), tables())
     def test_inclusion_exclusion(self, a, b):
-        assert (
-            (a | b).count_ones()
-            == a.count_ones() + b.count_ones() - (a & b).count_ones()
-        )
+        assert _ones(a | b) == _ones(a) + _ones(b) - _ones(a & b)
 
     @given(tables())
     def test_complement_count(self, a):
         total = 1 << a.num_inputs
-        assert a.count_ones() + (~a).count_ones() == total
+        assert _ones(a) + _ones(~a) == total

@@ -71,13 +71,6 @@ class TestStructureQueries:
         assert n1.is_stem
         assert not i1.is_stem
 
-    def test_tree_roots(self):
-        g, n1, i1, n2 = build_shared()
-        roots = set(g.tree_roots())
-        assert n1 in roots  # multi-fanout
-        assert n2 in roots  # feeds a PO
-        assert i1 not in roots
-
     def test_cones(self):
         g, n1, i1, n2 = build_shared()
         po_f = g.primary_outputs[0]

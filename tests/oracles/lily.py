@@ -35,6 +35,7 @@ from repro.match.treematch import Match
 from repro.network.subject import SubjectNode
 from repro.route.spanning import rectilinear_mst_length
 from repro.route.wirelength import chung_hwang_factor
+from repro.timing.model import PAD_CAP
 
 # -- true fanouts and fan rectangles (Section 3.3) -----------------------------
 
@@ -337,7 +338,7 @@ class NaiveLilyDelayMapper(_UncachedNets, LilyDelayMapper):
         """Capacitance and position a true fanout contributes to a net."""
         if consumer.is_po:
             p = self.state.place_position(consumer)
-            return self.pad_cap, p
+            return PAD_CAP, p
         if (
             consumer.is_gate
             and self.lifecycle.state(consumer) is NodeState.HAWK
@@ -388,7 +389,7 @@ class NaiveLilyDelayMapper(_UncachedNets, LilyDelayMapper):
         points: List[Point] = [gate_position]
         consumers = [s for s in node.fanouts if s.uid not in covered_uids]
         if not consumers:
-            cap += self.pad_cap
+            cap += PAD_CAP
         for consumer in consumers:
             c, p = self._fanout_cap_and_point(consumer)
             cap += c

@@ -6,6 +6,8 @@ search it replaced: for each candidate pattern, a recursive walk of the
 pattern tree against the subject node, trying both fanin orders at every
 NAND2.  Its match lists define the expected answer, entry for entry and
 in order, because the covering DP breaks cost ties by match order.
+:func:`find_matches` asks the production matcher about one node, for
+tests that need a node's matches as input rather than as the answer.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.library.patterns import PatternKind, PatternNode, PatternSet
-from repro.match.treematch import Match
+from repro.match.treematch import Match, Matcher
 from repro.network.subject import SubjectGraph, SubjectNode, SubjectNodeType
 
 _KIND_FOR_TYPE = {
@@ -130,3 +132,11 @@ class OracleMatcher:
                 found.append(Match(pattern, snode, inputs,
                                    frozenset(covered)))
         return found
+
+
+def find_matches(
+    snode: SubjectNode, patterns: PatternSet, tree_mode: bool = False
+) -> List[Match]:
+    """The production matcher's matches rooted at one subject node, from
+    a fresh :class:`~repro.match.treematch.Matcher` (no bound graph)."""
+    return Matcher(patterns, tree_mode).matches_at(snode)

@@ -14,6 +14,11 @@ gain recomputed from the side counts after each move, one dict of
 points per partitioning level, and each region's nets found by a scan
 of every net.  The integer-id kernels must give the same sides, and the
 same positions, assignment and leaf regions.
+
+:func:`clique_edges` is the per-net edge expansion that
+``repro.perf.vec.assemble_quadratic`` vectorizes, and
+:func:`quadratic_objective` the wirelength the quadratic system
+minimises, both in the production clique model.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from repro.place.detailed import (
 )
 from repro.place.global_place import ANCHOR_BASE, MAX_LEVELS, GlobalPlacement
 from repro.place.hypergraph import PlacementNetlist
-from repro.place.quadratic import QuadraticSystem, _solve_spd
+from repro.place.quadratic import CLIQUE_STAR_LIMIT, QuadraticSystem, _solve_spd
 
 
 def _net_hpwl(
@@ -378,6 +383,41 @@ def _fm_pass(
             counts[net_id][original] += 1
         side[cell] = original
     return best_gain > 0
+
+
+def clique_edges(net: Sequence[str]) -> List[Tuple[str, str, float]]:
+    """Pairwise edges for one net, each of weight ``2 / |net|``.
+
+    Every net contributes total weight ~2 regardless of pin count.  Nets
+    wider than :data:`~repro.place.quadratic.CLIQUE_STAR_LIMIT` pins fall
+    back to star edges (driver to each sink, same weight), capping the
+    expansion at O(k) edges.
+    """
+    k = len(net)
+    if k < 2:
+        return []
+    w = 2.0 / k
+    if k > CLIQUE_STAR_LIMIT:
+        driver = net[0]
+        return [(driver, sink, w) for sink in net[1:]]
+    edges = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            edges.append((net[i], net[j], w))
+    return edges
+
+
+def quadratic_objective(netlist: PlacementNetlist,
+                        positions: Dict[str, Point]) -> float:
+    """The squared-Euclidean wirelength a placement achieves."""
+    total = 0.0
+    lookup = dict(netlist.fixed)
+    lookup.update(positions)
+    for net in netlist.nets:
+        for a, b, w in clique_edges(net):
+            pa, pb = lookup[a], lookup[b]
+            total += w * ((pa.x - pb.x) ** 2 + (pa.y - pb.y) ** 2)
+    return total
 
 
 def reference_solve(

@@ -12,15 +12,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.place import clique_edges
 from repro.geometry import Point, Rect
 from repro.perf.vec import assemble_quadratic, kernel_backend_info
 from repro.place.hypergraph import PlacementNetlist
-from repro.place.quadratic import ANCHOR_EPSILON, QuadraticSystem, clique_edges
+from repro.place.quadratic import ANCHOR_EPSILON, QuadraticSystem
 
 REGION = Rect(0, 0, 200, 200)
 
 
-def _naive_streams(netlist, region, weight_model="clique"):
+def _naive_streams(netlist, region):
     """The per-edge Python assembly the SoA kernel must reproduce.
 
     Returns ``(diag, bx, by, rows, cols, vals)``: numpy diagonal and
@@ -35,7 +36,7 @@ def _naive_streams(netlist, region, weight_model="clique"):
     by = np.full(n, ANCHOR_EPSILON * center.y)
     rows, cols, vals = [], [], []
     for net in netlist.nets:
-        for a, b, w in clique_edges(net, weight_model):
+        for a, b, w in clique_edges(net):
             ia = index.get(a)
             ib = index.get(b)
             if ia is None and ib is None:
@@ -58,11 +59,11 @@ def _naive_streams(netlist, region, weight_model="clique"):
 class _NaiveQuadraticSystem(QuadraticSystem):
     """A system solved from the per-edge assembly (the solve oracle)."""
 
-    def __init__(self, netlist, region, weight_model="clique"):
-        super().__init__(netlist, region, weight_model)
+    def __init__(self, netlist, region):
+        super().__init__(netlist, region)
         (self._diag, self._bx, self._by,
          self._rows, self._cols, self._vals) = _naive_streams(
-            netlist, region, weight_model)
+            netlist, region)
 
 
 def _random_placement_netlist(rng, num_cells=30, num_pads=6,
@@ -85,14 +86,12 @@ def _random_placement_netlist(rng, num_cells=30, num_pads=6,
 
 
 class TestQuadraticAssembly:
-    @pytest.mark.parametrize("weight_model", ["clique", "star"])
     @pytest.mark.parametrize("case", range(3))
-    def test_streams_bitwise(self, weight_model, case, seeded_rng):
-        rng = seeded_rng("vec", "quad", weight_model, case)
+    def test_streams_bitwise(self, case, seeded_rng):
+        rng = seeded_rng("vec", "quad", "clique", case)
         netlist = _random_placement_netlist(rng, wide_net=(case == 0))
-        vec = QuadraticSystem(netlist, REGION, weight_model)
-        diag, bx, by, rows, cols, vals = _naive_streams(
-            netlist, REGION, weight_model)
+        vec = QuadraticSystem(netlist, REGION)
+        diag, bx, by, rows, cols, vals = _naive_streams(netlist, REGION)
         assert vec._diag.tolist() == diag.tolist()
         assert vec._bx.tolist() == bx.tolist()
         assert vec._by.tolist() == by.tolist()
@@ -144,7 +143,7 @@ class TestQuadraticAssembly:
         )
         out = assemble_quadratic(
             netlist.nets, {"m0": 0}, netlist.fixed, 1, REGION.center,
-            "clique", 30, 1e-6)
+            30, 1e-6)
         assert out[0].tolist() == _naive_streams(netlist, REGION)[0].tolist()
 
 

@@ -15,7 +15,7 @@ from repro.place.hypergraph import (
     network_netlist,
     subject_netlist,
 )
-from repro.place.pads import assign_pads
+from repro.place.pads import io_affinity_order, pads_from_order
 
 REGION = Rect(0, 0, 100, 100)
 
@@ -43,7 +43,7 @@ class TestSubjectNetlist:
     def test_structure(self):
         net = ripple_carry_adder(2)
         subject = decompose_to_subject(net)
-        pads = assign_pads(subject, REGION)
+        pads = pads_from_order(io_affinity_order(subject), REGION)
         netlist = subject_netlist(subject, pads)
         netlist.check()
         assert netlist.num_movable == len(subject.gates)
@@ -63,7 +63,7 @@ class TestMappedNetlist:
         net = ripple_carry_adder(2)
         lib = big_library()
         mapped = MisAreaMapper(lib).map(decompose_to_subject(net)).mapped
-        pads = assign_pads(mapped, REGION)
+        pads = pads_from_order(io_affinity_order(mapped), REGION)
         netlist = mapped_netlist(mapped, pads)
         netlist.check()
         for gate in mapped.gates:
@@ -73,7 +73,7 @@ class TestMappedNetlist:
         net = ripple_carry_adder(2)
         lib = big_library()
         mapped = MisAreaMapper(lib).map(decompose_to_subject(net)).mapped
-        pads = assign_pads(mapped, REGION)
+        pads = pads_from_order(io_affinity_order(mapped), REGION)
         netlist = mapped_netlist(mapped, pads)
         expected = sum(
             1 for n in mapped.nets()
@@ -85,7 +85,7 @@ class TestMappedNetlist:
 class TestNetworkNetlist:
     def test_structure(self):
         net = ripple_carry_adder(2)
-        pads = assign_pads(net, REGION)
+        pads = pads_from_order(io_affinity_order(net), REGION)
         netlist = network_netlist(net, pads)
         netlist.check()
         assert netlist.num_movable == len(net.internal_nodes)

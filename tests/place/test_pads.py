@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.circuits.arith import ripple_carry_adder
 from repro.geometry import Rect
 from repro.network.decompose import decompose_to_subject
-from repro.place.pads import assign_pads, io_affinity_order, perimeter_slots
+from repro.place.pads import io_affinity_order, pads_from_order, perimeter_slots
 
 REGION = Rect(0, 0, 100, 60)
 
@@ -34,8 +36,8 @@ class TestPerimeterSlots:
         slots = perimeter_slots(REGION, 16)
         # perimeter = 320, step = 20: consecutive slots 20 apart along the
         # boundary; just check distinctness and the first position.
-        assert slots[0].as_tuple() == (0, 0)
-        assert len({s.as_tuple() for s in slots}) == 16
+        assert tuple(slots[0]) == (0, 0)
+        assert len({tuple(s) for s in slots}) == 16
 
 
 class TestAffinityOrder:
@@ -55,30 +57,31 @@ class TestAffinityOrder:
         assert len(order) == len(set(order)) == 5  # a0,b0,cin,s0,cout
 
 
+def _terminal_order(net, method):
+    """The connectivity order, or one of the degraded orders of ablation
+    A5: declaration order (``natural``) or a seeded shuffle of it."""
+    if method == "connectivity":
+        return io_affinity_order(net)
+    order = [n.name for n in net.primary_inputs + net.primary_outputs]
+    if method == "random":
+        random.Random(123).shuffle(order)
+    return order
+
+
 class TestAssignPads:
+    """``pads_from_order`` over the connectivity order and the degraded
+    orders the pad ablation feeds it."""
+
     @pytest.mark.parametrize("method", ["connectivity", "natural", "random"])
     def test_every_terminal_on_boundary(self, method):
         net = ripple_carry_adder(3)
         subject = decompose_to_subject(net)
-        pads = assign_pads(subject, REGION, method=method)
+        pads = pads_from_order(_terminal_order(subject, method), REGION)
         names = {n.name for n in subject.primary_inputs}
         names |= {n.name for n in subject.primary_outputs}
         assert set(pads) == names
         for p in pads.values():
             assert on_boundary(p, REGION)
-
-    def test_random_is_seeded(self):
-        net = ripple_carry_adder(2)
-        a = assign_pads(net, REGION, method="random", seed=1)
-        b = assign_pads(net, REGION, method="random", seed=1)
-        c = assign_pads(net, REGION, method="random", seed=2)
-        assert a == b
-        assert a != c
-
-    def test_unknown_method(self):
-        net = ripple_carry_adder(2)
-        with pytest.raises(ValueError):
-            assign_pads(net, REGION, method="astrology")
 
     def test_connectivity_separates_unrelated_blocks(self):
         """Two disjoint sub-circuits must not interleave their pads."""
@@ -101,8 +104,9 @@ class TestAssignPads:
         # Perfect separation: one block occupies a contiguous prefix.
         assert max(u_idx) < min(v_idx) or max(v_idx) < min(u_idx)
 
-        spectral = assign_pads(net, REGION, method="connectivity")
-        shuffled = assign_pads(net, REGION, method="random", seed=123)
+        spectral = pads_from_order(_terminal_order(net, "connectivity"),
+                                   REGION)
+        shuffled = pads_from_order(_terminal_order(net, "random"), REGION)
 
         def pair_cost(pads):
             total = 0.0

@@ -43,7 +43,6 @@ class TestLeftEdge:
         }
         result = left_edge_route(intervals)
         assert result.num_tracks == result.density
-        assert result.is_density_optimal
 
     @given(st.lists(
         st.tuples(st.floats(0, 100, allow_nan=False),

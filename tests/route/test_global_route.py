@@ -11,7 +11,7 @@ from repro.network.decompose import decompose_to_subject
 from repro.place.detailed import detailed_place
 from repro.place.global_place import GlobalPlacer
 from repro.place.hypergraph import mapped_netlist
-from repro.place.pads import assign_pads
+from repro.place.pads import io_affinity_order, pads_from_order
 from repro.route.global_route import route_design
 from repro.area.estimate import mapped_image
 
@@ -23,7 +23,7 @@ def routed_case():
     subject = decompose_to_subject(net)
     mapped = MisAreaMapper(lib).map(subject).mapped
     region = mapped_image(mapped.total_cell_area())
-    pads = assign_pads(mapped, region)
+    pads = pads_from_order(io_affinity_order(mapped), region)
     netlist = mapped_netlist(mapped, pads)
     placement = GlobalPlacer().place(netlist, region)
     detailed = detailed_place(netlist, placement.positions)

@@ -1,4 +1,4 @@
-"""Wire-length estimation models."""
+"""Half-perimeter wire length and the Chung–Hwang Steiner correction."""
 
 from __future__ import annotations
 
@@ -7,12 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point
-from repro.route.wirelength import (
-    chung_hwang_factor,
-    hpwl,
-    net_length_estimate,
-    steiner_estimate,
-)
+from repro.route.wirelength import chung_hwang_factor, hpwl
+from repro.timing.model import WireCapModel, net_wire_capacitance
 
 coords = st.floats(min_value=0, max_value=1000, allow_nan=False)
 points = st.lists(st.builds(Point, coords, coords), min_size=2, max_size=12)
@@ -47,26 +43,10 @@ class TestChungHwang:
         assert chung_hwang_factor(4) == pytest.approx(1.5)
 
     def test_steiner_estimate_scales_hpwl(self):
+        """The wire capacitance of Section 4.2 is the Steiner estimate:
+        half-perimeter times the Chung–Hwang factor (unit capacitance
+        per micron on both layers reads it back as a length)."""
         pts = [Point(0, 0), Point(10, 0), Point(0, 10), Point(10, 10)]
-        assert steiner_estimate(pts) == pytest.approx(hpwl(pts) * 1.5)
-
-
-class TestModelSelection:
-    PTS = [Point(0, 0), Point(10, 0), Point(5, 8)]
-
-    def test_hpwl_model(self):
-        assert net_length_estimate(self.PTS, "hpwl") == hpwl(self.PTS)
-
-    def test_steiner_model(self):
-        assert net_length_estimate(self.PTS, "steiner") == steiner_estimate(self.PTS)
-
-    def test_spanning_model(self):
-        from repro.route.spanning import rectilinear_mst_length
-
-        assert net_length_estimate(self.PTS, "spanning") == pytest.approx(
-            rectilinear_mst_length(self.PTS)
-        )
-
-    def test_unknown_model(self):
-        with pytest.raises(ValueError):
-            net_length_estimate(self.PTS, "psychic")
+        unit = WireCapModel(1.0, 1.0)
+        assert net_wire_capacitance(pts, unit) == pytest.approx(
+            hpwl(pts) * 1.5)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.geometry import Point, Rect, median_point
+from repro.geometry import Point, Rect, bounding_rect, optimal_point_manhattan
 from repro.map.base import Solution
 from repro.network.logic import Cube, SopCover, TruthTable
 from repro.network.subject import SubjectGraph
@@ -25,7 +25,7 @@ class TestSolutionOrdering:
 
     def test_key_is_deterministic_on_exact_ties(self, big_lib):
         from repro.library.patterns import pattern_set_for
-        from repro.match.treematch import find_matches
+        from oracles.match import find_matches
 
         g = SubjectGraph()
         a = g.add_primary_input("a")
@@ -62,17 +62,14 @@ class TestZeroInputCovers:
 
 
 class TestGeometryEdges:
-    def test_contains_with_tolerance(self):
-        r = Rect(0, 0, 10, 10)
-        assert not r.contains(Point(10.5, 5))
-        assert r.contains(Point(10.5, 5), tol=1.0)
-
     def test_median_point_even_count(self):
+        """An even count takes the midpoint of the two middle values."""
         pts = [Point(0, 0), Point(10, 0), Point(0, 10), Point(10, 10)]
-        assert median_point(pts) == Point(5, 5)
+        rs = [bounding_rect([p]) for p in pts]
+        assert optimal_point_manhattan(rs) == Point(5, 5)
 
     def test_degenerate_rect_half_perimeter(self):
-        r = Rect.from_point(Point(3, 3))
+        r = Rect(3, 3, 3, 3)
         assert r.half_perimeter == 0
         assert r.center == Point(3, 3)
 

@@ -6,27 +6,8 @@ import pytest
 
 from repro.circuits.random_logic import random_network
 from repro.flow.pipeline import mis_flow
-from repro.geometry import Point, Rect
 from repro.library.standard import big_library
-from repro.viz import layout_svg, placement_svg
-
-
-class TestPlacementSvg:
-    def test_structure(self):
-        svg = placement_svg(
-            {"a": Point(10, 10), "b": Point(50, 80)},
-            Rect(0, 0, 100, 100),
-            pads={"p": Point(0, 50)},
-        )
-        assert svg.startswith("<svg")
-        assert svg.endswith("</svg>")
-        assert svg.count("<circle") == 2
-        assert svg.count('fill="#b43"') == 1
-        assert "<title>a</title>" in svg
-
-    def test_empty(self):
-        svg = placement_svg({}, Rect(0, 0, 10, 10))
-        assert "<svg" in svg
+from repro.viz import layout_svg
 
 
 class TestLayoutSvg:

@@ -15,11 +15,6 @@ class TestWireCapModel:
             2e-4 * 100 + 1e-4 * 50
         )
 
-    def test_scaled(self):
-        model = WireCapModel(3e-4, 3e-4).scaled(1.0 / 3.0)
-        assert model.ch_per_um == pytest.approx(1e-4)
-        assert model.cv_per_um == pytest.approx(1e-4)
-
 
 class TestNetWireCapacitance:
     def test_two_pin_net(self):
@@ -29,16 +24,17 @@ class TestNetWireCapacitance:
         assert cap == pytest.approx(2e-4 * 100)
 
     def test_empty_and_single(self):
-        assert net_wire_capacitance([]) == 0.0
-        assert net_wire_capacitance([Point(0, 0)]) == 0.0
+        assert net_wire_capacitance([], WireCapModel()) == 0.0
+        assert net_wire_capacitance([Point(0, 0)], WireCapModel()) == 0.0
 
     def test_multi_pin_steiner_correction(self):
         pts4 = [Point(0, 0), Point(100, 0), Point(0, 100), Point(100, 100)]
-        plain = net_wire_capacitance(pts4, use_steiner_factor=False)
-        corrected = net_wire_capacitance(pts4, use_steiner_factor=True)
+        plain = WireCapModel().capacitance(100, 100)  # the bounding box
+        corrected = net_wire_capacitance(pts4, WireCapModel())
         assert corrected == pytest.approx(plain * 1.5)
 
     def test_monotone_in_spread(self):
-        near = net_wire_capacitance([Point(0, 0), Point(10, 10)])
-        far = net_wire_capacitance([Point(0, 0), Point(500, 500)])
+        model = WireCapModel()
+        near = net_wire_capacitance([Point(0, 0), Point(10, 10)], model)
+        far = net_wire_capacitance([Point(0, 0), Point(500, 500)], model)
         assert far > near

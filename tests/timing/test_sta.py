@@ -7,7 +7,7 @@ import pytest
 from repro.geometry import Point
 from repro.map.netlist import MappedNetwork
 from repro.timing.incremental import IncrementalTiming
-from repro.timing.model import WireCapModel, net_wire_capacitance
+from repro.timing.model import PAD_CAP, WireCapModel, net_wire_capacitance
 from repro.timing.sta import analyze, critical_path
 from repro.verify.invariants import check_timing
 
@@ -27,7 +27,7 @@ def chain(big_lib):
 class TestArrivalRecursion:
     def test_hand_computed(self, big_lib, chain):
         m, g1, g2 = chain
-        report = analyze(m, wire_model=None, pad_cap=0.1)
+        report = analyze(m, wire_model=None)
         nand2 = big_lib["nand2"]
         inv1 = big_lib["inv1"]
         # g1 load: inv1 input cap; g1 arrival = block + R * load.
@@ -39,10 +39,10 @@ class TestArrivalRecursion:
         t_g2 = report.arrivals["g2"].worst
         expected_rise = (report.arrivals["g1"].worst
                          + inv1.pins[0].timing.rise_block
-                         + inv1.pins[0].timing.rise_resistance * 0.1)
+                         + inv1.pins[0].timing.rise_resistance * PAD_CAP)
         expected_fall = (report.arrivals["g1"].worst
                          + inv1.pins[0].timing.fall_block
-                         + inv1.pins[0].timing.fall_resistance * 0.1)
+                         + inv1.pins[0].timing.fall_resistance * PAD_CAP)
         assert t_g2 == pytest.approx(max(expected_rise, expected_fall))
         assert report.critical_delay == pytest.approx(t_g2)
         assert report.critical_po == "f"
@@ -65,12 +65,6 @@ class TestArrivalRecursion:
         no_wire = analyze(m, wire_model=None).critical_delay
         with_wire = analyze(m, wire_model=WireCapModel()).critical_delay
         assert with_wire > no_wire
-
-    def test_fanout_count_fallback(self, chain):
-        m, *_ = chain
-        small = analyze(m, wire_model=None, wire_cap_per_fanout=0.0)
-        big = analyze(m, wire_model=None, wire_cap_per_fanout=0.5)
-        assert big.critical_delay > small.critical_delay
 
     def test_node_arrival_side_effect(self, chain):
         m, g1, g2 = chain
@@ -132,7 +126,7 @@ class TestRepeatedPinSink:
 
     def test_analyze(self, shared):
         net = next(n for n in shared.nets() if n.name == "d")
-        assert net.sink_capacitance() == 0.5
+        assert sum(sink.input_pin_cap(pin) for sink, pin in net.sinks) == 0.5
         assert analyze(shared, wire_model=None).loads["d"] == 0.5
 
     def test_incremental(self, shared):

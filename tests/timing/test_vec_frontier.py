@@ -31,7 +31,7 @@ from repro.map.mis import MisAreaMapper
 from repro.map.netlist import MappedNetwork
 from repro.network.decompose import decompose_to_subject
 from repro.timing import IncrementalTiming
-from repro.timing.model import WireCapModel
+from repro.timing.model import PAD_CAP, WireCapModel
 from repro.timing.sta import (
     TimingTables,
     analyze,
@@ -220,9 +220,7 @@ def _check_step(engine):
     mapped = engine.mapped
     kept = {n.name: n.arrival for n in mapped.nodes}
     fresh = analyze(mapped, wire_model=engine.wire_model,
-                    input_arrivals=engine.input_arrivals,
-                    pad_cap=engine.pad_cap,
-                    wire_cap_per_fanout=engine.wire_cap_per_fanout)
+                    input_arrivals=engine.input_arrivals)
     for node in mapped.nodes:
         node.arrival = kept[node.name]
     assert report_mismatches(live, {}, fresh, {}) == []
@@ -299,13 +297,14 @@ class TestFrontierEdgeCases:
         step(po=True)
         assert engine.check_against_full() == []
 
-    def test_fanout_fallback_without_wire_model(self):
+    def test_pin_loads_without_wire_model(self):
+        """Without a wire model a load is its pin caps alone, so moves
+        re-time nothing; input arrivals still propagate."""
         mapped = _edge_netlist()
-        engine = IncrementalTiming(mapped, wire_model=None,
-                                   wire_cap_per_fanout=0.3)
+        engine = IncrementalTiming(mapped, wire_model=None)
         live = _check_step(engine)
         assert live.loads["g1"] == (
-            mapped["g2"].cell.pins[0].input_cap + 0.25 + 2 * 0.3)
+            mapped["g2"].cell.pins[0].input_cap + PAD_CAP)
         for name in ("g1", "s", "f1", "a"):
             engine.set_position(name, _moved(mapped, name, 40.0, 40.0))
             before = dict(engine.report.arrivals)

@@ -1,9 +1,10 @@
 """The documentation and source gates, run as tests.
 
 Two layers: (a) the gates pass on the repository as committed — broken
-doc links, undocumented ``repro.verify`` / flow API or an unused import
-in ``src/repro`` fail the tier-1 suite; (b) the gate tools themselves
-detect seeded violations, so a silently broken checker is caught too.
+doc links, undocumented ``repro.verify`` / flow API, an unused import
+or a definition no production code reaches in ``src/repro`` fail the
+tier-1 suite; (b) the gate tools themselves detect seeded violations,
+so a silently broken checker is caught too.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ def check_imports():
     return _load_tool("check_imports")
 
 
+@pytest.fixture(scope="module")
+def check_traffic():
+    return _load_tool("check_traffic")
+
+
 class TestRepositoryPasses:
     def test_docstring_coverage(self, check_docstrings, capsys):
         paths = [str(REPO_ROOT / p) for p in DOCSTRING_SCOPE]
@@ -88,6 +94,11 @@ class TestRepositoryPasses:
 
     def test_no_unused_imports(self, check_imports, capsys):
         code = check_imports.main([str(REPO_ROOT / "src" / "repro")])
+        assert code == 0, capsys.readouterr().out
+
+    def test_every_definition_has_a_production_caller(self, check_traffic,
+                                                      capsys):
+        code = check_traffic.main(["--root", str(REPO_ROOT)])
         assert code == 0, capsys.readouterr().out
 
 
@@ -191,3 +202,73 @@ class TestImportGate:
             "c.py": "from pkg.a import Shape\nprint(Shape)\n",
         })
         assert check_imports.main([str(pkg)]) == 0
+
+
+class TestTrafficGate:
+    """A tiny repository: ``src/repro`` plus caller and test trees."""
+
+    def _repo(self, root, files, allow=""):
+        (root / "src" / "repro").mkdir(parents=True)
+        for rel, text in files.items():
+            path = root / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        (root / "src" / "repro" / "__init__.py").touch()
+        allowlist = root / "allow.txt"
+        allowlist.write_text(allow)
+        return ["--root", str(root), "--allowlist", str(allowlist)]
+
+    def test_referenced_definitions_pass(self, check_traffic, tmp_path):
+        args = self._repo(tmp_path, {
+            "src/repro/mod.py": "def used():\n    return 1\n\n"
+                                "class Box:\n    def size(self):\n"
+                                "        return 2\n"
+                                "    def __len__(self):\n"
+                                "        return 0\n",
+            "tools/run.py": "from repro.mod import Box, used\n"
+                            "print(used(), Box().size())\n",
+        })
+        assert check_traffic.main(args) == 0
+
+    def test_planted_function_detected(self, check_traffic, tmp_path,
+                                       capsys):
+        args = self._repo(tmp_path, {
+            "src/repro/mod.py": "def planted():\n    return planted()\n",
+        })
+        assert check_traffic.main(args) == 1
+        assert "repro.mod.planted" in capsys.readouterr().out
+
+    def test_function_called_only_from_tests_detected(self, check_traffic,
+                                                      tmp_path, capsys):
+        args = self._repo(tmp_path, {
+            "src/repro/mod.py": "def helper():\n    return 1\n",
+            "src/repro/__init__.py": "from repro.mod import helper\n"
+                                     "__all__ = ['helper']\n",
+            "tests/test_mod.py": "from repro.mod import helper\n"
+                                 "assert helper() == 1\n",
+        })
+        assert check_traffic.main(args) == 1
+        assert "repro.mod.helper" in capsys.readouterr().out
+
+    def test_string_patch_target_counts(self, check_traffic, tmp_path):
+        args = self._repo(tmp_path, {
+            "src/repro/mod.py": "def hook():\n    return 1\n",
+            "perfbench/clock.py": "TARGETS = ['repro.mod.hook']\n",
+        })
+        assert check_traffic.main(args) == 0
+
+    def test_allowlist_exempts_and_must_stay_live(self, check_traffic,
+                                                  tmp_path, capsys):
+        files = {"src/repro/extra/__init__.py": "",
+                 "src/repro/extra/mod.py": "def spare():\n    pass\n"}
+        args = self._repo(tmp_path, files,
+                          allow="repro.extra kept for users\n")
+        assert check_traffic.main(args) == 0
+        (tmp_path / "src" / "repro" / "extra" / "mod.py").unlink()
+        assert check_traffic.main(args) == 1
+        assert "matches nothing: repro.extra" in capsys.readouterr().out
+
+    def test_allowlist_entry_needs_a_reason(self, check_traffic, tmp_path):
+        args = self._repo(tmp_path, {}, allow="repro.mod.spare\n")
+        with pytest.raises(ValueError, match="no reason"):
+            check_traffic.main(args)

@@ -76,7 +76,7 @@ def build_mix(jobs: int, seed: int, synth_specs=()):
     repetition — that is the warm traffic) from a small unique pool.
     ``synth_specs`` (``SEED:GATES`` strings) add generated Rent's-rule
     circuits to the pool; they survive the unique-pool cap."""
-    from repro.serve.driver import TABLE2_WIRE_CAP
+    from repro.flow.tables import TABLE2_WIRE_MODEL
     from repro.serve.jobs import JobSpec
 
     rng = random.Random(seed)
@@ -87,7 +87,9 @@ def build_mix(jobs: int, seed: int, synth_specs=()):
                 {"circuit": circuit, "flow": flow, "mode": "area"}))
         pool.append(JobSpec.from_dict(
             {"circuit": circuit, "flow": "lily", "mode": "timing",
-             "library": "big_1u", "wire_cap": list(TABLE2_WIRE_CAP)}))
+             "library": "big_1u",
+             "wire_cap": [TABLE2_WIRE_MODEL.ch_per_um,
+                          TABLE2_WIRE_MODEL.cv_per_um]}))
     for index in range(max(4, jobs // 40)):
         pool.append(JobSpec.from_dict(
             {"blif": fuzz_blif(rng, index), "flow": "lily",
